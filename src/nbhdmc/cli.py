@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .announce import ReductionInputError, format_trace
@@ -26,7 +27,7 @@ from .model import (ModelFormatError, NeighborhoodModel, NonMonotoneError,
                     transitive_closure)
 from .morphism import StateMap, check_bullet_morphism, check_w_morphism
 from .search import (ClassSpec, Countermodel, count_frames, distinguish,
-                     find_countermodel, verdict_to_json, verdict_to_text)
+                     find_countermodel, verdict_to_text, worker_count)
 from .semantics import evaluate, extension, frame_valid
 
 PROPERTY_ORDER = ("m", "c", "n", "r", "filter", "neg-suppl")
@@ -54,8 +55,6 @@ def _load_model(path: str) -> NeighborhoodModel:
     text = _read_file(path)
     try:
         return model_from_text(text)
-    except json.JSONDecodeError as exc:
-        raise _CliError("json", f"{path}: {exc}") from exc
     except ModelFormatError as exc:
         raise _CliError("model-format", f"{path}: {exc}") from exc
 
@@ -221,11 +220,13 @@ def _cmd_transform(args) -> int:
             x = extension(model, f, force=args.force)
             out = intersection_submodel(model, x, force=args.force)
         elif op.startswith("perturb:"):
-            raw = _read_file(op[len("perturb:"):])
+            path = op[len("perturb:"):]
+            raw = _read_file(path)
             try:
                 data = json.loads(raw)
             except json.JSONDecodeError as exc:
-                raise _CliError("json", str(exc)) from exc
+                msg = f"{path}: not valid JSON: {exc}"
+                raise _CliError("model-format", msg) from exc
             pmap = pmap_from_json(data, model.states)
             out = perturb(model, pmap)
         else:
@@ -277,9 +278,10 @@ def _cmd_distinguish(args) -> int:
 
 
 def _cmd_paper_suite(args) -> int:
+    jobs = worker_count(args.jobs, os.cpu_count())
     width = max(len(r) for r in ROWS)
     failures = 0
-    for row_id, _description, ok, detail in run_suite(jobs=args.jobs):
+    for row_id, _description, ok, detail in run_suite(jobs=jobs):
         mark = "PASS" if ok else "FAIL"
         if not ok:
             failures += 1

@@ -153,6 +153,12 @@ class NeighborhoodFrame:
         """Per-state neighborhood families as frozensets of bit masks."""
         return tuple(frozenset(ss.bits for ss in fam) for fam in self.neighborhoods)
 
+    def family_codes(self) -> tuple[int, ...]:
+        """Per-state family codes: bit x is set when the set with mask x
+        is a neighborhood."""
+        return tuple(sum(1 << ss.bits for ss in fam)
+                     for fam in self.neighborhoods)
+
 
 def _canonical_valuation(n: int, valuation) -> tuple[tuple[str, StateSet], ...]:
     items = valuation.items() if hasattr(valuation, "items") else valuation

@@ -11,28 +11,33 @@ falsifying state).
 Sampled mode expands a 64-bit seed splitmix-style; each sample draws,
 in order, one value per state to index the class-allowed family list
 (by modulo) and one value per atom (sorted) for its valuation mask.
-Only verdict counts are meant to be reproducible across rewrites, not
-the sequences themselves.
+Sequences and verdicts are fixed byte for byte by the seed.
+
+Scans go through the evaluation kernel in `semantics`: the formula is
+compiled once, and each frame sweeps all of its valuations at once.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 
 from .formula import (And, Atom, Bullet, Formula, Not, Wrong, atoms_of,
                       has_announcement)
 from .model import (MAX_STATES, NeighborhoodFrame, NeighborhoodModel,
                     PointedModel, StateSet, model_to_json)
-from .semantics import _Ctx, _ctx_for, evaluate
+from .semantics import (Program, _blocks, _Closure, _Frame, _run, _sweep,
+                        _valuation_masks, compile_formula, evaluate)
 
 __all__ = [
     "SplitMix64", "ClassSpec", "Countermodel", "NoCounterexampleUpTo",
     "enumerate_frames", "count_frames", "find_countermodel", "distinguish",
     "fragment_representatives", "verdict_to_json", "verdict_to_text",
-    "allowed_family_codes",
+    "allowed_family_codes", "worker_count",
 ]
 
 EXHAUSTIVE_MAX_STATES = 3  # frame space is 2^(2^n * n); n=4 would be 2^64
@@ -172,10 +177,6 @@ def _family_sets(n: int, code: int) -> tuple[StateSet, ...]:
     return tuple(StateSet(n, x) for x in range(1 << n) if code >> x & 1)
 
 
-def _family_masks_from_code(n: int, code: int) -> frozenset[int]:
-    return frozenset(x for x in range(1 << n) if code >> x & 1)
-
-
 def _frame_from_codes(n: int, codes) -> NeighborhoodFrame:
     return NeighborhoodFrame(_STATE_NAMES[:n],
                              tuple(_family_sets(n, c) for c in codes))
@@ -239,19 +240,15 @@ def _scan_range(args):
     state) and the scan follows canonical order, so the first hit is
     the slice minimum.
     """
-    f, n, properties, atoms, lo, hi = args
+    prog, n, properties, lo, hi = args
     allowed = _allowed_lists(n, properties)
-    full = (1 << n) - 1
-    assignments = list(product(range(1 << n), repeat=len(atoms)))
-    for idx in range(lo, hi):
-        codes = _decode_index(idx, allowed)
-        fams = tuple(_family_masks_from_code(n, c) for c in codes)
-        for assignment in assignments:
-            ctx = _Ctx(n, fams, dict(zip(atoms, assignment)), False)
-            e = ctx.ext(f)
-            if e != full:
-                state = next(s for s in range(n) if not e >> s & 1)
-                return (idx, codes, assignment, state)
+    k = len(prog.atoms)
+    blocks = tuple(_blocks(prog, n))  # static slots, shared by every frame
+    for idx, codes in enumerate(islice(product(*allowed), lo, hi), lo):
+        hit = _sweep(prog, _Frame(n, codes, eager=k > 0), blocks)
+        if hit:
+            j, state = hit
+            return (idx, codes, _valuation_masks(j, n, k), state)
     return None
 
 
@@ -264,6 +261,15 @@ def _witness_to_countermodel(f: Formula, n: int, codes, atoms, assignment,
         msg = "countermodel self-check failed; evaluator disagrees with scan"
         raise RuntimeError(msg)
     return Countermodel(pm)
+
+
+def worker_count(jobs: int, cpus: int | None) -> int:
+    """Processes a scan may use: jobs below 1 are refused, and more than
+    the cpus available (None when unknown) are not started."""
+    if jobs < 1:
+        msg = f"jobs must be at least 1, got {jobs}"
+        raise ValueError(msg)
+    return min(jobs, cpus or 1)
 
 
 def _chunk_ranges(total: int, jobs: int) -> list[tuple[int, int]]:
@@ -279,21 +285,25 @@ def _chunk_ranges(total: int, jobs: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def _run_chunks(f, n, properties, atoms, total, jobs):
+def _first_hit(tasks):
+    for task in tasks:
+        hit = _scan_range(task)
+        if hit:
+            return hit
+    return None
+
+
+def _run_chunks(prog: Program, n, properties, total, jobs):
     """First witness across ordered slices; parallel-safe and deterministic.
 
     Slices are consumed in order, so a witness is only accepted after
     every earlier slice came back empty; chunk boundaries cannot change
-    the answer.
+    the answer.  Workers receive the compiled program.
     """
-    tasks = [(f, n, properties, atoms, lo, hi)
+    tasks = [(prog, n, properties, lo, hi)
              for lo, hi in _chunk_ranges(total, jobs)]
     if jobs <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            hit = _scan_range(task)
-            if hit:
-                return hit
-        return None
+        return _first_hit(tasks)
     try:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_scan_range, task) for task in tasks]
@@ -304,13 +314,9 @@ def _run_chunks(f, n, properties, atoms, total, jobs):
                         other.cancel()
                     return hit
         return None
-    except (OSError, PermissionError):
-        # no subprocess support here; same order, same answer
-        for task in tasks:
-            hit = _scan_range(task)
-            if hit:
-                return hit
-        return None
+    except (OSError, BrokenProcessPool):
+        # no working subprocesses here; same order, same answer
+        return _first_hit(tasks)
 
 
 def find_countermodel(f: Formula, cls: ClassSpec, mode: str = "exhaustive",
@@ -320,11 +326,13 @@ def find_countermodel(f: Formula, cls: ClassSpec, mode: str = "exhaustive",
     Exhaustive mode climbs n = 1..max_states and returns the canonical
     minimum countermodel, or NoCounterexampleUpTo (never a validity
     claim).  Sampled mode draws `samples` (frame, valuation) pairs at
-    n = max_states from the seeded generator.
+    n = max_states from the seeded generator.  jobs must be at least 1
+    and runs at most one process per CPU.
     """
     if mode not in ("exhaustive", "sampled"):
         msg = f"mode must be 'exhaustive' or 'sampled', got {mode!r}"
         raise ValueError(msg)
+    jobs = worker_count(jobs, os.cpu_count())
     if has_announcement(f) and "m" not in cls.properties:
         msg = ("announcement formulas are only searched over classes "
                "requiring property m")
@@ -336,9 +344,10 @@ def find_countermodel(f: Formula, cls: ClassSpec, mode: str = "exhaustive",
         msg = (f"exhaustive search caps max_states at {EXHAUSTIVE_MAX_STATES}, "
                f"got {cls.max_states}; use sampled mode")
         raise ValueError(msg)
+    prog = compile_formula(f, atoms)
     for n in range(1, cls.max_states + 1):
         total = count_frames(n, cls)
-        hit = _run_chunks(f, n, cls.properties, atoms, total, jobs)
+        hit = _run_chunks(prog, n, cls.properties, total, jobs)
         if hit:
             _, codes, assignment, state = hit
             return _witness_to_countermodel(f, n, codes, atoms, assignment, state)
@@ -354,17 +363,16 @@ def _sampled_search(f: Formula, cls: ClassSpec, atoms, seed: int, samples: int):
     if samples <= 0:
         msg = f"sampled mode needs a positive sample count, got {samples}"
         raise ValueError(msg)
+    prog = compile_formula(f, atoms)
     allowed = _allowed_lists(n, cls.properties)
     full = (1 << n) - 1
     rng = SplitMix64(seed)
     for _ in range(samples):
         codes = tuple(options[rng.below(len(options))] for options in allowed)
         assignment = tuple(rng.below(1 << n) for _ in atoms)
-        fams = tuple(_family_masks_from_code(n, c) for c in codes)
-        ctx = _Ctx(n, fams, dict(zip(atoms, assignment)), False)
-        e = ctx.ext(f)
-        if e != full:
-            state = next(s for s in range(n) if not e >> s & 1)
+        miss = full ^ _run(prog, _Frame(n, codes), assignment)
+        if miss:
+            state = (miss & -miss).bit_length() - 1
             return _witness_to_countermodel(f, n, codes, atoms, assignment, state)
     return NoCounterexampleUpTo(n, "sampled", samples, seed)
 
@@ -384,48 +392,50 @@ def fragment_representatives(models, atoms, operators, max_depth: int):
     signature and tracking the least modal depth that realizes it, so
     the depth bound cuts exactly.  Returns [(formula, signature)] in
     discovery order; signatures are tuples of extension masks, one per
-    model.
+    model.  Each offered formula is one kernel node over the slots of
+    representatives.
     """
-    ctxs = [_ctx_for(m, False) for m in models]
-    reps: list[list] = []  # [formula, signature, best known modal depth]
+    names = tuple(sorted(set(atoms)))
+    closure = _Closure(models, names)
+    reps: list[list] = []  # [formula, signature, best known depth, slot]
     index: dict[tuple, int] = {}
 
-    def offer(formula: Formula, depth: int) -> bool:
-        sig = tuple(ctx.ext(formula) for ctx in ctxs)
+    def offer(node, depth: int, make, *parts) -> bool:
+        slot, sig = node
         pos = index.get(sig)
         if pos is None:
             index[sig] = len(reps)
-            reps.append([formula, sig, depth])
+            reps.append([make(*parts), sig, depth, slot])
             return True
         if depth < reps[pos][2]:
             reps[pos][2] = depth
             return True
         return False
 
-    for name in sorted(set(atoms)):
-        offer(Atom(name), 0)
+    for name in names:
+        offer(closure.atom(name), 0, Atom, name)
     changed = True
     while changed:
         changed = False
         i = 0
         while i < len(reps):
-            f, _, d = reps[i]
-            if offer(Not(f), d):
+            f, _, d, a = reps[i]
+            if offer(closure.node(Not, a), d, Not, f):
                 changed = True
             j = 0
             while j < len(reps):
-                g, _, dg = reps[j]
-                if offer(And(f, g), max(d, dg)):
+                g, _, dg, b = reps[j]
+                if offer(closure.node(And, a, b), max(d, dg), And, f, g):
                     changed = True
                 j += 1
             i += 1
         for pos in range(len(reps)):
-            f, _, d = reps[pos]
+            f, _, d, a = reps[pos]
             if d < max_depth:
                 for op in operators:
-                    if offer(op(f), d + 1):
+                    if offer(closure.node(op, a), d + 1, op, f):
                         changed = True
-    return [(f, sig) for f, sig, _ in reps]
+    return [(f, sig) for f, sig, _, _ in reps]
 
 
 def distinguish(pm1: PointedModel, pm2: PointedModel, fragment: str,

@@ -8,142 +8,425 @@ Clauses at state s, writing E for the child's extension:
     [a] b holds iff a's truth at s implies b's truth at s inside the
           submodel obtained by restricting to a's extension
 
-The core works on raw bit masks; extensions are memoized per
-subformula within one model, and each announcement evaluates its body
-in a fresh submodel context (no cache crosses models).
+One kernel serves every caller: evaluate, extension, frame_valid, the
+countermodel scans and distinguish.  A formula is compiled once into a
+straight-line program with one slot per distinct subformula; slots are
+hash-consed on (operator, child slots), never on formula trees.
+
+Over one frame of n states a slot's value is a single int holding the
+extension under V valuations at once: valuation j sits at bits
+[j*n, (j+1)*n), and V = 1 is the single-model case.  The connectives
+cost one big-int operation each, whatever V is.  A modal node reads,
+per valuation, the frame's table K[x]: the states whose family code
+(bit x set when the set with mask x is a neighborhood) has bit x.  An
+announcement runs its body's own program on the submodel, once per
+valuation whose announced extension is non-empty.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from functools import lru_cache
+from operator import or_
+from typing import NamedTuple
 
 from .formula import (And, Announce, Atom, Bot, Box, Bullet, Circ, Formula,
                       Iff, Imp, Not, Or, Top, Wrong, atoms_of)
 from .model import (NeighborhoodFrame, NeighborhoodModel, NonMonotoneError,
-                    PointedModel, StateSet, _strict_supersets)
+                    PointedModel, StateSet)
 
 __all__ = ["evaluate", "extension", "frame_valid"]
 
 VALUATION_SPACE_CAP = 24  # frame_valid refuses when atoms * states exceeds this
+_BLOCK_BITS = 10  # a sweep evaluates at most 2^10 valuations at once
+
+_NON_MONOTONE = ("announcement on a model not closed under supersets; "
+                 "pass force to apply the submodel formula anyway")
+
+# Operators.  Slots up to _BOT read no child, up to _IFF read the frame
+# nowhere, and from _BOX on are modal.
+(_ATOM, _TOP, _BOT, _NOT, _AND, _OR, _IMP, _IFF, _ANN,
+ _BOX, _BULLET, _CIRC, _WRONG) = range(13)
+
+_UNARY = {Not: _NOT, Box: _BOX, Bullet: _BULLET, Circ: _CIRC, Wrong: _WRONG}
+_BINARY = {And: _AND, Or: _OR, Imp: _IMP, Iff: _IFF}
+_OPS = {Atom: _ATOM, Top: _TOP, Bot: _BOT, Announce: _ANN, **_UNARY, **_BINARY}
 
 
-def _is_monotone(fams: tuple[frozenset[int], ...], full: int) -> bool:
-    for fam in fams:
-        for x in fam:
-            if any(y not in fam for y in _strict_supersets(x, full)):
-                return False
-    return True
+class Program(NamedTuple):
+    """A compiled formula: instructions (slot, op, a, b) in dependency order.
+
+    `static` fills the slots that depend on the valuation only, `dynamic`
+    the rest, so a scan computes the static slots once per valuation
+    block instead of once per frame.  Atom instructions read index a of
+    `atoms`; atoms not listed there are empty.  An announcement's b is
+    its body's Program, which reads the same atom indexes.
+    """
+
+    atoms: tuple[str, ...]
+    static: tuple
+    dynamic: tuple
+    size: int
+    root: int
 
 
-class _Ctx:
-    """One model's evaluation context over raw masks."""
+class _Builder:
+    """Hash-consed program under construction.
 
-    __slots__ = ("n", "full", "fams", "val", "force", "cache", "_monotone")
+    Given atoms fix the atom indexes and other atoms read as empty;
+    without them each atom gets the next index where it first occurs.
+    An announcement body's builder shares its parent's index.
+    """
 
-    def __init__(self, n: int, fams: tuple[frozenset[int], ...],
-                 val: dict[str, int], force: bool):
+    __slots__ = ("fixed", "index", "slots", "code", "seen")
+
+    def __init__(self, atoms=None, parent: _Builder | None = None):
+        if parent is not None:
+            self.fixed, self.index = parent.fixed, parent.index
+        else:
+            self.fixed = atoms is not None
+            self.index = {name: i for i, name in enumerate(atoms or ())}
+        self.slots: dict[tuple, int] = {}  # (op, a, b) -> slot
+        self.code: list[tuple] = []
+        self.seen: dict[int, int] = {}  # id of a node -> slot, shared subtrees
+
+    def node(self, op: int, a=0, b=0) -> int:
+        key = (op, a, b)
+        slot = self.slots.get(key)
+        if slot is None:
+            slot = self.slots[key] = len(self.code)
+            self.code.append((slot,) + key)
+        return slot
+
+    def formula(self, f: Formula) -> int:
+        slot = self.seen.get(id(f))
+        if slot is not None:
+            return slot
+        op = _OPS.get(type(f))
+        if op is None:
+            msg = f"not a formula: {f!r}"
+            raise TypeError(msg)
+        if _AND <= op <= _IFF:
+            slot = self.node(op, self.formula(f.left), self.formula(f.right))
+        elif op == _NOT or op >= _BOX:
+            slot = self.node(op, self.formula(f.child))
+        elif op == _ATOM:
+            i = self.index.get(f.name)
+            if i is None and not self.fixed:
+                i = self.index[f.name] = len(self.index)
+            slot = self.node(_BOT) if i is None else self.node(_ATOM, i)
+        elif op == _ANN:
+            body = _Builder(parent=self)
+            slot = self.node(_ANN, self.formula(f.announced),
+                             body.program(body.formula(f.body)))
+        else:
+            slot = self.node(op)
+        self.seen[id(f)] = slot
+        return slot
+
+    def program(self, root: int) -> Program:
+        is_static: list[bool] = []
+        static, dynamic = [], []
+        for ins in self.code:
+            _, op, a, b = ins
+            flag = op <= _BOT or (op <= _IFF and is_static[a] and
+                                  (op == _NOT or is_static[b]))
+            is_static.append(flag)
+            (static if flag else dynamic).append(ins)
+        return Program(tuple(self.index), tuple(static), tuple(dynamic),
+                       len(self.code), root)
+
+
+def compile_formula(f: Formula, atoms=None) -> Program:
+    """f as a program over the given atom order, or over its own atoms in
+    order of first occurrence."""
+    builder = _Builder(atoms)
+    return builder.program(builder.formula(f))
+
+
+# --- frames -------------------------------------------------------------------
+
+
+def _members(code: int):
+    """Subset masks in a family code, ascending."""
+    while code:
+        low = code & -code
+        yield low.bit_length() - 1
+        code ^= low
+
+
+def _code_monotone(n: int, code: int) -> bool:
+    """Whether the family is closed under supersets: adding any one state
+    to a member gives a member."""
+    return all(code >> (x | 1 << s) & 1 for x in _members(code)
+               for s in range(n))
+
+
+def _column(n: int, s: int, code: int) -> tuple[int, ...]:
+    """State s's share of K: bit s of K[x] for every subset mask x."""
+    return tuple((code >> x & 1) << s for x in range(1 << n))
+
+
+_small_column = lru_cache(maxsize=None)(_column)  # n <= 3: 3 * 256 codes
+
+
+def _k_table(n: int, codes) -> list[int]:
+    column = _small_column if n <= 3 else _column
+    acc = column(n, 0, codes[0])
+    for s in range(1, n):
+        acc = map(or_, acc, column(n, s, codes[s]))
+    return list(acc)
+
+
+def _compress(mask: int, kept) -> int:
+    return sum((mask >> old & 1) << new for new, old in enumerate(kept))
+
+
+def _expand(mask: int, kept) -> int:
+    return sum((mask >> new & 1) << old for new, old in enumerate(kept))
+
+
+class _Frame:
+    """A frame as the kernel reads it: family codes and the K table.
+
+    K is a full list when sweeping V > 1 valuations, and a dict filled on
+    demand at V = 1.  `blocked` is the first valuation (in the current
+    run) whose announcement met a non-monotone frame without force.
+    """
+
+    __slots__ = ("n", "full", "codes", "K", "force", "blocked", "_monotone",
+                 "_subs")
+
+    def __init__(self, n: int, codes, force: bool = False,
+                 eager: bool = False):
         self.n = n
         self.full = (1 << n) - 1
-        self.fams = fams
-        self.val = val
+        self.codes = codes
+        self.K = _k_table(n, codes) if eager else {}
         self.force = force
-        self.cache: dict[Formula, int] = {}
+        self.blocked: int | None = None
         self._monotone: bool | None = None
+        self._subs: dict[int, tuple] = {}
+
+    def k_at(self, x: int) -> int:
+        return sum((c >> x & 1) << s for s, c in enumerate(self.codes))
 
     def monotone(self) -> bool:
         if self._monotone is None:
-            self._monotone = _is_monotone(self.fams, self.full)
+            self._monotone = all(_code_monotone(self.n, c) for c in self.codes)
         return self._monotone
 
-    def ext(self, f: Formula) -> int:
-        bits = self.cache.get(f)
-        if bits is None:
-            bits = self._compute(f)
-            self.cache[f] = bits
-        return bits
-
-    def _compute(self, f: Formula) -> int:
-        full = self.full
-        if isinstance(f, Atom):
-            return self.val.get(f.name, 0)
-        if isinstance(f, Top):
-            return full
-        if isinstance(f, Bot):
-            return 0
-        if isinstance(f, Not):
-            return full ^ self.ext(f.child)
-        if isinstance(f, And):
-            return self.ext(f.left) & self.ext(f.right)
-        if isinstance(f, Or):
-            return self.ext(f.left) | self.ext(f.right)
-        if isinstance(f, Imp):
-            return (full ^ self.ext(f.left)) | self.ext(f.right)
-        if isinstance(f, Iff):
-            return full ^ self.ext(f.left) ^ self.ext(f.right)
-        if isinstance(f, Bullet):
-            e = self.ext(f.child)
-            return sum(1 << s for s in range(self.n)
-                       if e >> s & 1 and e not in self.fams[s])
-        if isinstance(f, Circ):
-            e = self.ext(f.child)
-            return sum(1 << s for s in range(self.n)
-                       if not e >> s & 1 or e in self.fams[s])
-        if isinstance(f, Wrong):
-            e = self.ext(f.child)
-            return sum(1 << s for s in range(self.n)
-                       if e in self.fams[s] and not e >> s & 1)
-        if isinstance(f, Box):
-            e = self.ext(f.child)
-            return sum(1 << s for s in range(self.n) if e in self.fams[s])
-        if isinstance(f, Announce):
-            return self._announce(f)
-        msg = f"not a formula: {f!r}"
-        raise TypeError(msg)
-
-    def _announce(self, f: Announce) -> int:
-        pa = self.ext(f.announced)
-        if pa == 0:
-            return self.full  # nothing satisfies the announcement; vacuously true
-        if not self.monotone() and not self.force:
-            msg = ("announcement on a model not closed under supersets; "
-                   "pass force to apply the submodel formula anyway")
-            raise NonMonotoneError(msg)
-        kept = [s for s in range(self.n) if pa >> s & 1]
-        position = {old: new for new, old in enumerate(kept)}
-
-        def compress(mask: int) -> int:
-            out = 0
-            for old, new in position.items():
-                if mask >> old & 1:
-                    out |= 1 << new
-            return out
-
-        sub_fams = tuple(frozenset(compress(p & pa) for p in self.fams[old])
-                         for old in kept)
-        sub_val = {name: compress(v & pa) for name, v in self.val.items()}
-        sub = _Ctx(len(kept), sub_fams, sub_val, self.force)
-        eb = sub.ext(f.body)
-        bits = self.full ^ pa
-        for j, old in enumerate(kept):
-            if eb >> j & 1:
-                bits |= 1 << old
-        return bits
+    def sub(self, pa: int):
+        """(submodel frame, kept states) of the restriction to pa."""
+        hit = self._subs.get(pa)
+        if hit is None:
+            kept = [s for s in range(self.n) if pa >> s & 1]
+            codes = []
+            for old in kept:
+                code = 0
+                for x in _members(self.codes[old]):
+                    code |= 1 << _compress(x & pa, kept)
+                codes.append(code)
+            hit = self._subs[pa] = (_Frame(len(kept), codes, self.force), kept)
+        return hit
 
 
-def _ctx_for(model: NeighborhoodModel, force: bool) -> _Ctx:
-    return _Ctx(model.size, model.frame.family_masks(),
-                {name: ss.bits for name, ss in model.valuation}, force)
+def _announce(fr: _Frame, pa_all: int, body: Program, A, V: int) -> int:
+    # The submodel of a monotone frame is monotone, and a non-monotone
+    # frame is only entered under force, so a body run never blocks.
+    n, full = fr.n, fr.full
+    out = 0
+    for j in range(V):
+        sh = j * n
+        pa = pa_all >> sh & full
+        if pa and (fr.force or fr.monotone()):
+            sub, kept = fr.sub(pa)
+            eb = _run(body, sub, [_compress(v >> sh & pa, kept) for v in A])
+            out |= (full ^ pa | _expand(eb, kept)) << sh
+        else:
+            if pa and (fr.blocked is None or j < fr.blocked):
+                fr.blocked = j
+            out |= full << sh  # vacuous, or blocked: the caller raises
+    return out
+
+
+def _exec(code, vals: list, A, fr: _Frame, V: int, ALL: int) -> None:
+    """Run instructions over V valuations; A holds the atoms' ints."""
+    n, full, K = fr.n, fr.full, fr.K
+    for dst, op, a, b in code:
+        if op == _AND:
+            vals[dst] = vals[a] & vals[b]
+        elif op == _NOT:
+            vals[dst] = ALL ^ vals[a]
+        elif op >= _BOX:
+            v = vals[a]
+            if V == 1:
+                try:
+                    k = K[v]
+                except KeyError:
+                    k = K[v] = fr.k_at(v)
+            else:
+                k = 0
+                for sh in range(0, V * n, n):
+                    k |= K[v >> sh & full] << sh
+            if op == _BOX:
+                vals[dst] = k
+            elif op == _BULLET:
+                vals[dst] = v & ~k
+            elif op == _WRONG:
+                vals[dst] = k & ~v
+            else:
+                vals[dst] = ALL ^ v | k
+        elif op == _OR:
+            vals[dst] = vals[a] | vals[b]
+        elif op == _IMP:
+            vals[dst] = ALL ^ vals[a] | vals[b]
+        elif op == _IFF:
+            vals[dst] = ALL ^ vals[a] ^ vals[b]
+        elif op == _ANN:
+            vals[dst] = _announce(fr, vals[a], b, A, V)
+        elif op == _ATOM:
+            vals[dst] = A[a]
+        elif op == _TOP:
+            vals[dst] = ALL
+        else:
+            vals[dst] = 0
+
+
+def _run(prog: Program, fr: _Frame, atom_masks) -> int:
+    """Extension of the program's formula in one model (V = 1)."""
+    vals = [0] * prog.size
+    _exec(prog.static, vals, atom_masks, fr, 1, fr.full)
+    _exec(prog.dynamic, vals, atom_masks, fr, 1, fr.full)
+    if fr.blocked is not None:
+        raise NonMonotoneError(_NON_MONOTONE)
+    return vals[prog.root]
+
+
+class _Closure:
+    """Formulas built one node at a time over fixed models (distinguish).
+
+    A node is one hash-consed instruction over earlier slots, run once
+    per model when it is new.  Both methods return the node's slot and
+    its signature: its extension mask in each model.
+    """
+
+    def __init__(self, models, atoms):
+        self.builder = _Builder(atoms)
+        self.runs = [(_Frame(m.size, m.frame.family_codes()),
+                      [m.atom_extension(a).bits for a in atoms], [])
+                     for m in models]
+
+    def atom(self, name: str) -> tuple[int, tuple[int, ...]]:
+        return self._add(_ATOM, self.builder.index[name], 0)
+
+    def node(self, kind: type, a: int, b: int = 0) -> tuple[int, tuple[int, ...]]:
+        op = _UNARY[kind] if kind in _UNARY else _BINARY[kind]
+        return self._add(op, a, b)
+
+    def _add(self, op: int, a: int, b: int):
+        slot = self.builder.node(op, a, b)
+        for fr, masks, vals in self.runs:
+            if slot == len(vals):
+                vals.append(0)
+                _exec(((slot, op, a, b),), vals, masks, fr, 1, fr.full)
+        return slot, tuple(vals[slot] for _, _, vals in self.runs)
+
+
+# --- valuation sweeps -----------------------------------------------------------
+
+
+@lru_cache(maxsize=256)
+def _low_pattern(n: int, V: int, lo: int) -> int:
+    """Valuation t < V's digit (t >> lo) & full, at bits [t*n, (t+1)*n)."""
+    full = (1 << n) - 1
+    if (V - 1) >> lo == 0:
+        return 0
+    return sum((t >> lo & full) << t * n for t in range(V))
+
+
+def _blocks(prog: Program, n: int):
+    """(first valuation, V, ALL, atom ints, static slot values) per block.
+
+    Valuations run in the order of product(range(2^n), repeat=atoms),
+    first atom most significant.  Blocks hold V = 2^b valuations and
+    start at multiples of V, so atom i's ints are its high digit
+    repeated plus a pattern that is the same in every block.
+    """
+    k = len(prog.atoms)
+    full = (1 << n) - 1
+    total_bits = n * k
+    V = 1 << min(total_bits, _BLOCK_BITS)
+    ALL = (1 << V * n) - 1
+    rep = ALL // full  # bit 0 of every valuation
+    shifts = [n * (k - 1 - i) for i in range(k)]
+    lows = [_low_pattern(n, V, lo) for lo in shifts]
+    no_frame = _Frame(n, ())  # static instructions read no family code
+    for start in range(0, 1 << total_bits, V):
+        A = [(start >> lo & full) * rep | low for lo, low in zip(shifts, lows)]
+        base = [0] * prog.size
+        _exec(prog.static, base, A, no_frame, V, ALL)
+        yield start, V, ALL, A, base
+
+
+def _sweep(prog: Program, fr: _Frame, blocks):
+    """First (valuation, state) where the formula fails, in canonical order.
+
+    Raises NonMonotoneError when an announcement is blocked at or before
+    the first failing valuation, as a valuation-by-valuation loop would.
+    """
+    n = fr.n
+    for start, V, ALL, A, base in blocks:
+        vals = base.copy()
+        fr.blocked = None
+        _exec(prog.dynamic, vals, A, fr, V, ALL)
+        miss = ALL ^ vals[prog.root]
+        first = (miss & -miss).bit_length() - 1
+        if fr.blocked is not None and (not miss or first // n >= fr.blocked):
+            raise NonMonotoneError(_NON_MONOTONE)
+        if miss:
+            j, state = divmod(first, n)
+            return start + j, state
+    return None
+
+
+def _valuation_masks(j: int, n: int, k: int) -> tuple[int, ...]:
+    """The k atom masks of valuation index j over n states."""
+    full = (1 << n) - 1
+    return tuple(j >> n * (k - 1 - i) & full for i in range(k))
+
+
+# --- public API -------------------------------------------------------------------
+
+
+def _model_ext(model: NeighborhoodModel, f: Formula, force: bool) -> int:
+    prog = compile_formula(f)
+    bits = {name: ss.bits for name, ss in model.valuation}
+    fr = _Frame(model.size, model.frame.family_codes(), force)
+    return _run(prog, fr, [bits.get(a, 0) for a in prog.atoms])
 
 
 def extension(model: NeighborhoodModel, f: Formula,
               force: bool = False) -> StateSet:
     """The set of states where f holds."""
-    return StateSet(model.size, _ctx_for(model, force).ext(f))
+    return StateSet(model.size, _model_ext(model, f, force))
 
 
 def evaluate(pm: PointedModel, f: Formula, force: bool = False) -> bool:
     """Truth of f at the point; by definition, membership in the extension."""
-    return bool(_ctx_for(pm.model, force).ext(f) >> pm.point & 1)
+    return bool(_model_ext(pm.model, f, force) >> pm.point & 1)
+
+
+def _first_failure(frame: NeighborhoodFrame, f: Formula, force: bool = False):
+    """First (valuation index, state) falsifying f on the frame, or None."""
+    n = frame.size
+    atoms = atoms_of(f)
+    if len(atoms) * n > VALUATION_SPACE_CAP:
+        msg = (f"{len(atoms)} atoms over {n} states exceeds the "
+               f"2^{VALUATION_SPACE_CAP} valuation cap; use sampled search")
+        raise ValueError(msg)
+    prog = compile_formula(f, atoms)
+    fr = _Frame(n, frame.family_codes(), force, eager=bool(atoms))
+    return _sweep(prog, fr, _blocks(prog, n))
 
 
 def frame_valid(frame: NeighborhoodFrame, f: Formula,
@@ -154,16 +437,4 @@ def frame_valid(frame: NeighborhoodFrame, f: Formula,
     atoms not occurring in f are irrelevant and never enumerated.
     Refuses when atoms * states exceeds 24 (2^24 valuations).
     """
-    n = frame.size
-    atoms = atoms_of(f)
-    if len(atoms) * n > VALUATION_SPACE_CAP:
-        msg = (f"{len(atoms)} atoms over {n} states exceeds the "
-               f"2^{VALUATION_SPACE_CAP} valuation cap; use sampled search")
-        raise ValueError(msg)
-    fams = frame.family_masks()
-    full = (1 << n) - 1
-    for assignment in product(range(1 << n), repeat=len(atoms)):
-        ctx = _Ctx(n, fams, dict(zip(atoms, assignment)), force)
-        if ctx.ext(f) != full:
-            return False
-    return True
+    return _first_failure(frame, f, force) is None

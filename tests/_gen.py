@@ -6,7 +6,8 @@ byte-for-byte on any platform.
 
 from __future__ import annotations
 
-from nbhdmc.formula import Announce, And, Bullet, Not, Wrong, parse
+from nbhdmc.formula import (Announce, And, Box, Bullet, Circ, Iff, Imp, Not,
+                            Or, Wrong, parse)
 from nbhdmc.model import NeighborhoodModel, model_from_json, supplementation
 from nbhdmc.search import SplitMix64
 
@@ -72,3 +73,27 @@ def random_announcement_formula(rng: SplitMix64, depth: int = 3,
     if rng.below(2):
         f = Not(f)
     return f
+
+
+_FULL_LEAVES = ("p", "q", "true", "false")
+_FULL_UNARY = (Not, Bullet, Circ, Wrong, Box)
+_FULL_BINARY = (And, Or, Imp, Iff)
+
+
+def random_full_formula(rng: SplitMix64, depth: int, announce_budget: int = 0):
+    """Random formula over the whole language: atoms, true, false, all
+    connectives, U, O, W, K and (within the budget) announcements."""
+    if depth <= 0:
+        return parse(_FULL_LEAVES[rng.below(len(_FULL_LEAVES))])
+    pick = rng.below(4 if announce_budget > 0 else 3)
+    if pick == 0:
+        return parse(_FULL_LEAVES[rng.below(len(_FULL_LEAVES))])
+    if pick == 1:
+        op = _FULL_UNARY[rng.below(len(_FULL_UNARY))]
+        return op(random_full_formula(rng, depth - 1, announce_budget))
+    if pick == 2:
+        op = _FULL_BINARY[rng.below(len(_FULL_BINARY))]
+        return op(random_full_formula(rng, depth - 1, announce_budget),
+                  random_full_formula(rng, depth - 1, announce_budget))
+    return Announce(random_full_formula(rng, depth - 1, announce_budget - 1),
+                    random_full_formula(rng, depth - 1, announce_budget - 1))

@@ -130,6 +130,26 @@ def test_bad_class_token(capsys):
     assert err.startswith("error: invalid-argument: unknown class token")
 
 
+def test_class_takes_commas_not_plus(capsys):
+    code, out, _ = run(capsys, "valid", "-f", "U p -> p", "--class", "m,c,n",
+                       "--max-states", "2")
+    assert code == 0
+    assert out.startswith("no-counterexample\n")
+    code, _, err = run(capsys, "valid", "-f", "U p -> p", "--class", "m+c",
+                       "--max-states", "2")
+    assert code == 2
+    assert err.startswith("error: invalid-argument: unknown class token")
+
+
+@pytest.mark.parametrize("command", [
+    ("valid", "-f", "p"), ("countermodel", "-f", "p"), ("paper-suite",)])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(capsys, command, jobs):
+    code, out, err = run(capsys, *command, "--jobs", jobs)
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid-argument: jobs must be at least 1, got {jobs}\n"
+
+
 # --- reduce / desugar ----------------------------------------------------------------
 
 def test_reduce_with_trace(capsys):
@@ -264,6 +284,15 @@ def test_transform_perturb_rejects_illegal_map(capsys, tmp_path):
                        "--op", f"perturb:{pmap}")
     assert code == 2
     assert err.startswith("error: model-format:")
+
+
+def test_transform_perturb_bad_json_is_model_format(capsys, tmp_path):
+    pmap = tmp_path / "pmap.json"
+    pmap.write_text("{nope")
+    code, out, err = run(capsys, "transform", "-m", W_BASE,
+                         "--op", f"perturb:{pmap}")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: model-format: {pmap}: not valid JSON:")
 
 
 # --- props / enumerate / distinguish / frame-valid ----------------------------------------

@@ -1,8 +1,12 @@
 """Frame enumeration, countermodel search, sampling, distinguishability."""
 
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from itertools import product
 
 import pytest
+
+import nbhdmc.search as search
 
 import _oracle
 from nbhdmc.formula import Atom, Wrong, atoms_of, parse
@@ -12,8 +16,8 @@ from nbhdmc.search import (ClassSpec, Countermodel, NoCounterexampleUpTo,
                            SplitMix64, allowed_family_codes, count_frames,
                            distinguish, enumerate_frames, find_countermodel,
                            fragment_representatives, verdict_to_json,
-                           verdict_to_text)
-from nbhdmc.semantics import evaluate
+                           verdict_to_text, worker_count)
+from nbhdmc.semantics import compile_formula, evaluate
 
 ALL2 = ClassSpec(frozenset(), 2)
 M3 = ClassSpec(frozenset(("m",)), 3)
@@ -246,6 +250,16 @@ def test_sampled_mode_finds_easy_countermodels():
     assert not evaluate(one.pointed, f)
 
 
+def test_sampled_countermodel_golden():
+    verdict = find_countermodel(parse("! U p"), ClassSpec(frozenset(), 3),
+                                "sampled", seed=7, samples=200)
+    assert verdict_to_text(verdict) == (
+        '{"verdict": "countermodel", "model": {"states": ["s", "t", "u"], '
+        '"neighborhoods": {"s": [[], ["s"], ["t"], ["u"], ["t", "u"], '
+        '["s", "t", "u"]], "t": [["t"], ["s", "t"], ["u"]], "u": [["s"]]}, '
+        '"valuation": {"p": ["s", "t"]}}, "state": "s"}')
+
+
 def test_sampled_respects_class_properties():
     f = parse("false")
     verdict = find_countermodel(f, ClassSpec(frozenset(("m", "n")), 3),
@@ -279,6 +293,53 @@ def test_jobs_do_not_change_verdicts():
         serial = find_countermodel(f, cls, jobs=1)
         parallel = find_countermodel(f, cls, jobs=4)
         assert verdict_to_json(serial) == verdict_to_json(parallel)
+
+
+def test_worker_count_refuses_below_one_and_clamps_to_cpus():
+    assert worker_count(1, 8) == 1
+    assert worker_count(4, 8) == 4
+    assert worker_count(64, 2) == 2
+    assert worker_count(3, None) == 1
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            worker_count(jobs, 8)
+    with pytest.raises(ValueError, match="at least 1"):
+        find_countermodel(parse("p"), ALL2, jobs=0)
+
+
+class _BrokenPool:
+    """A process pool whose every worker has died."""
+
+    submitted = 0
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        _BrokenPool.submitted += 1
+        fut = Future()
+        fut.set_exception(BrokenProcessPool("a worker died"))
+        return fut
+
+
+def test_broken_pool_falls_back_to_the_serial_scan(monkeypatch):
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _BrokenPool)
+    for text, cls in [(MOORE_TARGET, M3), ("O p & p -> O (p | q)", ALL2),
+                      ("U p -> p", ALL2)]:
+        f = parse(text)
+        prog = compile_formula(f, atoms_of(f))
+        for n in range(1, cls.max_states + 1):
+            total = count_frames(n, cls)
+            args = (prog, n, cls.properties, total)
+            assert search._run_chunks(*args, 2) == \
+                search._run_chunks(*args, 1)
+    assert _BrokenPool.submitted > 0
 
 
 # --- distinguishability -------------------------------------------------------------------

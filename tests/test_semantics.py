@@ -1,17 +1,22 @@
 """Evaluation clauses, extensions, announcements, frame validity."""
 
+from itertools import product
+
 import pytest
 
 import _oracle
-from _gen import (random_announcement_formula, random_formula, random_model,
-                  random_model_doc)
-from nbhdmc.formula import Announce, parse
+from _gen import (random_announcement_formula, random_formula,
+                  random_full_formula, random_model, random_model_doc)
+from nbhdmc import semantics
+from nbhdmc.formula import (And, Announce, Atom, Imp, Not, Or, atoms_of,
+                            children, parse)
 from nbhdmc.model import (NeighborhoodFrame, NeighborhoodModel,
                           NonMonotoneError, PointedModel, StateSet,
                           intersection_submodel, model_from_json,
                           model_to_json, supplementation)
 from nbhdmc.search import ClassSpec, SplitMix64, enumerate_frames
-from nbhdmc.semantics import evaluate, extension, frame_valid
+from nbhdmc.semantics import (_first_failure, evaluate, extension,
+                              frame_valid)
 
 
 def _model(states, families, valuation=()):
@@ -201,3 +206,88 @@ def test_frame_valid_matches_pointwise_sweep():
                 if extension(model, f) != StateSet.full(2):
                     expected = False
         assert frame_valid(frame, f) == expected
+
+
+# --- kernel against the oracle --------------------------------------------------------
+
+
+def _announces_here(doc, f) -> bool:
+    """Whether some announcement evaluated in doc's own model (not inside
+    a submodel) has a non-empty announced extension."""
+    if isinstance(f, Announce):
+        return bool(_oracle.ext(doc, f.announced)) or \
+            _announces_here(doc, f.announced)
+    return any(_announces_here(doc, c) for c in children(f))
+
+
+def test_kernel_matches_oracle_on_full_language():
+    """Extensions equal the oracle's on 1-4 state models, monotone or not,
+    with and without force; NonMonotoneError fires exactly on a non-empty
+    announced extension in a non-monotone model without force."""
+    rng = SplitMix64(407)
+    raised = 0
+    for i in range(400):
+        doc = random_model_doc(rng, 1 + rng.below(4))
+        if i % 2:
+            doc = model_to_json(supplementation(model_from_json(doc)))
+        model = model_from_json(doc)
+        f = random_full_formula(rng, 4, announce_budget=2)
+        expected = _oracle.ext(doc, f)
+        assert _names(model, extension(model, f, force=True)) == expected, \
+            (doc, f)
+        if not _oracle.check_prop(doc, "m") and _announces_here(doc, f):
+            raised += 1
+            with pytest.raises(NonMonotoneError, match="pass force"):
+                extension(model, f)
+        else:
+            assert _names(model, extension(model, f)) == expected, (doc, f)
+    assert raised > 20
+
+
+def _loop_first_failure(frame, f, force):
+    """First (valuation index, state) falsifying f, one valuation at a time."""
+    n = frame.size
+    full = (1 << n) - 1
+    atoms = atoms_of(f)
+    for j, masks in enumerate(product(range(1 << n), repeat=len(atoms))):
+        model = NeighborhoodModel(
+            frame, {a: StateSet(n, m) for a, m in zip(atoms, masks)})
+        miss = full ^ extension(model, f, force=force).bits
+        if miss:
+            return j, (miss & -miss).bit_length() - 1
+    return None
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NonMonotoneError:
+        return "non-monotone"
+
+
+def test_block_sweep_first_failure_matches_valuation_loop(monkeypatch):
+    """Splitting the valuations into blocks of 1, 2, 8 and 1024 finds the
+    same first failing (valuation, state) as a valuation-by-valuation
+    loop, and raises NonMonotoneError in the same cases."""
+    rng = SplitMix64(408)
+    p, q = Atom("p"), Atom("q")
+    kinds = {"failed": 0, "valid": 0, "non-monotone": 0}
+    for i in range(160):
+        doc = random_model_doc(rng, 1 + rng.below(4))
+        if i % 3 == 0:
+            doc = model_to_json(supplementation(model_from_json(doc)))
+        frame = model_from_json(doc).frame
+        g = random_full_formula(rng, 3, announce_budget=1)
+        # late failures cross block boundaries; tautologies sweep them all
+        f = (g, Imp(And(p, q), g), Or(g, Not(g)))[i % 3]
+        force = bool(rng.below(2))
+        expected = _outcome(_loop_first_failure, frame, f, force)
+        for block_bits in (0, 1, 3, 10):
+            monkeypatch.setattr(semantics, "_BLOCK_BITS", block_bits)
+            assert _outcome(_first_failure, frame, f, force) == expected, \
+                (doc, f, force, block_bits)
+        assert frame_valid(frame, f, force=True) == \
+            (_loop_first_failure(frame, f, True) is None)
+        kinds["valid" if expected is None else "non-monotone"
+              if expected == "non-monotone" else "failed"] += 1
+    assert min(kinds.values()) > 10, kinds
