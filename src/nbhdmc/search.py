@@ -15,23 +15,33 @@ Sequences and verdicts are fixed byte for byte by the seed.
 
 Scans go through the evaluation kernel in `semantics`: the formula is
 compiled once, and each frame sweeps all of its valuations at once.
+Exhaustive scans sweep only the frames that can be the canonical
+minimum, with the verdict unchanged:
+
+* a formula of modal depth at most 1 without announcements is true at a
+  state depending only on that state's family code and the valuation,
+  so one frame with every state given code c tells at which states c
+  fails; the least frame with a failing state follows from that;
+* otherwise, the frames with a countermodel are closed under state
+  permutation and every class is too, so the canonical minimum is the
+  least frame of its orbit, and frames some permutation makes smaller
+  are skipped (McKay, "Isomorph-Free Exhaustive Generation", 1998).
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product
+from itertools import permutations, product
 
 from .formula import (And, Atom, Bullet, Formula, Not, Wrong, atoms_of,
                       has_announcement)
 from .model import (MAX_STATES, NeighborhoodFrame, NeighborhoodModel,
                     PointedModel, StateSet, model_to_json)
-from .semantics import (Program, _blocks, _Closure, _Frame, _run, _sweep,
-                        _valuation_masks, compile_formula, evaluate)
+from .semantics import (Program, _blocks, _Closure, _failing_states, _Frame,
+                        _members, _run, _sweep, _valuation_masks,
+                        compile_formula, evaluate)
 
 __all__ = [
     "SplitMix64", "ClassSpec", "Countermodel", "NoCounterexampleUpTo",
@@ -141,14 +151,22 @@ def _containing_state(n: int, w: int) -> int:
     return sum(1 << y for y in range(1 << n) if y >> w & 1)
 
 
+@lru_cache(maxsize=None)
+def _lacking_states(n: int) -> tuple[int, ...]:
+    """Per state w, the family code of {y | w not in y}."""
+    every = (1 << (1 << n)) - 1
+    return tuple(every ^ _containing_state(n, w) for w in range(n))
+
+
 def _family_code_ok(n: int, code: int, prop: str, state: int) -> bool:
     full = (1 << n) - 1
-    members = [x for x in range(1 << n) if code >> x & 1]
     if prop == "n":
         return bool(code >> full & 1)
     if prop == "m":
-        sup = _superset_closure(n)
-        return all(code & sup[x] == sup[x] for x in members)
+        # adding state w to member y is adding 2^w to its mask
+        return all((code & lacking) << (1 << w) & ~code == 0
+                   for w, lacking in enumerate(_lacking_states(n)))
+    members = list(_members(code))
     if prop == "c":
         return all(code >> (x & y) & 1 for x in members for y in members)
     if prop == "r":
@@ -167,7 +185,13 @@ def _family_code_ok(n: int, code: int, prop: str, state: int) -> bool:
 @lru_cache(maxsize=None)
 def allowed_family_codes(n: int, properties: frozenset,
                          state: int) -> tuple[int, ...]:
-    """Family codes at the given state satisfying every class property."""
+    """Family codes at the given state satisfying every class property.
+
+    Only neg-suppl depends on the state; other classes share state 0's
+    table.
+    """
+    if state and "neg-suppl" not in properties:
+        return allowed_family_codes(n, properties, 0)
     return tuple(code for code in range(1 << (1 << n))
                  if all(_family_code_ok(n, code, p, state) for p in properties))
 
@@ -198,9 +222,9 @@ def enumerate_frames(n: int, cls: ClassSpec | None = None,
                      index_range: tuple[int, int] | None = None):
     """Yield every n-state frame of the class in canonical order.
 
-    index_range selects a contiguous slice of that order (the
-    parallelization unit).  Refuses n beyond 3: the full space grows as
-    2^(n*2^n) and exhaustion stops being meaningful.
+    index_range selects a contiguous slice of that order.  Refuses n
+    beyond 3: the full space grows as 2^(n*2^n) and exhaustion stops
+    being meaningful.
     """
     if not 1 <= n <= EXHAUSTIVE_MAX_STATES:
         msg = (f"exhaustive enumeration supports 1..{EXHAUSTIVE_MAX_STATES} "
@@ -233,22 +257,90 @@ def count_frames(n: int, cls: ClassSpec | None = None) -> int:
 # --- countermodel search ------------------------------------------------------
 
 
-def _scan_range(args):
-    """Scan one contiguous frame-index slice; return the first witness.
+@lru_cache(maxsize=None)
+def _state_permutations(n: int) -> tuple:
+    """(source, table) per non-identity permutation of n states: the
+    permuted frame of codes G is (table[G[src]] for src in source)."""
+    out = []
+    for image in permutations(range(n)):
+        if image == tuple(range(n)):
+            continue
+        moved = [sum(1 << image[w] for w in _members(x)) for x in range(1 << n)]
+        table = tuple(sum(1 << moved[x] for x in _members(code))
+                      for code in range(1 << (1 << n)))
+        out.append((tuple(image.index(w) for w in range(n)), table))
+    return tuple(out)
 
-    Witness tuples are (frame_index, family_codes, valuation_masks,
-    state) and the scan follows canonical order, so the first hit is
-    the slice minimum.
+
+@lru_cache(maxsize=None)
+def _orbit_least(n: int, properties: frozenset, prefix: tuple) -> int:
+    """Bit i is set when prefix + (the last state's i-th allowed code,)
+    is the least frame of its orbit under state permutation."""
+    perms = _state_permutations(n)
+    mask = 0
+    for i, code in enumerate(allowed_family_codes(n, properties, n - 1)):
+        codes = prefix + (code,)
+        if all(tuple(table[codes[w]] for w in source) >= codes
+               for source, table in perms):
+            mask |= 1 << i
+    return mask
+
+
+def _orbit_least_frames(n: int, properties: frozenset):
+    """The class frames least in their orbit, in canonical order.
+
+    The set of frames with a countermodel is closed under state
+    permutation, and so is every class, so the canonical minimum is
+    among these.  Whole blocks of frames differing only in the last
+    state's code are decided at once, and the decision is cached.
     """
-    prog, n, properties, lo, hi = args
     allowed = _allowed_lists(n, properties)
+    last = allowed[-1]
+    for prefix in product(*allowed[:-1]):
+        for i in _members(_orbit_least(n, properties, prefix)):
+            yield prefix + (last[i],)
+
+
+def _local_frames(prog: Program, n: int, properties: frozenset, eager: bool,
+                  blocks):
+    """The frames a scan of a local program (see Program) must sweep.
+
+    First the class minimum; if the scan goes on, that frame has no
+    countermodel, so no state fails with its minimum code.  Every frame
+    with a countermodel then has a state s whose code fails at s, and is
+    at least the minimum frame with state s's code raised to the least
+    one failing at s, for the largest such s: that frame comes next.
+    Where a code fails is read off the frame giving every state that
+    code.
+    """
+    allowed = _allowed_lists(n, properties)
+    least = tuple(options[0] for options in allowed)
+    yield least
+    failing: dict[int, int] = {}
+    for s in reversed(range(n)):
+        for code in allowed[s][1:]:
+            if code not in failing:
+                failing[code] = _failing_states(
+                    prog, _Frame(n, (code,) * n, eager=eager), blocks)
+            if failing[code] >> s & 1:
+                yield least[:s] + (code,) + least[s + 1:]
+                return
+
+
+def _scan(prog: Program, n: int, properties: frozenset):
+    """First witness (family codes, valuation masks, state) among the
+    class's n-state frames in canonical order, or None."""
     k = len(prog.atoms)
     blocks = tuple(_blocks(prog, n))  # static slots, shared by every frame
-    for idx, codes in enumerate(islice(product(*allowed), lo, hi), lo):
+    if prog.local:
+        frames = _local_frames(prog, n, properties, k > 0, blocks)
+    else:
+        frames = _orbit_least_frames(n, properties)
+    for codes in frames:
         hit = _sweep(prog, _Frame(n, codes, eager=k > 0), blocks)
         if hit:
             j, state = hit
-            return (idx, codes, _valuation_masks(j, n, k), state)
+            return codes, _valuation_masks(j, n, k), state
     return None
 
 
@@ -264,59 +356,13 @@ def _witness_to_countermodel(f: Formula, n: int, codes, atoms, assignment,
 
 
 def worker_count(jobs: int, cpus: int | None) -> int:
-    """Processes a scan may use: jobs below 1 are refused, and more than
-    the cpus available (None when unknown) are not started."""
+    """The worker count jobs asks for: below 1 is refused, and more than
+    the cpus available (None when unknown) is clamped.  Scans run in
+    this process whatever the count."""
     if jobs < 1:
         msg = f"jobs must be at least 1, got {jobs}"
         raise ValueError(msg)
     return min(jobs, cpus or 1)
-
-
-def _chunk_ranges(total: int, jobs: int) -> list[tuple[int, int]]:
-    if total == 0:
-        return []
-    parts = min(total, max(jobs, 1) * 4)
-    step, extra = divmod(total, parts)
-    ranges, lo = [], 0
-    for i in range(parts):
-        hi = lo + step + (1 if i < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
-
-
-def _first_hit(tasks):
-    for task in tasks:
-        hit = _scan_range(task)
-        if hit:
-            return hit
-    return None
-
-
-def _run_chunks(prog: Program, n, properties, total, jobs):
-    """First witness across ordered slices; parallel-safe and deterministic.
-
-    Slices are consumed in order, so a witness is only accepted after
-    every earlier slice came back empty; chunk boundaries cannot change
-    the answer.  Workers receive the compiled program.
-    """
-    tasks = [(prog, n, properties, lo, hi)
-             for lo, hi in _chunk_ranges(total, jobs)]
-    if jobs <= 1 or len(tasks) <= 1:
-        return _first_hit(tasks)
-    try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_scan_range, task) for task in tasks]
-            for fut in futures:
-                hit = fut.result()
-                if hit:
-                    for other in futures:
-                        other.cancel()
-                    return hit
-        return None
-    except (OSError, BrokenProcessPool):
-        # no working subprocesses here; same order, same answer
-        return _first_hit(tasks)
 
 
 def find_countermodel(f: Formula, cls: ClassSpec, mode: str = "exhaustive",
@@ -326,13 +372,13 @@ def find_countermodel(f: Formula, cls: ClassSpec, mode: str = "exhaustive",
     Exhaustive mode climbs n = 1..max_states and returns the canonical
     minimum countermodel, or NoCounterexampleUpTo (never a validity
     claim).  Sampled mode draws `samples` (frame, valuation) pairs at
-    n = max_states from the seeded generator.  jobs must be at least 1
-    and runs at most one process per CPU.
+    n = max_states from the seeded generator.  jobs must be at least 1;
+    it starts no processes and never changes the verdict.
     """
     if mode not in ("exhaustive", "sampled"):
         msg = f"mode must be 'exhaustive' or 'sampled', got {mode!r}"
         raise ValueError(msg)
-    jobs = worker_count(jobs, os.cpu_count())
+    worker_count(jobs, os.cpu_count())
     if has_announcement(f) and "m" not in cls.properties:
         msg = ("announcement formulas are only searched over classes "
                "requiring property m")
@@ -346,10 +392,9 @@ def find_countermodel(f: Formula, cls: ClassSpec, mode: str = "exhaustive",
         raise ValueError(msg)
     prog = compile_formula(f, atoms)
     for n in range(1, cls.max_states + 1):
-        total = count_frames(n, cls)
-        hit = _run_chunks(prog, n, cls.properties, total, jobs)
+        hit = _scan(prog, n, cls.properties)
         if hit:
-            _, codes, assignment, state = hit
+            codes, assignment, state = hit
             return _witness_to_countermodel(f, n, codes, atoms, assignment, state)
     return NoCounterexampleUpTo(cls.max_states, "exhaustive")
 

@@ -59,7 +59,10 @@ class Program(NamedTuple):
     the rest, so a scan computes the static slots once per valuation
     block instead of once per frame.  Atom instructions read index a of
     `atoms`; atoms not listed there are empty.  An announcement's b is
-    its body's Program, which reads the same atom indexes.
+    its body's Program, which reads the same atom indexes.  `local` says
+    the formula has modal depth at most 1 and no announcement, so its
+    truth at a state reads only that state's family code and the
+    valuation.
     """
 
     atoms: tuple[str, ...]
@@ -67,6 +70,7 @@ class Program(NamedTuple):
     dynamic: tuple
     size: int
     root: int
+    local: bool
 
 
 class _Builder:
@@ -126,14 +130,17 @@ class _Builder:
     def program(self, root: int) -> Program:
         is_static: list[bool] = []
         static, dynamic = [], []
+        local = True
         for ins in self.code:
             _, op, a, b = ins
             flag = op <= _BOT or (op <= _IFF and is_static[a] and
                                   (op == _NOT or is_static[b]))
             is_static.append(flag)
             (static if flag else dynamic).append(ins)
+            if op == _ANN or op >= _BOX and not is_static[a]:
+                local = False
         return Program(tuple(self.index), tuple(static), tuple(dynamic),
-                       len(self.code), root)
+                       len(self.code), root, local)
 
 
 def compile_formula(f: Formula, atoms=None) -> Program:
@@ -387,6 +394,27 @@ def _sweep(prog: Program, fr: _Frame, blocks):
             j, state = divmod(first, n)
             return start + j, state
     return None
+
+
+def _failing_states(prog: Program, fr: _Frame, blocks) -> int:
+    """Mask of the states where the formula fails under some valuation.
+
+    For programs without announcements, which never block.
+    """
+    n = fr.n
+    out = 0
+    for _, V, ALL, A, base in blocks:
+        vals = base.copy()
+        _exec(prog.dynamic, vals, A, fr, V, ALL)
+        miss = ALL ^ vals[prog.root]
+        width = V * n
+        while width > n:  # fold the V valuations' n-bit groups together
+            width >>= 1
+            miss = miss >> width | miss & (1 << width) - 1
+        out |= miss
+        if out == fr.full:
+            break
+    return out
 
 
 def _valuation_masks(j: int, n: int, k: int) -> tuple[int, ...]:

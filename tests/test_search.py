@@ -1,8 +1,6 @@
 """Frame enumeration, countermodel search, sampling, distinguishability."""
 
-from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -108,6 +106,42 @@ def test_allowed_family_codes_depend_on_state_only_for_neg_suppl():
     assert allowed_family_codes(2, ns, 0) != allowed_family_codes(2, ns, 1)
 
 
+def _member_filter_ok(n, code, prop, state, sup):
+    """The per-member property filter the class tables were first built
+    with, kept as their reference; sup[x] is the family code of x's
+    supersets."""
+    full = (1 << n) - 1
+    members = [x for x in range(1 << n) if code >> x & 1]
+    if prop == "n":
+        return bool(code >> full & 1)
+    if prop == "m":
+        return all(code & sup[x] == sup[x] for x in members)
+    if prop == "c":
+        return all(code >> (x & y) & 1 for x in members for y in members)
+    if prop == "r":
+        core = full
+        for x in members:
+            core &= x
+        return bool(code >> core & 1)
+    avoid = ~sum(1 << y for y in range(1 << n) if y >> state & 1)
+    return all(code & (need := sup[x] & avoid) == need for x in members)
+
+
+@pytest.mark.parametrize("n, props", [
+    *[(n, frozenset((p,))) for n in (1, 2, 3)
+      for p in ("m", "c", "n", "r", "neg-suppl")],
+    (3, frozenset(("m", "c", "n"))), (3, frozenset(("neg-suppl", "r"))),
+    (4, frozenset(("m",))), (4, frozenset(("c",))),
+])
+def test_allowed_family_codes_match_the_member_filter(n, props):
+    sup = [sum(1 << y for y in range(1 << n) if y & x == x)
+           for x in range(1 << n)]
+    for state in range(n):
+        assert allowed_family_codes(n, props, state) == tuple(
+            code for code in range(1 << (1 << n))
+            if all(_member_filter_ok(n, code, p, state, sup) for p in props))
+
+
 # --- class specs ------------------------------------------------------------------
 
 def test_class_spec_validation():
@@ -189,11 +223,18 @@ def _doc(n, codes, atoms, assignment):
                           for a, mask in zip(atoms, assignment) if mask}}
 
 
-def _brute_minimum(f, max_states, properties=frozenset()):
-    """First falsifying (doc, state) in canonical order, by the oracle."""
+def _brute_minimum(f, max_states, properties=frozenset(), frames=None):
+    """First falsifying (doc, state) in canonical order, by the oracle.
+
+    frames(n) lists the candidate n-state frames in canonical order; by
+    default every frame, each kept only when the oracle puts it in the
+    class.
+    """
     atoms = atoms_of(f)
     for n in range(1, max_states + 1):
-        for codes in product(range(1 << (1 << n)), repeat=n):
+        candidates = frames(n) if frames else product(range(1 << (1 << n)),
+                                                      repeat=n)
+        for codes in candidates:
             frame_doc = _doc(n, codes, (), ())
             if not all(_oracle.check_prop(frame_doc, p) for p in properties):
                 continue
@@ -205,12 +246,26 @@ def _brute_minimum(f, max_states, properties=frozenset()):
     return None
 
 
+EVERY_CLASS = [frozenset(props) for props in (
+    (), ("m",), ("c",), ("n",), ("r",), ("neg-suppl",), ("m", "c", "n"))]
+
+
 @pytest.mark.parametrize("text, properties", [
     ("O p & p -> O (p | q)", frozenset()),
     ("W (p & q) & ! q -> W q", frozenset()),
     ("! W p", frozenset()),
     ("U p -> p", frozenset()),
     ("U p -> U U p", frozenset(("m",))),
+    # depth 1: minimum past frame 0, at state 1 (neg-suppl's tables
+    # differ by state), or at the class's least frame
+    *[("! K false & K p -> p", props) for props in EVERY_CLASS],
+    ("O p & p -> O (p | q)", frozenset(("neg-suppl",))),
+    ("O p & p -> O (p | q)", frozenset(("r",))),
+    ("p -> K p", frozenset(("n",))),
+    # depth 2, through the orbit-pruned scan
+    *[("W W p -> p", props) for props in EVERY_CLASS],
+    *[("K p -> K K p", props) for props in EVERY_CLASS],
+    ("U p -> U U p", frozenset(("neg-suppl",))),
 ])
 def test_search_minimum_matches_brute_force(text, properties):
     f = parse(text)
@@ -222,6 +277,74 @@ def test_search_minimum_matches_brute_force(text, properties):
         doc, state = expected
         assert verdict_to_json(verdict) == {
             "verdict": "countermodel", "model": doc, "state": state}
+
+
+def _oracle_class_frames(n, properties):
+    """The class's n-state frames in canonical order, as products of the
+    codes the oracle admits at each state, the other states holding
+    every set (which no property excludes)."""
+    every = (1 << (1 << n)) - 1
+    per_state = [[code for code in range(every + 1)
+                  if all(_oracle.check_prop(
+                      _doc(n, [code if v == w else every for v in range(n)],
+                           (), ()), p) for p in properties)]
+                 for w in range(n)]
+    return product(*per_state)
+
+
+@pytest.mark.parametrize("text, depth", [
+    # three pairwise disjoint neighborhoods of a state without the empty
+    # set need three states
+    ("! (! K false & K (p & ! q) & K (q & ! p) & K (! p & ! q))", 1),
+    ("! (! K false & K (p & K p) & K (p & ! K p) & K ! p)", 2),
+])
+def test_three_state_minimum_matches_brute_force(text, depth):
+    f = parse(text)
+    assert compile_formula(f).local == (depth == 1)
+    m = frozenset(("m",))
+    doc, state = _brute_minimum(f, 3, m, lambda n: _oracle_class_frames(n, m))
+    assert len(doc["states"]) == 3
+    verdict = find_countermodel(f, ClassSpec(m, 3))
+    assert verdict_to_json(verdict) == {
+        "verdict": "countermodel", "model": doc, "state": state}
+    assert verdict.pointed.model.frame != next(enumerate_frames(3, M3))
+
+
+def test_local_flag_is_modal_depth_at_most_one_without_announcements():
+    for text, local in [("p & q", True), ("K p -> U (p | ! q)", True),
+                        ("O p & W p", True), ("U U p", False),
+                        ("K (p & W q)", False), ("[p] q", False)]:
+        assert compile_formula(parse(text)).local == local, text
+
+
+def _permuted(n, codes, image):
+    """The frame with state w renamed image[w], over sets of states."""
+    moved = [sum(1 << image[i] for i in range(n) if x >> i & 1)
+             for x in range(1 << n)]
+    out = [0] * n
+    for w, code in enumerate(codes):
+        for x in range(1 << n):
+            if code >> x & 1:
+                out[image[w]] |= 1 << moved[x]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n, props", [
+    *[(2, props) for props in EVERY_CLASS], (3, frozenset(("m",)))])
+def test_orbit_pruning_keeps_each_orbit_once(n, props):
+    allowed = [allowed_family_codes(n, props, w) for w in range(n)]
+    frames = set(product(*allowed))
+    kept = list(search._orbit_least_frames(n, props))
+    assert kept == sorted(set(kept))
+    orbits = {}
+    for codes in frames:
+        orbit = frozenset(_permuted(n, codes, image)
+                          for image in permutations(range(n)))
+        orbits[orbit] = min(orbit)
+        assert orbit <= frames  # the class is closed under renaming
+    assert sorted(orbits.values()) == kept
+    if n == 3:
+        assert (len(kept), len(frames)) == (1440, 8000)
 
 
 # --- sampled mode -----------------------------------------------------------------------
@@ -283,7 +406,7 @@ def test_sampled_guards():
                           seed=1, samples=10)
 
 
-# --- parallel scan ------------------------------------------------------------------------
+# --- jobs --------------------------------------------------------------------------------
 
 def test_jobs_do_not_change_verdicts():
     cases = [(parse(MOORE_TARGET), M3),
@@ -305,41 +428,6 @@ def test_worker_count_refuses_below_one_and_clamps_to_cpus():
             worker_count(jobs, 8)
     with pytest.raises(ValueError, match="at least 1"):
         find_countermodel(parse("p"), ALL2, jobs=0)
-
-
-class _BrokenPool:
-    """A process pool whose every worker has died."""
-
-    submitted = 0
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        _BrokenPool.submitted += 1
-        fut = Future()
-        fut.set_exception(BrokenProcessPool("a worker died"))
-        return fut
-
-
-def test_broken_pool_falls_back_to_the_serial_scan(monkeypatch):
-    monkeypatch.setattr(search, "ProcessPoolExecutor", _BrokenPool)
-    for text, cls in [(MOORE_TARGET, M3), ("O p & p -> O (p | q)", ALL2),
-                      ("U p -> p", ALL2)]:
-        f = parse(text)
-        prog = compile_formula(f, atoms_of(f))
-        for n in range(1, cls.max_states + 1):
-            total = count_frames(n, cls)
-            args = (prog, n, cls.properties, total)
-            assert search._run_chunks(*args, 2) == \
-                search._run_chunks(*args, 1)
-    assert _BrokenPool.submitted > 0
 
 
 # --- distinguishability -------------------------------------------------------------------
