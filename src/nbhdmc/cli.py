@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .announce import ReductionInputError, format_trace
@@ -20,27 +19,32 @@ from .announce import reduce as reduce_announcements
 from .fixtures import ROWS, run_suite
 from .formula import (CORE, FULL, ParseError, desugar, has_announcement,
                       parse, pretty)
-from .model import (ModelFormatError, NeighborhoodModel, NonMonotoneError,
-                    PerturbationError, PointedModel, check_property,
-                    intersection_submodel, model_from_text, model_to_text,
-                    perturb, pmap_from_json, supplementation,
-                    transitive_closure)
+from .model import (FILTER, PROPERTY_IDS, ModelFormatError,
+                    NeighborhoodModel, NonMonotoneError, PerturbationError,
+                    PointedModel, check_property, intersection_submodel,
+                    model_from_text, model_to_text, perturb, pmap_from_json,
+                    supplementation, transitive_closure)
 from .morphism import StateMap, check_bullet_morphism, check_w_morphism
 from .search import (ClassSpec, Countermodel, count_frames, distinguish,
                      find_countermodel, verdict_to_text, worker_count)
 from .semantics import evaluate, extension, frame_valid
 
-PROPERTY_ORDER = ("m", "c", "n", "r", "filter", "neg-suppl")
-
 _JSON_SEPARATORS = (", ", ": ")
 
 
-class _CliError(Exception):
-    """Carries a machine-readable code plus a human message."""
+class _ReadError(Exception):
+    """A file could not be read; the message names the path."""
 
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
+
+# The one map from exception type to error channel; the first match wins.
+_CHANNELS = (
+    (_ReadError, "io"),
+    (NonMonotoneError, "non-monotone"),
+    ((ModelFormatError, PerturbationError), "model-format"),
+    (ReductionInputError, "reduction-input"),
+    (ParseError, "parse"),
+    (ValueError, "invalid-argument"),
+)
 
 
 def _read_file(path: str) -> str:
@@ -48,7 +52,7 @@ def _read_file(path: str) -> str:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise _CliError("io", f"{path}: {exc.strerror or exc}") from exc
+        raise _ReadError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _load_model(path: str) -> NeighborhoodModel:
@@ -56,14 +60,7 @@ def _load_model(path: str) -> NeighborhoodModel:
     try:
         return model_from_text(text)
     except ModelFormatError as exc:
-        raise _CliError("model-format", f"{path}: {exc}") from exc
-
-
-def _parse_formula(text: str):
-    try:
-        return parse(text)
-    except ParseError as exc:
-        raise _CliError("parse", str(exc)) from exc
+        raise ModelFormatError(f"{path}: {exc}") from exc
 
 
 def _parse_class(text: str) -> frozenset:
@@ -73,13 +70,13 @@ def _parse_class(text: str) -> frozenset:
         if token == "all":
             continue
         if token == "filter":
-            props.update(("m", "c", "n"))
-        elif token in ("m", "c", "n", "r", "neg-suppl"):
+            props.update(FILTER)
+        elif token in PROPERTY_IDS:
             props.add(token)
         else:
             msg = (f"unknown class token {token!r}; expected all, filter, "
                    f"m, c, n, r, or neg-suppl")
-            raise _CliError("invalid-argument", msg)
+            raise ValueError(msg)
     return frozenset(props)
 
 
@@ -91,32 +88,19 @@ def _note_forced(args, model: NeighborhoodModel, f) -> None:
 
 
 def _point(model: NeighborhoodModel, name: str) -> PointedModel:
-    try:
-        return PointedModel(model, model.frame.index(name))
-    except ValueError as exc:
-        raise _CliError("invalid-argument", str(exc)) from exc
-
-
-def _class_spec(args, atoms: tuple[str, ...] = ()) -> ClassSpec:
-    try:
-        return ClassSpec(_parse_class(args.cls), args.max_states, atoms)
-    except ValueError as exc:
-        raise _CliError("invalid-argument", str(exc)) from exc
+    return PointedModel(model, model.frame.index(name))
 
 
 def _search(args, f):
-    cls = _class_spec(args)
+    cls = ClassSpec(_parse_class(args.cls), args.max_states)
     mode = "sampled" if args.samples else "exhaustive"
-    try:
-        return find_countermodel(f, cls, mode=mode, seed=args.seed,
-                                 samples=args.samples, jobs=args.jobs)
-    except ValueError as exc:
-        raise _CliError("invalid-argument", str(exc)) from exc
+    return find_countermodel(f, cls, mode=mode, seed=args.seed,
+                             samples=args.samples, jobs=args.jobs)
 
 
 def _cmd_check(args) -> int:
     model = _load_model(args.model)
-    f = _parse_formula(args.formula)
+    f = parse(args.formula)
     pm = _point(model, args.state)
     _note_forced(args, model, f)
     value = evaluate(pm, f, force=args.force)
@@ -126,7 +110,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_extension(args) -> int:
     model = _load_model(args.model)
-    f = _parse_formula(args.formula)
+    f = parse(args.formula)
     _note_forced(args, model, f)
     ss = extension(model, f, force=args.force)
     names = [model.states[i] for i in ss.indices()]
@@ -135,7 +119,7 @@ def _cmd_extension(args) -> int:
 
 
 def _cmd_valid(args) -> int:
-    f = _parse_formula(args.formula)
+    f = parse(args.formula)
     verdict = _search(args, f)
     if isinstance(verdict, Countermodel):
         print("countermodel")
@@ -150,18 +134,14 @@ def _cmd_valid(args) -> int:
 
 
 def _cmd_countermodel(args) -> int:
-    f = _parse_formula(args.formula)
+    f = parse(args.formula)
     verdict = _search(args, f)
     print(verdict_to_text(verdict))
     return 1 if isinstance(verdict, Countermodel) else 0
 
 
 def _cmd_reduce(args) -> int:
-    f = _parse_formula(args.formula)
-    try:
-        reduced, steps = reduce_announcements(f)
-    except ReductionInputError as exc:
-        raise _CliError("reduction-input", str(exc)) from exc
+    reduced, steps = reduce_announcements(parse(args.formula))
     print(pretty(reduced))
     if steps:
         print(format_trace(steps))
@@ -169,7 +149,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_desugar(args) -> int:
-    f = _parse_formula(args.formula)
+    f = parse(args.formula)
     print(pretty(desugar(f, target=args.target)))
     return 0
 
@@ -185,12 +165,9 @@ def _cmd_morphism(args) -> int:
         left, sep, right = piece.partition(":")
         if not sep or not left or not right:
             msg = f"map entries look like source:target, got {piece!r}"
-            raise _CliError("invalid-argument", msg)
+            raise ValueError(msg)
         mapping[left.strip()] = right.strip()
-    try:
-        sm = StateMap.from_names(source, target, mapping)
-    except ValueError as exc:
-        raise _CliError("invalid-argument", str(exc)) from exc
+    sm = StateMap.from_names(source, target, mapping)
     check = check_bullet_morphism if args.kind == "bullet" else check_w_morphism
     ok, witness = check(sm)
     print("true" if ok else "false")
@@ -208,56 +185,44 @@ def _cmd_morphism(args) -> int:
 def _cmd_transform(args) -> int:
     model = _load_model(args.model)
     op = args.op
-    try:
-        if op == "supplementation":
-            out = supplementation(model)
-        elif op == "tc":
-            out = NeighborhoodModel(transitive_closure(model.frame),
-                                    model.valuation)
-        elif op.startswith("intersect:"):
-            f = _parse_formula(op[len("intersect:"):])
-            _note_forced(args, model, f)
-            x = extension(model, f, force=args.force)
-            out = intersection_submodel(model, x, force=args.force)
-        elif op.startswith("perturb:"):
-            path = op[len("perturb:"):]
-            raw = _read_file(path)
-            try:
-                data = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                msg = f"{path}: not valid JSON: {exc}"
-                raise _CliError("model-format", msg) from exc
-            pmap = pmap_from_json(data, model.states)
-            out = perturb(model, pmap)
-        else:
-            msg = (f"unknown op {op!r}; expected supplementation, tc, "
-                   f"intersect:<formula>, or perturb:<file>")
-            raise _CliError("invalid-argument", msg)
-    except NonMonotoneError as exc:
-        raise _CliError("non-monotone", f"{exc} (pass --force to override)") \
-            from exc
-    except (PerturbationError, ModelFormatError) as exc:
-        raise _CliError("model-format", str(exc)) from exc
-    except ValueError as exc:
-        raise _CliError("invalid-argument", str(exc)) from exc
+    if op == "supplementation":
+        out = supplementation(model)
+    elif op == "tc":
+        out = NeighborhoodModel(transitive_closure(model.frame),
+                                model.valuation)
+    elif op.startswith("intersect:"):
+        f = parse(op[len("intersect:"):])
+        _note_forced(args, model, f)
+        x = extension(model, f, force=args.force)
+        out = intersection_submodel(model, x, force=args.force)
+    elif op.startswith("perturb:"):
+        path = op[len("perturb:"):]
+        raw = _read_file(path)
+        try:
+            data = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            msg = f"{path}: not valid JSON: {exc}"
+            raise ModelFormatError(msg) from exc
+        out = perturb(model, pmap_from_json(data, model.states))
+    else:
+        msg = (f"unknown op {op!r}; expected supplementation, tc, "
+               f"intersect:<formula>, or perturb:<file>")
+        raise ValueError(msg)
     sys.stdout.write(model_to_text(out))
     return 0
 
 
 def _cmd_props(args) -> int:
     model = _load_model(args.model)
-    report = {p: check_property(model.frame, p) for p in PROPERTY_ORDER}
+    report = {p: check_property(model.frame, p) for p in PROPERTY_IDS}
     print(json.dumps(report, separators=_JSON_SEPARATORS))
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     props = _parse_class(args.cls)
-    try:
-        counts = {str(n): count_frames(n, ClassSpec(props, max(n, 1)))
-                  for n in range(1, args.max_states + 1)}
-    except ValueError as exc:
-        raise _CliError("invalid-argument", str(exc)) from exc
+    counts = {str(n): count_frames(n, ClassSpec(props, max(n, 1)))
+              for n in range(1, args.max_states + 1)}
     print(json.dumps(counts, separators=_JSON_SEPARATORS))
     return 0
 
@@ -266,10 +231,7 @@ def _cmd_distinguish(args) -> int:
     pm1 = _point(_load_model(args.m1), args.s1)
     pm2 = _point(_load_model(args.m2), args.s2)
     fragment = "wrong" if args.fragment == "w" else args.fragment
-    try:
-        found = distinguish(pm1, pm2, fragment, args.depth)
-    except ValueError as exc:
-        raise _CliError("invalid-argument", str(exc)) from exc
+    found = distinguish(pm1, pm2, fragment, args.depth)
     if found is None:
         print(f"none up to depth {args.depth}")
         return 1
@@ -278,10 +240,10 @@ def _cmd_distinguish(args) -> int:
 
 
 def _cmd_paper_suite(args) -> int:
-    jobs = worker_count(args.jobs, os.cpu_count())
+    worker_count(args.jobs)
     width = max(len(r) for r in ROWS)
     failures = 0
-    for row_id, _description, ok, detail in run_suite(jobs=jobs):
+    for row_id, _description, ok, detail in run_suite():
         mark = "PASS" if ok else "FAIL"
         if not ok:
             failures += 1
@@ -293,13 +255,7 @@ def _cmd_paper_suite(args) -> int:
 
 def _cmd_frame_valid(args) -> int:
     model = _load_model(args.model)
-    f = _parse_formula(args.formula)
-    try:
-        ok = frame_valid(model.frame, f, force=args.force)
-    except (NonMonotoneError, ValueError) as exc:
-        code = "non-monotone" if isinstance(exc, NonMonotoneError) \
-            else "invalid-argument"
-        raise _CliError(code, str(exc)) from exc
+    ok = frame_valid(model.frame, parse(args.formula), force=args.force)
     print("true" if ok else "false")
     return 0 if ok else 1
 
@@ -412,26 +368,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _CliError as exc:
-        print(f"error: {exc.code}: {exc}", file=sys.stderr)
+    except (_ReadError, ParseError, ValueError) as exc:
+        channel = next(c for kind, c in _CHANNELS if isinstance(exc, kind))
+        hint = " (pass --force to override)" if channel == "non-monotone" \
+            else ""
+        print(f"error: {channel}: {exc}{hint}", file=sys.stderr)
         return 2
-    except NonMonotoneError as exc:
-        print(f"error: non-monotone: {exc} (pass --force to override)",
-              file=sys.stderr)
-        return 2
-    except (ModelFormatError, PerturbationError) as exc:
-        print(f"error: model-format: {exc}", file=sys.stderr)
-        return 2
-    except ReductionInputError as exc:
-        print(f"error: reduction-input: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
-        print(f"error: parse: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: invalid-argument: {exc}", file=sys.stderr)
-        return 2
-
 
 if __name__ == "__main__":
     raise SystemExit(main())

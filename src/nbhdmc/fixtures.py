@@ -153,10 +153,8 @@ def _all_models(n: int, atoms: tuple[str, ...]):
                 frame, {a: StateSet(n, m) for a, m in zip(atoms, masks)})
 
 
-def _no_cex(text: str, properties: frozenset, max_states: int,
-            jobs: int) -> bool:
-    verdict = find_countermodel(parse(text), ClassSpec(properties, max_states),
-                                jobs=jobs)
+def _no_cex(text: str, properties: frozenset, max_states: int) -> bool:
+    verdict = find_countermodel(parse(text), ClassSpec(properties, max_states))
     return isinstance(verdict, NoCounterexampleUpTo)
 
 
@@ -168,7 +166,7 @@ def _fragment_formulas(models, atoms, operators, depth):
 # --- rows ----------------------------------------------------------------------
 
 
-def _row_3_2(jobs: int):
+def _row_3_2():
     base, ext, pmap = pair_w_separation()
     errs = []
     if perturb(base, pmap) != ext:
@@ -193,7 +191,7 @@ def _row_3_2(jobs: int):
         "W p separates at s; identity is a bullet morphism; both models m,c,n,r"
 
 
-def _row_3_3(jobs: int):
+def _row_3_3():
     base, ext, pmap = pair_bullet_separation()
     errs = []
     if perturb(base, pmap) != ext:
@@ -218,15 +216,15 @@ def _row_3_3(jobs: int):
         "U p separates at s; identity is a w-morphism; both models m,c,n,r"
 
 
-def _row_3_5(jobs: int):
+def _row_3_5():
     texts = ("U p <-> p & ! K p", "W p <-> K p & ! p",
              "O p <-> (p -> K p)", "K p <-> W p | (O p & p)")
-    bad = [t for t in texts if not _no_cex(t, frozenset(), 2, jobs)]
+    bad = [t for t in texts if not _no_cex(t, frozenset(), 2)]
     return not bad, ("; ".join(f"refuted: {t}" for t in bad) or
                      "4 interdefinability equivalences hold, n <= 2 exhaustive")
 
 
-def _row_4_2(jobs: int):
+def _row_4_2():
     base, ext, _ = pair_w_separation()
     sm = _identity(base, ext)
     formulas = _fragment_formulas((base, ext), ("p",), (Bullet,), 2)
@@ -236,7 +234,7 @@ def _row_4_2(jobs: int):
                         f"preserved along the identity")
 
 
-def _row_4_3(jobs: int):
+def _row_4_3():
     pairs = [pair_w_separation(), frame_pair_intersection_core(),
              frame_pair_monotone()]
     checked = 0
@@ -289,16 +287,16 @@ def _frame_pair_row(builder, created: tuple[str, ...], lost: tuple[str, ...],
          f"{len(sample)} sampled validities agree across the pair")
 
 
-def _row_4_5(jobs: int):
+def _row_4_5():
     return _frame_pair_row(frame_pair_intersection_core, ("c", "r"), (),
                            "bullet")
 
 
-def _row_4_6(jobs: int):
+def _row_4_6():
     return _frame_pair_row(frame_pair_monotone, (), ("m",), "bullet")
 
 
-def _row_4_7(jobs: int):
+def _row_4_7():
     target = parse("O true")
     total = 0
     for n in (1, 2):
@@ -309,7 +307,7 @@ def _row_4_7(jobs: int):
     return True, f"O true is valid exactly on the (n)-frames ({total} frames)"
 
 
-def _row_4_9(jobs: int):
+def _row_4_9():
     base, ext, _ = pair_bullet_separation()
     sm = _identity(base, ext)
     formulas = _fragment_formulas((base, ext), ("p",), (Wrong,), 2)
@@ -319,7 +317,7 @@ def _row_4_9(jobs: int):
                         f"preserved along the identity")
 
 
-def _row_4_10(jobs: int):
+def _row_4_10():
     pairs = [pair_bullet_separation(), frame_pair_unit(),
              frame_pair_w_intersection_core()]
     checked = 0
@@ -338,16 +336,16 @@ def _row_4_10(jobs: int):
                   f"representatives invariant")
 
 
-def _row_4_12(jobs: int):
+def _row_4_12():
     return _frame_pair_row(frame_pair_unit, ("m", "n"), (), "wrong")
 
 
-def _row_4_13(jobs: int):
+def _row_4_13():
     return _frame_pair_row(frame_pair_w_intersection_core, (), ("c", "r"),
                            "wrong")
 
 
-def _row_4_15(jobs: int):
+def _row_4_15():
     fixture = tc_model()
     closed = transitive_closure(fixture.frame)
     want = (StateSet.from_indices(2, (0,)), StateSet.from_indices(2, (1,)))
@@ -365,7 +363,7 @@ def _row_4_15(jobs: int):
                  "(fixture + 256 frames)"
 
 
-def _row_4_16(jobs: int):
+def _row_4_16():
     fixture = tc_model()
     count = 0
     for frame in enumerate_frames(2):
@@ -385,13 +383,12 @@ def _row_4_16(jobs: int):
 def _axiom_row(row_id: str):
     name, text, props = AXIOM_ROWS[row_id]
 
-    def run(jobs: int):
-        if not _no_cex(text, props, 2, jobs):
+    def run():
+        if not _no_cex(text, props, 2):
             return False, f"{name} refuted over its class"
         detail = f"{name}: {text} has no countermodel, n <= 2 exhaustive"
         if row_id in ("5.12", "5.26"):
-            loose = find_countermodel(parse(text), ClassSpec(frozenset(), 2),
-                                      jobs=jobs)
+            loose = find_countermodel(parse(text), ClassSpec(frozenset(), 2))
             if not isinstance(loose, Countermodel):
                 return False, f"{name} unexpectedly valid without the class"
             detail += "; unrestricted class yields a countermodel"
@@ -403,15 +400,15 @@ def _axiom_row(row_id: str):
 def _theorem_row(row_id: str):
     text, props = THEOREM_SCHEMAS[row_id]
 
-    def run(jobs: int):
-        ok = _no_cex(text, props, 2, jobs)
+    def run():
+        ok = _no_cex(text, props, 2)
         return ok, (f"{text} has no countermodel over its class, n <= 2"
                     if ok else f"refuted: {text}")
 
     return run
 
 
-def _row_5_11(jobs: int):
+def _row_5_11():
     count = 0
     for frame in enumerate_frames(2):
         model = NeighborhoodModel(frame)
@@ -427,7 +424,7 @@ def _row_5_11(jobs: int):
     return True, f"(m) created, (c)/(n) kept, idempotent on {count} frames"
 
 
-def _row_5_29(jobs: int):
+def _row_5_29():
     for n in (1, 2):
         unit = ((tuple(range(n)),),)
         pmap = _pmap("wrong", "add", n, unit * n)
@@ -443,7 +440,7 @@ def _row_5_29(jobs: int):
                  "W-invisible (260 frames)"
 
 
-def _row_6_2(jobs: int):
+def _row_6_2():
     checked = 0
     for model in _all_models(2, ("p",)):
         if not check_property(model.frame, "m"):
@@ -465,7 +462,7 @@ _MOORE_TRACE = (
 )
 
 
-def _row_6_4(jobs: int):
+def _row_6_4():
     errs = []
     moore = moore_model()
     for text in ("U p", "U (U p -> p)"):
@@ -476,8 +473,7 @@ def _row_6_4(jobs: int):
     if got != _MOORE_TRACE:
         errs.append("reduction trace differs from the recorded lines")
     target = parse("U p -> ! U (U p -> p)")
-    verdict = find_countermodel(target, ClassSpec(frozenset({"m"}), 3),
-                                jobs=jobs)
+    verdict = find_countermodel(target, ClassSpec(frozenset({"m"}), 3))
     if not isinstance(verdict, Countermodel):
         errs.append("no countermodel found for the reduced target")
     elif (verdict.pointed.model != moore or verdict.pointed.point != 0):
@@ -487,18 +483,18 @@ def _row_6_4(jobs: int):
         "one-state fixture"
 
 
-def _row_6_5(jobs: int):
+def _row_6_5():
     reduced, _ = reduce_announcements(parse("[! U p] ! U p"))
     want = "! U p -> ! (! U p -> U (! U p -> p))"
     if pretty(reduced) != want:
         return False, f"reduced form is {pretty(reduced)}"
-    if not _no_cex(want, frozenset({"m"}), 3, jobs):
+    if not _no_cex(want, frozenset({"m"}), 3):
         return False, "reduced form refuted over (m)"
     return True, "negated announcement is successful: reduced form has no " \
                  "countermodel over (m), n <= 3"
 
 
-def _row_6_6(jobs: int):
+def _row_6_6():
     reduced, steps = reduce_announcements(parse("[W p] W p"))
     want = "W p -> W (W p -> p)"
     got = tuple((st.axiom, pretty(st.after)) for st in steps)
@@ -506,7 +502,7 @@ def _row_6_6(jobs: int):
         return False, f"reduced form is {pretty(reduced)}"
     if got != (("AW", "W p -> W [W p] p"), ("AP", want)):
         return False, "reduction trace differs from the recorded lines"
-    if not _no_cex(want, frozenset({"m"}), 3, jobs):
+    if not _no_cex(want, frozenset({"m"}), 3):
         return False, "reduced form refuted over (m)"
     return True, "announced false belief survives: reduced form has no " \
                  "countermodel over (m), n <= 3"
@@ -554,19 +550,19 @@ ROWS = {
 }
 
 
-def run_row(row_id: str, jobs: int = 1):
+def run_row(row_id: str):
     """(ok, detail) for one suite row."""
     if row_id not in ROWS:
         msg = f"unknown suite row: {row_id!r}"
         raise ValueError(msg)
     _, fn = ROWS[row_id]
-    return fn(jobs)
+    return fn()
 
 
-def run_suite(jobs: int = 1):
+def run_suite():
     """[(row_id, description, ok, detail)] for every row, in table order."""
     out = []
     for row_id, (description, fn) in ROWS.items():
-        ok, detail = fn(jobs)
+        ok, detail = fn()
         out.append((row_id, description, ok, detail))
     return out

@@ -5,6 +5,13 @@ indices (bit i = state i), so families sort canonically by numeric
 value.  The universe is capped at 16 states: every artifact this
 package targets needs at most 3, and 16 keeps full-powerset scans
 (2^n subsets) cheap.
+
+A family is also coded as one int, its family code: bit x is set when
+the set with mask x is a member.  The frame properties
+(`code_has_property`) and submodel restriction (`restrict_codes`) are
+defined once, on family codes, here; `check_property`,
+`intersection_submodel`, the search's class tables and the evaluation
+kernel's announcements all use these definitions.
 """
 
 from __future__ import annotations
@@ -12,10 +19,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 MAX_STATES = 16
 
 PROPERTY_IDS = ("m", "c", "n", "r", "filter", "neg-suppl")
+FILTER = ("m", "c", "n")  # the filter property is these three together
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*")
 
@@ -269,59 +278,116 @@ class PerturbationMap:
         return len(self.families)
 
 
-# --- frame properties --------------------------------------------------------
+# --- family codes -------------------------------------------------------------
+#
+# Frame properties and submodel restriction are defined here once, on
+# family codes; StateSets appear only at the API and JSON boundary.
 
 
-def _strict_supersets(mask: int, full: int):
-    """All Y with mask < Y <= full and mask subset of Y (submask walk)."""
-    comp = full & ~mask
-    sub = comp
-    while sub:
-        yield mask | sub
-        sub = (sub - 1) & comp
+def _members(code: int):
+    """Subset masks in a family code, ascending."""
+    while code:
+        low = code & -code
+        yield low.bit_length() - 1
+        code ^= low
+
+
+@lru_cache(maxsize=None)
+def _lacking(n: int) -> tuple[int, ...]:
+    """Per state w, the family code of the subsets without w.
+
+    The masks with bit w set are the upper halves of the runs of 2^(w+1)
+    consecutive masks, so each code takes a few big-int operations, also
+    at MAX_STATES.
+    """
+    every = (1 << (1 << n)) - 1
+    return tuple(every ^ every // ((1 << (2 << w)) - 1)
+                 * (((1 << (1 << w)) - 1) << (1 << w))
+                 for w in range(n))
+
+
+def code_has_property(n: int, code: int, prop: str, state: int = 0) -> bool:
+    """Whether the family with this code has the property at the given
+    state of an n-state frame (ids as in check_property).
+
+    Adding state w to a member is adding 2^w to its mask, so (m) holds
+    when shifting the members that lack w up by 2^w gives members only,
+    for every w, and neg-suppl when the same holds for the members that
+    lack both w and the state, for every w other than the state.
+    """
+    if prop == "m":
+        return all((code & lack) << (1 << w) & ~code == 0
+                   for w, lack in enumerate(_lacking(n)))
+    if prop == "neg-suppl":
+        lacking = _lacking(n)
+        avoid = lacking[state]
+        return all((code & lack & avoid) << (1 << w) & ~code == 0
+                   for w, lack in enumerate(lacking) if w != state)
+    if prop == "n":
+        return bool(code >> ((1 << n) - 1) & 1)
+    if prop == "c":
+        members = list(_members(code))
+        return all(code >> (x & y) & 1
+                   for i, x in enumerate(members) for y in members[i + 1:])
+    if prop == "r":
+        # w is in every member, so in their intersection, when no member
+        # lacks w
+        core = sum(1 << w for w, lack in enumerate(_lacking(n))
+                   if not code & lack)
+        return bool(code >> core & 1)
+    if prop == "filter":
+        return all(code_has_property(n, code, p, state) for p in FILTER)
+    msg = f"unknown property id: {prop!r}"
+    raise ValueError(msg)
 
 
 def check_property(frame: NeighborhoodFrame, prop: str) -> bool:
-    """Decide a frame property at every state.
+    """Decide a frame property at every state, on the family codes.
 
-    Known ids: m (closed under supersets), c (closed under binary
-    intersections), n (contains the full universe), r (contains the
-    intersection of the whole family, with the empty intersection read
-    as the full universe, so an empty family fails), filter (m+c+n),
-    neg-suppl (X in N(s), X subset Y, s not in Y implies Y in N(s)).
+    Known ids (PROPERTY_IDS): m (closed under supersets), c (closed
+    under binary intersections), n (contains the full universe), r
+    (contains the intersection of the whole family, with the empty
+    intersection read as the full universe, so an empty family fails),
+    filter (m+c+n), neg-suppl (X in N(s), X subset Y, s not in Y implies
+    Y in N(s)).
     """
-    if prop == "filter":
-        return all(check_property(frame, p) for p in ("m", "c", "n"))
-    if prop not in ("m", "c", "n", "r", "neg-suppl"):
-        msg = f"unknown property id: {prop!r}"
-        raise ValueError(msg)
     n = frame.size
-    full = (1 << n) - 1
-    for s, fam in enumerate(frame.family_masks()):
-        if prop == "n":
-            if full not in fam:
-                return False
-        elif prop == "m":
-            for x in fam:
-                if any(y not in fam for y in _strict_supersets(x, full)):
-                    return False
-        elif prop == "c":
-            for x in fam:
-                if any(x & y not in fam for y in fam):
-                    return False
-        elif prop == "r":
-            core = full
-            for x in fam:
-                core &= x
-            if core not in fam:
-                return False
-        else:  # neg-suppl
-            sbit = 1 << s
-            for x in fam:
-                for y in _strict_supersets(x, full):
-                    if not y & sbit and y not in fam:
-                        return False
-    return True
+    return all(code_has_property(n, code, prop, s)
+               for s, code in enumerate(frame.family_codes()))
+
+
+def frame_from_codes(states, codes) -> NeighborhoodFrame:
+    """The frame on these state names with one family code per state."""
+    n = len(states)
+    return NeighborhoodFrame(
+        tuple(states),
+        tuple(tuple(StateSet(n, x) for x in _members(code)) for code in codes))
+
+
+def _compress(mask: int, kept) -> int:
+    """mask read at the kept states, renumbered 0.. in their order."""
+    return sum((mask >> old & 1) << new for new, old in enumerate(kept))
+
+
+def _expand(mask: int, kept) -> int:
+    """Inverse of _compress: bit i goes back to state kept[i]."""
+    return sum((mask >> new & 1) << old for new, old in enumerate(kept))
+
+
+def restrict_codes(codes, kept: int) -> tuple[int, ...]:
+    """Family codes of the submodel on the states in the mask kept.
+
+    Each kept state's family P becomes {Y & kept | Y in P}, renumbered
+    by _compress; the other states go.
+    """
+    states = tuple(_members(kept))
+    out = []
+    for old in states:
+        code = 0
+        for y in _members(codes[old]):
+            code |= 1 << _compress(y, states)
+        out.append(code)
+    return tuple(out)
 
 
 # --- transformers -------------------------------------------------------------
@@ -330,16 +396,15 @@ def check_property(frame: NeighborhoodFrame, prop: str) -> bool:
 def supplementation(model: NeighborhoodModel) -> NeighborhoodModel:
     """Close every neighborhood family under supersets."""
     frame = model.frame
-    n = frame.size
-    full = (1 << n) - 1
-    fams = []
-    for fam in frame.family_masks():
-        closed = set(fam)
-        for x in fam:
-            closed.update(_strict_supersets(x, full))
-        fams.append(tuple(StateSet(n, b) for b in sorted(closed)))
-    new_frame = NeighborhoodFrame(frame.states, tuple(fams))
-    return NeighborhoodModel(new_frame, model.valuation)
+    lacking = _lacking(frame.size)
+    codes = []
+    for code in frame.family_codes():
+        # after step w the family is closed under adding any of states 0..w
+        for w, lack in enumerate(lacking):
+            code |= (code & lack) << (1 << w)
+        codes.append(code)
+    return NeighborhoodModel(frame_from_codes(frame.states, codes),
+                             model.valuation)
 
 
 def perturb(model: NeighborhoodModel, pmap: PerturbationMap) -> NeighborhoodModel:
@@ -409,25 +474,12 @@ def intersection_submodel(model: NeighborhoodModel, X: StateSet,
                "pass force to apply the set formula anyway")
         raise NonMonotoneError(msg)
     kept = X.indices()
-    new_n = len(kept)
-    position = {old: new for new, old in enumerate(kept)}
-
-    def compress(mask: int) -> int:
-        out = 0
-        for old, new in position.items():
-            if mask >> old & 1:
-                out |= 1 << new
-        return out
-
-    states = tuple(model.states[i] for i in kept)
-    fams = tuple(
-        tuple(StateSet(new_n, b)
-              for b in sorted({compress(ss.bits & X.bits)
-                               for ss in model.frame.neighborhoods[old]}))
-        for old in kept)
-    valuation = {name: StateSet(new_n, compress(ss.bits & X.bits))
+    frame = frame_from_codes(
+        tuple(model.states[i] for i in kept),
+        restrict_codes(model.frame.family_codes(), X.bits))
+    valuation = {name: StateSet(len(kept), _compress(ss.bits, kept))
                  for name, ss in model.valuation}
-    return NeighborhoodModel(NeighborhoodFrame(states, fams), valuation)
+    return NeighborhoodModel(frame, valuation)
 
 
 # --- JSON wire format ---------------------------------------------------------

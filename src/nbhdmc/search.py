@@ -30,18 +30,18 @@ minimum, with the verdict unchanged:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 
 from .formula import (And, Atom, Bullet, Formula, Not, Wrong, atoms_of,
                       has_announcement)
-from .model import (MAX_STATES, NeighborhoodFrame, NeighborhoodModel,
-                    PointedModel, StateSet, model_to_json)
+from .model import (MAX_STATES, PROPERTY_IDS, NeighborhoodModel,
+                    PointedModel, StateSet, _members, code_has_property,
+                    frame_from_codes, model_to_json)
 from .semantics import (Program, _blocks, _Closure, _failing_states, _Frame,
-                        _members, _run, _sweep, _valuation_masks,
-                        compile_formula, evaluate)
+                        _run, _sweep, _valuation_masks, compile_formula,
+                        evaluate)
 
 __all__ = [
     "SplitMix64", "ClassSpec", "Countermodel", "NoCounterexampleUpTo",
@@ -79,7 +79,7 @@ class SplitMix64:
         return self.next() % k
 
 
-CLASS_PROPERTY_IDS = frozenset(("m", "c", "n", "r", "neg-suppl"))
+CLASS_PROPERTY_IDS = frozenset(PROPERTY_IDS) - {"filter"}
 
 
 @dataclass(frozen=True)
@@ -139,50 +139,6 @@ def verdict_to_text(verdict) -> str:
 
 
 @lru_cache(maxsize=None)
-def _superset_closure(n: int) -> tuple[int, ...]:
-    """For each subset mask x, the family code of {y | x subset of y}."""
-    return tuple(sum(1 << y for y in range(1 << n) if y & x == x)
-                 for x in range(1 << n))
-
-
-@lru_cache(maxsize=None)
-def _containing_state(n: int, w: int) -> int:
-    """Family code of {y | w in y}."""
-    return sum(1 << y for y in range(1 << n) if y >> w & 1)
-
-
-@lru_cache(maxsize=None)
-def _lacking_states(n: int) -> tuple[int, ...]:
-    """Per state w, the family code of {y | w not in y}."""
-    every = (1 << (1 << n)) - 1
-    return tuple(every ^ _containing_state(n, w) for w in range(n))
-
-
-def _family_code_ok(n: int, code: int, prop: str, state: int) -> bool:
-    full = (1 << n) - 1
-    if prop == "n":
-        return bool(code >> full & 1)
-    if prop == "m":
-        # adding state w to member y is adding 2^w to its mask
-        return all((code & lacking) << (1 << w) & ~code == 0
-                   for w, lacking in enumerate(_lacking_states(n)))
-    members = list(_members(code))
-    if prop == "c":
-        return all(code >> (x & y) & 1 for x in members for y in members)
-    if prop == "r":
-        core = full
-        for x in members:
-            core &= x
-        return bool(code >> core & 1)
-    if prop == "neg-suppl":
-        sup = _superset_closure(n)
-        avoid = ~_containing_state(n, state)
-        return all(code & (need := sup[x] & avoid) == need for x in members)
-    msg = f"unknown property id: {prop!r}"
-    raise ValueError(msg)
-
-
-@lru_cache(maxsize=None)
 def allowed_family_codes(n: int, properties: frozenset,
                          state: int) -> tuple[int, ...]:
     """Family codes at the given state satisfying every class property.
@@ -193,17 +149,8 @@ def allowed_family_codes(n: int, properties: frozenset,
     if state and "neg-suppl" not in properties:
         return allowed_family_codes(n, properties, 0)
     return tuple(code for code in range(1 << (1 << n))
-                 if all(_family_code_ok(n, code, p, state) for p in properties))
-
-
-@lru_cache(maxsize=None)
-def _family_sets(n: int, code: int) -> tuple[StateSet, ...]:
-    return tuple(StateSet(n, x) for x in range(1 << n) if code >> x & 1)
-
-
-def _frame_from_codes(n: int, codes) -> NeighborhoodFrame:
-    return NeighborhoodFrame(_STATE_NAMES[:n],
-                             tuple(_family_sets(n, c) for c in codes))
+                 if all(code_has_property(n, code, p, state)
+                        for p in properties))
 
 
 def _decode_index(idx: int, allowed: list[tuple[int, ...]]) -> tuple[int, ...]:
@@ -239,7 +186,7 @@ def enumerate_frames(n: int, cls: ClassSpec | None = None,
         msg = f"index range {index_range!r} outside 0..{total}"
         raise ValueError(msg)
     for idx in range(lo, hi):
-        yield _frame_from_codes(n, _decode_index(idx, allowed))
+        yield frame_from_codes(_STATE_NAMES[:n], _decode_index(idx, allowed))
 
 
 def count_frames(n: int, cls: ClassSpec | None = None) -> int:
@@ -346,7 +293,7 @@ def _scan(prog: Program, n: int, properties: frozenset):
 
 def _witness_to_countermodel(f: Formula, n: int, codes, atoms, assignment,
                              state: int) -> Countermodel:
-    frame = _frame_from_codes(n, codes)
+    frame = frame_from_codes(_STATE_NAMES[:n], codes)
     valuation = {a: StateSet(n, bits) for a, bits in zip(atoms, assignment)}
     pm = PointedModel(NeighborhoodModel(frame, valuation), state)
     if evaluate(pm, f):
@@ -355,14 +302,13 @@ def _witness_to_countermodel(f: Formula, n: int, codes, atoms, assignment,
     return Countermodel(pm)
 
 
-def worker_count(jobs: int, cpus: int | None) -> int:
-    """The worker count jobs asks for: below 1 is refused, and more than
-    the cpus available (None when unknown) is clamped.  Scans run in
+def worker_count(jobs: int) -> int:
+    """The worker count jobs asks for; below 1 is refused.  Scans run in
     this process whatever the count."""
     if jobs < 1:
         msg = f"jobs must be at least 1, got {jobs}"
         raise ValueError(msg)
-    return min(jobs, cpus or 1)
+    return jobs
 
 
 def find_countermodel(f: Formula, cls: ClassSpec, mode: str = "exhaustive",
@@ -378,7 +324,7 @@ def find_countermodel(f: Formula, cls: ClassSpec, mode: str = "exhaustive",
     if mode not in ("exhaustive", "sampled"):
         msg = f"mode must be 'exhaustive' or 'sampled', got {mode!r}"
         raise ValueError(msg)
-    worker_count(jobs, os.cpu_count())
+    worker_count(jobs)
     if has_announcement(f) and "m" not in cls.properties:
         msg = ("announcement formulas are only searched over classes "
                "requiring property m")

@@ -32,7 +32,8 @@ from typing import NamedTuple
 from .formula import (And, Announce, Atom, Bot, Box, Bullet, Circ, Formula,
                       Iff, Imp, Not, Or, Top, Wrong, atoms_of)
 from .model import (NeighborhoodFrame, NeighborhoodModel, NonMonotoneError,
-                    PointedModel, StateSet)
+                    PointedModel, StateSet, _compress, _expand, _members,
+                    code_has_property, restrict_codes)
 
 __all__ = ["evaluate", "extension", "frame_valid"]
 
@@ -153,21 +154,6 @@ def compile_formula(f: Formula, atoms=None) -> Program:
 # --- frames -------------------------------------------------------------------
 
 
-def _members(code: int):
-    """Subset masks in a family code, ascending."""
-    while code:
-        low = code & -code
-        yield low.bit_length() - 1
-        code ^= low
-
-
-def _code_monotone(n: int, code: int) -> bool:
-    """Whether the family is closed under supersets: adding any one state
-    to a member gives a member."""
-    return all(code >> (x | 1 << s) & 1 for x in _members(code)
-               for s in range(n))
-
-
 def _column(n: int, s: int, code: int) -> tuple[int, ...]:
     """State s's share of K: bit s of K[x] for every subset mask x."""
     return tuple((code >> x & 1) << s for x in range(1 << n))
@@ -182,14 +168,6 @@ def _k_table(n: int, codes) -> list[int]:
     for s in range(1, n):
         acc = map(or_, acc, column(n, s, codes[s]))
     return list(acc)
-
-
-def _compress(mask: int, kept) -> int:
-    return sum((mask >> old & 1) << new for new, old in enumerate(kept))
-
-
-def _expand(mask: int, kept) -> int:
-    return sum((mask >> new & 1) << old for new, old in enumerate(kept))
 
 
 class _Frame:
@@ -219,21 +197,17 @@ class _Frame:
 
     def monotone(self) -> bool:
         if self._monotone is None:
-            self._monotone = all(_code_monotone(self.n, c) for c in self.codes)
+            self._monotone = all(code_has_property(self.n, c, "m")
+                                 for c in self.codes)
         return self._monotone
 
     def sub(self, pa: int):
         """(submodel frame, kept states) of the restriction to pa."""
         hit = self._subs.get(pa)
         if hit is None:
-            kept = [s for s in range(self.n) if pa >> s & 1]
-            codes = []
-            for old in kept:
-                code = 0
-                for x in _members(self.codes[old]):
-                    code |= 1 << _compress(x & pa, kept)
-                codes.append(code)
-            hit = self._subs[pa] = (_Frame(len(kept), codes, self.force), kept)
+            kept = tuple(_members(pa))
+            sub = _Frame(len(kept), restrict_codes(self.codes, pa), self.force)
+            hit = self._subs[pa] = (sub, kept)
         return hit
 
 

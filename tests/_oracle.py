@@ -81,6 +81,23 @@ def _holds(states, nbhd, val, s, f) -> bool:
     raise TypeError(msg)
 
 
+def restrict(doc, names) -> dict:
+    """JSON model document of the submodel on the named states: each
+    kept neighborhood P becomes P & names, and so does each atom."""
+    states, nbhd, val = load(doc)
+    kept = frozenset(names)
+    order = [s for s in states if s in kept]
+
+    def listed(xs):
+        return [s for s in order if s in xs]
+
+    return {"states": order,
+            "neighborhoods": {s: [listed(q) for q in {p & kept
+                                                      for p in nbhd[s]}]
+                              for s in order},
+            "valuation": {a: listed(v & kept) for a, v in val.items()}}
+
+
 def _powerset(states):
     items = list(states)
     return [frozenset(c) for r in range(len(items) + 1)

@@ -335,6 +335,20 @@ def test_frame_valid(capsys):
     assert (code, out) == (1, "false\n")
 
 
+def test_frame_valid_unforced_announcement_on_nonmonotone_model(capsys,
+                                                                tmp_path):
+    doc = {"states": ["s"], "neighborhoods": {"s": [[]]},
+           "valuation": {"p": ["s"]}}
+    path = tmp_path / "nonmono.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "frame-valid", "-m", str(path),
+                         "-f", "[p] K p")
+    assert (code, out) == (2, "")
+    assert err == ("error: non-monotone: announcement on a model not closed "
+                   "under supersets; pass force to apply the submodel "
+                   "formula anyway (pass --force to override)\n")
+
+
 # --- error channel --------------------------------------------------------------------------
 
 def test_missing_file(capsys):
@@ -363,6 +377,8 @@ def test_bad_formula(capsys):
 def test_paper_suite_all_rows_pass(capsys):
     code, out, _ = run(capsys, "paper-suite")
     assert code == 0
+    assert out == (Path(__file__).parent / "golden" /
+                   "paper_suite.txt").read_text(encoding="utf-8")
     lines = out.splitlines()
     assert lines[-1] == "30/30 rows pass"
     rows = [line.split()[0] for line in lines[:-1]]

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import _oracle
-from _gen import random_model_doc
+from _gen import STATE_NAMES, random_model_doc
 from nbhdmc.model import (MAX_STATES, PROPERTY_IDS, ModelFormatError,
                           NeighborhoodFrame, NeighborhoodModel,
                           NonMonotoneError, PerturbationError, PerturbationMap,
@@ -162,6 +162,36 @@ def test_check_property_matches_set_oracle_sampled():
                 _oracle.check_prop(doc, prop), (doc, prop)
 
 
+def test_check_property_at_max_states():
+    # Few members per state keep this fast, as long as no helper table
+    # grows as 2^n per subset.
+    n = MAX_STATES
+    full = (1 << n) - 1
+    # name -> (family masks at state s, the ids that hold), by construction
+    cases = {
+        "universe only": (lambda s: (full,), set(PROPERTY_IDS)),
+        "{s} and universe": (lambda s: (1 << s, full),
+                             {"c", "n", "r", "neg-suppl"}),
+        "empty set only": (lambda s: (0,), {"c", "r"}),
+        "all but s": (lambda s: (full ^ 1 << s,), {"c", "r", "neg-suppl"}),
+        "two sets through s": (lambda s: (1 << s | 2 << s % 15,
+                                          1 << s | 4 << s % 14),
+                               {"neg-suppl"}),
+        "no neighborhoods": (lambda s: (), {"m", "c", "neg-suppl"}),
+    }
+    for name, (family, holding) in cases.items():
+        frame = _frame(tuple(f"w{i}" for i in range(n)),
+                       tuple(family(s) for s in range(n)))
+        for prop in PROPERTY_IDS:
+            assert check_property(frame, prop) == (prop in holding), \
+                (name, prop)
+    # a failure at the last state alone is seen
+    fams = [(full,)] * (n - 1) + [(1 << (n - 1), full)]
+    frame = _frame(tuple(f"w{i}" for i in range(n)), fams)
+    assert not check_property(frame, "m")
+    assert check_property(frame, "c")
+
+
 # --- supplementation ------------------------------------------------------------
 
 def test_supplementation_example():
@@ -291,6 +321,35 @@ def test_intersection_submodel_guards():
         intersection_submodel(mono, StateSet.empty(2))
     with pytest.raises(ValueError):
         intersection_submodel(mono, StateSet(3, 1))
+
+
+def _atoms_as_sets(doc) -> dict:
+    """Valuation of a document as sets, empty atoms left out."""
+    return {a: v for a, v in _oracle.load(doc)[2].items() if v}
+
+
+def test_intersection_submodel_matches_set_oracle():
+    rng = SplitMix64(6262)
+    for _ in range(300):
+        n = 1 + rng.below(4)
+        doc = random_model_doc(rng, n)
+        model = model_from_json(doc)
+        bits = 1 + rng.below((1 << n) - 1)
+        names = [STATE_NAMES[i] for i in range(n) if bits >> i & 1]
+        want = _oracle.restrict(doc, names)
+        x = StateSet(n, bits)
+        if _oracle.check_prop(doc, "m"):
+            subs = [intersection_submodel(model, x)]
+        else:
+            with pytest.raises(NonMonotoneError):
+                intersection_submodel(model, x)
+            subs = []
+        subs.append(intersection_submodel(model, x, force=True))
+        for sub in subs:
+            got = model_to_json(sub)
+            assert got["states"] == want["states"]
+            assert _oracle.families(got) == _oracle.families(want), doc
+            assert _atoms_as_sets(got) == _atoms_as_sets(want), doc
 
 
 # --- JSON wire format ---------------------------------------------------------------
