@@ -15,7 +15,7 @@ from itertools import product
 from .announce import reduce as reduce_announcements
 from .formula import Atom, Bullet, Wrong, parse, pretty
 from .model import (NeighborhoodFrame, NeighborhoodModel, PerturbationMap,
-                    PointedModel, StateSet, check_property,
+                    PointedModel, StateSet, _lacking, check_property,
                     intersection_submodel, perturb, supplementation,
                     transitive_closure)
 from .morphism import StateMap, check_bullet_morphism, check_w_morphism, \
@@ -355,9 +355,9 @@ def _row_4_15():
         tc = transitive_closure(frame)
         if transitive_closure(tc) != tc:
             return False, "closure is not a fixpoint on a 2-state frame"
-        for w, (old, new) in enumerate(zip(frame.family_masks(),
-                                           tc.family_masks())):
-            if any(not x >> w & 1 for x in new - old):
+        for w, (old, new) in enumerate(zip(frame.family_codes(),
+                                           tc.family_codes())):
+            if new & ~old & _lacking(2)[w]:
                 return False, "closure added a set missing its state"
     return True, "every added set contains its state; closure idempotent " \
                  "(fixture + 256 frames)"

@@ -6,12 +6,13 @@ value.  The universe is capped at 16 states: every artifact this
 package targets needs at most 3, and 16 keeps full-powerset scans
 (2^n subsets) cheap.
 
-A family is also coded as one int, its family code: bit x is set when
-the set with mask x is a member.  The frame properties
-(`code_has_property`) and submodel restriction (`restrict_codes`) are
-defined once, on family codes, here; `check_property`,
-`intersection_submodel`, the search's class tables and the evaluation
-kernel's announcements all use these definitions.
+A family is stored as one int, its family code: bit x is set when the
+set with mask x is a member.  A frame computes its codes once, at
+construction, and every family operation reads them: the frame
+properties (`code_has_property`), submodel restriction
+(`restrict_codes`), the transformers, the morphism checks, the search's
+class tables and the evaluation kernel.  StateSet families appear only
+at the API and JSON boundary.
 """
 
 from __future__ import annotations
@@ -117,12 +118,26 @@ def _canonical_family(n: int, family) -> tuple[StateSet, ...]:
     return tuple(out[b] for b in sorted(out))
 
 
+def _code(family) -> int:
+    """Family code of a family of StateSets."""
+    code = 0
+    for ss in family:
+        code |= 1 << ss.bits
+    return code
+
+
 @dataclass(frozen=True)
 class NeighborhoodFrame:
-    """States plus one finite family of state sets per state."""
+    """States plus one finite family of state sets per state.
+
+    codes holds each state's family code, computed from neighborhoods
+    at construction; equality and hashing read states and neighborhoods
+    only.
+    """
 
     states: tuple[str, ...]
     neighborhoods: tuple[tuple[StateSet, ...], ...]
+    codes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         states = tuple(self.states)
@@ -140,9 +155,10 @@ class NeighborhoodFrame:
         if len(fams) != n:
             msg = f"{len(fams)} neighborhood families for {n} states"
             raise ValueError(msg)
+        fams = tuple(_canonical_family(n, fam) for fam in fams)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "neighborhoods",
-                           tuple(_canonical_family(n, fam) for fam in fams))
+        object.__setattr__(self, "neighborhoods", fams)
+        object.__setattr__(self, "codes", tuple(_code(fam) for fam in fams))
 
     @property
     def size(self) -> int:
@@ -159,14 +175,14 @@ class NeighborhoodFrame:
         return self.neighborhoods[i]
 
     def family_masks(self) -> tuple[frozenset[int], ...]:
-        """Per-state neighborhood families as frozensets of bit masks."""
-        return tuple(frozenset(ss.bits for ss in fam) for fam in self.neighborhoods)
+        """Per-state families as frozensets of bit masks, read off the
+        stored codes."""
+        return tuple(frozenset(_members(code)) for code in self.codes)
 
     def family_codes(self) -> tuple[int, ...]:
-        """Per-state family codes: bit x is set when the set with mask x
-        is a neighborhood."""
-        return tuple(sum(1 << ss.bits for ss in fam)
-                     for fam in self.neighborhoods)
+        """The stored per-state family codes: bit x is set when the set
+        with mask x is a neighborhood."""
+        return self.codes
 
 
 def _canonical_valuation(n: int, valuation) -> tuple[tuple[str, StateSet], ...]:
@@ -281,7 +297,7 @@ class PerturbationMap:
 # --- family codes -------------------------------------------------------------
 #
 # Frame properties and submodel restriction are defined here once, on
-# family codes; StateSets appear only at the API and JSON boundary.
+# family codes.
 
 
 def _members(code: int):
@@ -414,16 +430,11 @@ def perturb(model: NeighborhoodModel, pmap: PerturbationMap) -> NeighborhoodMode
         msg = (f"perturbation over {pmap.size} states applied to a model "
                f"with {frame.size}")
         raise PerturbationError(msg)
-    fams = []
-    for fam, delta in zip(frame.family_masks(), pmap.families):
-        masks = set(fam)
-        if pmap.sign == "add":
-            masks.update(ss.bits for ss in delta)
-        else:
-            masks.difference_update(ss.bits for ss in delta)
-        fams.append(tuple(StateSet(frame.size, b) for b in sorted(masks)))
-    new_frame = NeighborhoodFrame(frame.states, tuple(fams))
-    return NeighborhoodModel(new_frame, model.valuation)
+    add = pmap.sign == "add"
+    codes = [code | _code(delta) if add else code & ~_code(delta)
+             for code, delta in zip(frame.family_codes(), pmap.families)]
+    return NeighborhoodModel(frame_from_codes(frame.states, codes),
+                             model.valuation)
 
 
 def transitive_closure(frame: NeighborhoodFrame) -> NeighborhoodFrame:
@@ -434,23 +445,23 @@ def transitive_closure(frame: NeighborhoodFrame) -> NeighborhoodFrame:
     computed from the snapshot of the previous one.  Families only grow
     inside a finite powerset, so this terminates.
     """
-    n = frame.size
-    fams = [set(fam) for fam in frame.family_masks()]
+    codes = frame.family_codes()
     while True:
-        marks: dict[int, int] = {}
-        for x in set().union(*fams) if fams else set():
-            marks[x] = sum(1 << z for z in range(n) if x in fams[z])
-        grown = False
-        additions = [{marks[x] for x in fams[w]} - fams[w] for w in range(n)]
-        for w in range(n):
-            if additions[w]:
-                fams[w].update(additions[w])
-                grown = True
-        if not grown:
-            break
-    return NeighborhoodFrame(
-        frame.states,
-        tuple(tuple(StateSet(n, b) for b in sorted(fam)) for fam in fams))
+        union = 0
+        for code in codes:
+            union |= code
+        marks = {x: sum(1 << z for z, code in enumerate(codes) if code >> x & 1)
+                 for x in _members(union)}
+        grown = []
+        for code in codes:
+            new = code
+            for x in _members(code):  # two members can share a mark
+                new |= 1 << marks[x]
+            grown.append(new)
+        grown = tuple(grown)
+        if grown == codes:
+            return frame_from_codes(frame.states, codes)
+        codes = grown
 
 
 def intersection_submodel(model: NeighborhoodModel, X: StateSet,

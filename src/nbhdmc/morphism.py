@@ -77,21 +77,21 @@ def _atom_names(sm: StateMap) -> tuple[str, ...]:
 
 def _check(sm: StateMap, kind: str):
     n = sm.source.size
-    src_fams = sm.source.frame.family_masks()
-    tgt_fams = sm.target.frame.family_masks()
+    src_codes = sm.source.frame.family_codes()
+    tgt_codes = sm.target.frame.family_codes()
     atoms = _atom_names(sm)
     images = [sm.image_mask(x) for x in range(1 << n)]
     for s in range(n):
         fs = sm.mapping[s]
-        fam, tgt = src_fams[s], tgt_fams[fs]
+        code, tgt = src_codes[s], tgt_codes[fs]
         for x in range(1 << n):
             fx = images[x]
             if kind == "bullet":
-                lhs = bool(x >> s & 1) and x not in fam
-                rhs = bool(fx >> fs & 1) and fx not in tgt
+                lhs = x >> s & 1 and not code >> x & 1
+                rhs = fx >> fs & 1 and not tgt >> fx & 1
             else:
-                lhs = x in fam and not x >> s & 1
-                rhs = fx in tgt and not fx >> fs & 1
+                lhs = code >> x & 1 and not x >> s & 1
+                rhs = tgt >> fx & 1 and not fx >> fs & 1
             if lhs != rhs:
                 return False, (s, StateSet(n, x))
         for atom in atoms:

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
+from math import prod
 
 from .formula import (And, Atom, Bullet, Formula, Not, Wrong, atoms_of,
                       has_announcement)
@@ -153,52 +154,29 @@ def allowed_family_codes(n: int, properties: frozenset,
                         for p in properties))
 
 
-def _decode_index(idx: int, allowed: list[tuple[int, ...]]) -> tuple[int, ...]:
-    digits = []
-    for options in reversed(allowed):
-        digits.append(options[idx % len(options)])
-        idx //= len(options)
-    return tuple(reversed(digits))
-
-
 def _allowed_lists(n: int, properties: frozenset) -> list[tuple[int, ...]]:
     return [allowed_family_codes(n, properties, w) for w in range(n)]
 
 
-def enumerate_frames(n: int, cls: ClassSpec | None = None,
-                     index_range: tuple[int, int] | None = None):
-    """Yield every n-state frame of the class in canonical order.
-
-    index_range selects a contiguous slice of that order.  Refuses n
-    beyond 3: the full space grows as 2^(n*2^n) and exhaustion stops
-    being meaningful.
-    """
+def _enumerable(n: int, cls: ClassSpec | None) -> list[tuple[int, ...]]:
+    """The class's allowed codes per state; refuses n beyond 3: the full
+    space grows as 2^(n*2^n) and exhaustion stops being meaningful."""
     if not 1 <= n <= EXHAUSTIVE_MAX_STATES:
         msg = (f"exhaustive enumeration supports 1..{EXHAUSTIVE_MAX_STATES} "
                f"states, got {n}; use sampled mode")
         raise ValueError(msg)
-    allowed = _allowed_lists(n, cls.properties if cls else frozenset())
-    total = 1
-    for options in allowed:
-        total *= len(options)
-    lo, hi = index_range if index_range else (0, total)
-    if not 0 <= lo <= hi <= total:
-        msg = f"index range {index_range!r} outside 0..{total}"
-        raise ValueError(msg)
-    for idx in range(lo, hi):
-        yield frame_from_codes(_STATE_NAMES[:n], _decode_index(idx, allowed))
+    return _allowed_lists(n, cls.properties if cls else frozenset())
+
+
+def enumerate_frames(n: int, cls: ClassSpec | None = None):
+    """Yield every n-state frame of the class in canonical order."""
+    for codes in product(*_enumerable(n, cls)):
+        yield frame_from_codes(_STATE_NAMES[:n], codes)
 
 
 def count_frames(n: int, cls: ClassSpec | None = None) -> int:
     """Size of the enumeration without materializing it."""
-    if not 1 <= n <= EXHAUSTIVE_MAX_STATES:
-        msg = (f"exhaustive enumeration supports 1..{EXHAUSTIVE_MAX_STATES} "
-               f"states, got {n}; use sampled mode")
-        raise ValueError(msg)
-    total = 1
-    for options in _allowed_lists(n, cls.properties if cls else frozenset()):
-        total *= len(options)
-    return total
+    return prod(len(options) for options in _enumerable(n, cls))
 
 
 # --- countermodel search ------------------------------------------------------

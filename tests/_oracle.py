@@ -98,6 +98,66 @@ def restrict(doc, names) -> dict:
             "valuation": {a: listed(v & kept) for a, v in val.items()}}
 
 
+def perturb_families(doc, pdoc) -> dict:
+    """{state: set of frozensets} after adding ("add") or removing the
+    perturbation document's per-state sets, by set union or difference."""
+    states, nbhd, _ = load(doc)
+    delta = {s: {frozenset(xs) for xs in pdoc["families"].get(s, [])}
+             for s in states}
+    if pdoc["sign"] == "add":
+        return {s: nbhd[s] | delta[s] for s in states}
+    return {s: nbhd[s] - delta[s] for s in states}
+
+
+def closure_families(doc) -> dict:
+    """{state: set of frozensets} of the transitive closure: every round
+    adds, to each N(w), the set {z | X in N(z)} for each X in N(w), read
+    off the previous round, until nothing changes."""
+    states, nbhd, _ = load(doc)
+    fams = {s: set(nbhd[s]) for s in states}
+    while True:
+        new = {w: fams[w] | {frozenset(z for z in states if x in fams[z])
+                             for x in fams[w]}
+               for w in states}
+        if new == fams:
+            return fams
+        fams = new
+
+
+def _subsets_by_mask(states):
+    """Subsets of the listed states in bit-vector order, the first state
+    being the low bit."""
+    for mask in range(1 << len(states)):
+        yield frozenset(s for i, s in enumerate(states) if mask >> i & 1)
+
+
+def morphism(source, target, mapping, kind: str):
+    """(ok, witness) of the bullet or wrong condition plus atom agreement
+    along the map {source state: target state}, by the definitions.  The
+    witness is the first failure, (state, frozenset) or (state, atom):
+    states in order, at each state the subsets by bit-vector value, then
+    the atoms by name."""
+    states, nbhd, val = load(source)
+    _, tnbhd, tval = load(target)
+    atoms = sorted(set(val) | set(tval))
+    for s in states:
+        fs = mapping[s]
+        for x in _subsets_by_mask(states):
+            fx = frozenset(mapping[y] for y in x)
+            if kind == "bullet":
+                lhs = s in x and x not in nbhd[s]
+                rhs = fs in fx and fx not in tnbhd[fs]
+            else:
+                lhs = x in nbhd[s] and s not in x
+                rhs = fx in tnbhd[fs] and fs not in fx
+            if lhs != rhs:
+                return False, (s, x)
+        for a in atoms:
+            if (s in val.get(a, ())) != (fs in tval.get(a, ())):
+                return False, (s, a)
+    return True, None
+
+
 def _powerset(states):
     items = list(states)
     return [frozenset(c) for r in range(len(items) + 1)

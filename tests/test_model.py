@@ -261,6 +261,57 @@ def test_perturb_size_mismatch():
         perturb(m, PerturbationMap("bullet", "add", ((), ())))
 
 
+def _random_pmap_doc(rng, doc) -> dict:
+    """Random legal perturbation document over the document's states."""
+    states = doc["states"]
+    n = len(states)
+    kind = ("bullet", "wrong")[rng.below(2)]
+    families = {}
+    for w, s in enumerate(states):
+        masks = [x for x in range(1 << n)
+                 if (x >> w & 1) == (kind == "wrong") and not rng.below(3)]
+        families[s] = [[states[i] for i in range(n) if x >> i & 1]
+                       for x in masks]
+    return {"kind": kind, "sign": ("add", "remove")[rng.below(2)],
+            "families": families}
+
+
+def test_perturb_matches_set_oracle():
+    rng = SplitMix64(4141)
+    for _ in range(300):
+        doc = random_model_doc(rng, 1 + rng.below(4))
+        pdoc = _random_pmap_doc(rng, doc)
+        model = model_from_json(doc)
+        out = perturb(model, pmap_from_json(pdoc, model.states))
+        assert _oracle.families(model_to_json(out)) == \
+            _oracle.perturb_families(doc, pdoc), (doc, pdoc)
+        assert out.valuation == model.valuation
+
+
+def _ring_doc(families) -> dict:
+    """MAX_STATES-state document w0.. whose state i has the sets
+    families(i), each given by state indices."""
+    states = [f"w{i}" for i in range(MAX_STATES)]
+    return {"states": states,
+            "neighborhoods": {s: [[states[j % MAX_STATES] for j in sorted(xs)]
+                                  for xs in families(i)]
+                              for i, s in enumerate(states)},
+            "valuation": {"p": states[::3]}}
+
+
+def test_perturb_at_max_states():
+    n = MAX_STATES
+    doc = _ring_doc(lambda i: ({i, i + 1}, set(range(n)) - {i}))
+    model = model_from_json(doc)
+    sets = _ring_doc(lambda i: ({i + 3, i + 7}, set(range(n)) - {i}))
+    for sign in ("add", "remove"):
+        pdoc = {"kind": "bullet", "sign": sign,
+                "families": sets["neighborhoods"]}
+        out = perturb(model, pmap_from_json(pdoc, model.states))
+        assert _oracle.families(model_to_json(out)) == \
+            _oracle.perturb_families(doc, pdoc), sign
+
+
 # --- transitive closure -----------------------------------------------------------
 
 def test_transitive_closure_example():
@@ -273,6 +324,25 @@ def test_transitive_closure_two_rounds():
     frame = _frame(("s", "t"), ((2,), (1,)))
     out = transitive_closure(frame)
     assert out.family_masks() == (frozenset((1, 2, 3)), frozenset((1, 2, 3)))
+
+
+def test_transitive_closure_matches_set_oracle():
+    rng = SplitMix64(5151)
+    for _ in range(300):
+        doc = random_model_doc(rng, 1 + rng.below(4))
+        out = transitive_closure(model_from_json(doc).frame)
+        assert _oracle.families(model_to_json(NeighborhoodModel(out))) == \
+            _oracle.closure_families(doc), doc
+
+
+def test_transitive_closure_at_max_states():
+    # each state's family starts as the next state's singleton, so the
+    # closure grows over many rounds
+    doc = _ring_doc(lambda i: ({i + 1},))
+    out = transitive_closure(model_from_json(doc).frame)
+    want = _oracle.closure_families(doc)
+    assert _oracle.families(model_to_json(NeighborhoodModel(out))) == want
+    assert max(len(fam) for fam in want.values()) > 3
 
 
 def test_transitive_closure_laws_exhaustive():

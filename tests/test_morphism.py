@@ -2,10 +2,12 @@
 
 import pytest
 
+import _oracle
 from _gen import random_model
 from nbhdmc.formula import Bullet, Wrong, parse
-from nbhdmc.model import (NeighborhoodFrame, NeighborhoodModel,
-                          PerturbationMap, PointedModel, StateSet, perturb)
+from nbhdmc.model import (MAX_STATES, NeighborhoodFrame, NeighborhoodModel,
+                          PerturbationMap, PointedModel, StateSet,
+                          model_to_json, perturb)
 from nbhdmc.morphism import (StateMap, check_bullet_morphism, check_w_morphism,
                              verify_invariance)
 from nbhdmc.search import SplitMix64, fragment_representatives
@@ -124,6 +126,82 @@ def test_morphisms_compose():
     composed = StateMap(W_BASE, sm2.target,
                         tuple(sm2.mapping[i] for i in sm1.mapping))
     assert check_bullet_morphism(composed) == (True, None)
+
+
+# --- set oracle ----------------------------------------------------------------------
+
+CHECKS = (("bullet", check_bullet_morphism), ("wrong", check_w_morphism))
+
+
+def _named(sm, witness):
+    """A witness in the oracle's terms: state name, then a set of state
+    names or an atom."""
+    if witness is None:
+        return None
+    s, item = witness
+    states = sm.source.states
+    if isinstance(item, str):
+        return states[s], item
+    return states[s], frozenset(states[i] for i in item.indices())
+
+
+def _oracle_check(sm, kind):
+    names = {sm.source.states[s]: sm.target.states[t]
+             for s, t in enumerate(sm.mapping)}
+    return _oracle.morphism(model_to_json(sm.source),
+                            model_to_json(sm.target), names, kind)
+
+
+def test_morphism_checks_match_set_oracle():
+    rng = SplitMix64(6464)
+    seen = set()
+    for _ in range(300):
+        source = random_model(rng, 1 + rng.below(4))
+        n = source.size
+        pick = rng.below(4)
+        if pick == 0:  # any target, any map
+            target = random_model(rng, 1 + rng.below(4))
+            mapping = tuple(rng.below(target.size) for _ in range(n))
+        elif pick == 1:  # a permuted copy
+            mapping = list(range(n))
+            for i in reversed(range(1, n)):
+                j = rng.below(i + 1)
+                mapping[i], mapping[j] = mapping[j], mapping[i]
+            target = _permuted(source, mapping)
+        elif pick == 2:  # a legal perturbation
+            kind = ("bullet", "wrong")[rng.below(2)]
+            target = perturb(source, _legal_pmap(rng, n, kind))
+            mapping = range(n)
+        else:  # the same frame, another valuation
+            target = NeighborhoodModel(source.frame,
+                                       random_model(rng, n).valuation)
+            mapping = range(n)
+        sm = StateMap(source, target, tuple(mapping))
+        for kind, check in CHECKS:
+            ok, witness = check(sm)
+            assert (ok, _named(sm, witness)) == _oracle_check(sm, kind)
+            seen.add(type(witness[1]) if witness else None)
+    assert seen == {None, StateSet, str}
+
+
+def test_morphism_checks_at_max_states():
+    n = MAX_STATES
+    full = (1 << n) - 1
+    source = _model(tuple(f"w{i}" for i in range(n)),
+                    tuple((1 << s | 1 << (s + 1) % n,) for s in range(n)),
+                    (("p", 0x5555),))
+    # a set through state 1 added there breaks only the bullet condition
+    wider = perturb(source, PerturbationMap("wrong", "add", tuple(
+        (StateSet(n, full ^ 1),) if s == 1 else () for s in range(n))))
+    # p flipped at state 1 keeps both frame conditions
+    flipped = NeighborhoodModel(source.frame, {"p": StateSet(n, 0x5555 ^ 2)})
+    cases = ((wider, "bullet", (1, StateSet(n, full ^ 1))),
+             (flipped, "wrong", (1, "p")))
+    for target, kind, witness in cases:
+        sm = _identity(source, target)
+        check = dict(CHECKS)[kind]
+        assert check(sm) == (False, witness)
+        assert _oracle_check(sm, kind) == (False, _named(sm, witness))
 
 
 # --- invariance replay -------------------------------------------------------------
