@@ -166,54 +166,50 @@ def _fragment_formulas(models, atoms, operators, depth):
 # --- rows ----------------------------------------------------------------------
 
 
-def _row_3_2():
-    base, ext, pmap = pair_w_separation()
+# kind -> (short name, modality, morphism check) of each fragment
+_FRAGMENTS = {"bullet": ("bullet", Bullet, check_bullet_morphism),
+              "wrong": ("w", Wrong, check_w_morphism)}
+
+
+def _separation_row(builder, kind: str, other: str, witness: int,
+                    summary: str):
+    """The kind's modality on p separates the pair at s; the identity is
+    an other-morphism and fails the kind's check at (s, {witness})."""
+    base, ext, pmap = builder()
     errs = []
     if perturb(base, pmap) != ext:
         errs.append("perturbation does not rebuild the extended model")
-    found = distinguish(PointedModel(base, 0), PointedModel(ext, 0),
-                        "wrong", 1)
-    if found != Wrong(Atom("p")):
-        errs.append(f"wrong-fragment distinguisher is "
+    short, modality, check = _FRAGMENTS[kind]
+    found = distinguish(PointedModel(base, 0), PointedModel(ext, 0), kind, 1)
+    if found != modality(Atom("p")):
+        errs.append(f"{kind}-fragment distinguisher is "
                     f"{pretty(found) if found else 'missing'}")
-    ok, _ = check_bullet_morphism(_identity(base, ext))
+    other_short, _, other_check = _FRAGMENTS[other]
+    ok, _ = other_check(_identity(base, ext))
     if not ok:
-        errs.append("identity fails the bullet-morphism check")
-    ok, wit = check_w_morphism(_identity(base, ext))
-    if ok or wit != (0, StateSet(2, 2)):
-        errs.append(f"w-morphism witness is {wit!r}, wanted (s, {{t}})")
+        errs.append(f"identity fails the {other_short}-morphism check")
+    ok, wit = check(_identity(base, ext))
+    if ok or wit != (0, StateSet.from_indices(2, (witness,))):
+        errs.append(f"{short}-morphism witness is {wit!r}, "
+                    f"wanted (s, {{{base.states[witness]}}})")
     for tag, m in (("base", base), ("extended", ext)):
         missing = [p for p in ("m", "c", "n", "r")
                    if not check_property(m.frame, p)]
         if missing:
             errs.append(f"{tag} model lacks {missing}")
-    return not errs, "; ".join(errs) or \
-        "W p separates at s; identity is a bullet morphism; both models m,c,n,r"
+    return not errs, "; ".join(errs) or summary
+
+
+def _row_3_2():
+    return _separation_row(
+        pair_w_separation, "wrong", "bullet", 1,
+        "W p separates at s; identity is a bullet morphism; both models m,c,n,r")
 
 
 def _row_3_3():
-    base, ext, pmap = pair_bullet_separation()
-    errs = []
-    if perturb(base, pmap) != ext:
-        errs.append("perturbation does not rebuild the extended model")
-    found = distinguish(PointedModel(base, 0), PointedModel(ext, 0),
-                        "bullet", 1)
-    if found != Bullet(Atom("p")):
-        errs.append(f"bullet-fragment distinguisher is "
-                    f"{pretty(found) if found else 'missing'}")
-    ok, _ = check_w_morphism(_identity(base, ext))
-    if not ok:
-        errs.append("identity fails the w-morphism check")
-    ok, wit = check_bullet_morphism(_identity(base, ext))
-    if ok or wit != (0, StateSet(2, 1)):
-        errs.append(f"bullet-morphism witness is {wit!r}, wanted (s, {{s}})")
-    for tag, m in (("base", base), ("extended", ext)):
-        missing = [p for p in ("m", "c", "n", "r")
-                   if not check_property(m.frame, p)]
-        if missing:
-            errs.append(f"{tag} model lacks {missing}")
-    return not errs, "; ".join(errs) or \
-        "U p separates at s; identity is a w-morphism; both models m,c,n,r"
+    return _separation_row(
+        pair_bullet_separation, "bullet", "wrong", 0,
+        "U p separates at s; identity is a w-morphism; both models m,c,n,r")
 
 
 def _row_3_5():
@@ -224,33 +220,46 @@ def _row_3_5():
                      "4 interdefinability equivalences hold, n <= 2 exhaustive")
 
 
-def _row_4_2():
-    base, ext, _ = pair_w_separation()
+def _invariance_row(builder, kind: str):
+    """The identity into the extension preserves the kind's fragment."""
+    base, ext, _ = builder()
+    short, modality, _ = _FRAGMENTS[kind]
     sm = _identity(base, ext)
-    formulas = _fragment_formulas((base, ext), ("p",), (Bullet,), 2)
-    report = verify_invariance(sm, "bullet", formulas)
+    formulas = _fragment_formulas((base, ext), ("p",), (modality,), 2)
+    report = verify_invariance(sm, kind, formulas)
     return not report, (f"{len(report)} violations" if report else
-                        f"{len(formulas)} bullet-fragment representatives "
+                        f"{len(formulas)} {short}-fragment representatives "
                         f"preserved along the identity")
 
 
-def _row_4_3():
-    pairs = [pair_w_separation(), frame_pair_intersection_core(),
-             frame_pair_monotone()]
+def _legal_additions_row(builders, kind: str):
+    """Each kind-legal addition keeps the identity a kind morphism that
+    preserves the kind's fragment."""
+    short, modality, check = _FRAGMENTS[kind]
     checked = 0
-    for base, ext, pmap in pairs:
-        if pmap.kind != "bullet":
-            return False, "fixture perturbation is not bullet-legal"
+    for builder in builders:
+        base, ext, pmap = builder()
+        if pmap.kind != kind:
+            return False, f"fixture perturbation is not {kind}-legal"
         sm = _identity(base, ext)
-        ok, wit = check_bullet_morphism(sm)
+        ok, wit = check(sm)
         if not ok:
-            return False, f"identity fails the bullet check at {wit!r}"
-        formulas = _fragment_formulas((base, ext), ("p",), (Bullet,), 2)
-        if verify_invariance(sm, "bullet", formulas):
+            return False, f"identity fails the {short} check at {wit!r}"
+        formulas = _fragment_formulas((base, ext), ("p",), (modality,), 2)
+        if verify_invariance(sm, kind, formulas):
             return False, "truth not preserved under a legal addition"
         checked += len(formulas)
-    return True, (f"{len(pairs)} legal additions leave {checked} "
+    return True, (f"{len(builders)} legal additions leave {checked} "
                   f"representatives invariant")
+
+
+def _row_4_2():
+    return _invariance_row(pair_w_separation, "bullet")
+
+
+def _row_4_3():
+    return _legal_additions_row((pair_w_separation, frame_pair_intersection_core,
+                                 frame_pair_monotone), "bullet")
 
 
 def _frame_pair_row(builder, created: tuple[str, ...], lost: tuple[str, ...],
@@ -267,8 +276,7 @@ def _frame_pair_row(builder, created: tuple[str, ...], lost: tuple[str, ...],
             errs.append(f"base lacks ({p})")
         if check_property(ext.frame, p):
             errs.append(f"extension still has ({p})")
-    check = check_bullet_morphism if kind == "bullet" else check_w_morphism
-    ok, wit = check(_identity(base, ext))
+    ok, wit = _FRAGMENTS[kind][2](_identity(base, ext))
     if not ok:
         errs.append(f"identity fails the {kind} check at {wit!r}")
     if kind == "bullet":
@@ -308,32 +316,12 @@ def _row_4_7():
 
 
 def _row_4_9():
-    base, ext, _ = pair_bullet_separation()
-    sm = _identity(base, ext)
-    formulas = _fragment_formulas((base, ext), ("p",), (Wrong,), 2)
-    report = verify_invariance(sm, "wrong", formulas)
-    return not report, (f"{len(report)} violations" if report else
-                        f"{len(formulas)} w-fragment representatives "
-                        f"preserved along the identity")
+    return _invariance_row(pair_bullet_separation, "wrong")
 
 
 def _row_4_10():
-    pairs = [pair_bullet_separation(), frame_pair_unit(),
-             frame_pair_w_intersection_core()]
-    checked = 0
-    for base, ext, pmap in pairs:
-        if pmap.kind != "wrong":
-            return False, "fixture perturbation is not wrong-legal"
-        sm = _identity(base, ext)
-        ok, wit = check_w_morphism(sm)
-        if not ok:
-            return False, f"identity fails the w check at {wit!r}"
-        formulas = _fragment_formulas((base, ext), ("p",), (Wrong,), 2)
-        if verify_invariance(sm, "wrong", formulas):
-            return False, "truth not preserved under a legal addition"
-        checked += len(formulas)
-    return True, (f"{len(pairs)} legal additions leave {checked} "
-                  f"representatives invariant")
+    return _legal_additions_row((pair_bullet_separation, frame_pair_unit,
+                                 frame_pair_w_intersection_core), "wrong")
 
 
 def _row_4_12():

@@ -1,19 +1,13 @@
 """Formula syntax: AST nodes, parser, printer, desugaring, modal depth.
 
-Surface grammar (ASCII):
-
-    formula := iff
-    iff     := imp ( "<->" imp )*          left-associative
-    imp     := or ( "->" imp )?            right-associative
-    or      := and ( "|" and )*
-    and     := unary ( "&" unary )*
-    unary   := ( "!" | "U" | "O" | "W" | "K" | "[" formula "]" ) unary | atom
-    atom    := "true" | "false" | IDENT | "(" formula ")"
-
-IDENT is [a-z][a-z0-9_]*.  "U" is the unknown-truth modality, "O" its
-dual ("safe truth"), "W" the false-belief modality, "K" the plain box,
-and "[psi] phi" an announcement.  Unary prefixes bind tighter than "&",
-then "|", then "->", then "<->".
+The surface syntax (ASCII) is stated only in two tables, _PREFIX and
+_INFIX; the tokenizer, the parser and the printer are derived from them.
+_PREFIX maps each prefix operator to its node class.  _INFIX lists the
+binary operators loosest first, so an entry's index is its binding
+level, each with its node class and associativity.  Prefix operators and
+the announcement "[psi] phi" bind tighter than every binary operator.
+The other operands are "true", "false", identifiers (_ATOM_RE) and
+parenthesized formulas.
 """
 
 from __future__ import annotations
@@ -162,10 +156,26 @@ class _Token:
     pos: int  # character offset
 
 
-_MODALITIES = {"U": Bullet, "O": Circ, "W": Wrong, "K": Box}
-_PUNCT = ("<->", "->", "!", "&", "|", "(", ")", "[", "]")
+_KEYWORDS = {"true": Top, "false": Bot}
+
+# The surface syntax, stated once (see the module docstring).
+_PREFIX = {"!": Not, "U": Bullet, "O": Circ, "W": Wrong, "K": Box}
+_INFIX = (("<->", Iff, "left"), ("->", Imp, "right"), ("|", Or, "left"),
+          ("&", And, "left"))
+
+_UNARY = len(_INFIX)  # binding level of prefix operators and announcements
+_ATOMIC = _UNARY + 1
+_INFIX_BY_SYMBOL = {sym: (level, cls, assoc == "right")
+                    for level, (sym, cls, assoc) in enumerate(_INFIX)}
+_INFIX_BY_CLASS = {cls: (level, sym, assoc == "right")
+                   for level, (sym, cls, assoc) in enumerate(_INFIX)}
+_PREFIX_BY_CLASS = {cls: sym for sym, cls in _PREFIX.items()}
+_SYMBOLS = (*_PREFIX, *_INFIX_BY_SYMBOL, "(", ")", "[", "]")
+# after optional whitespace: a symbol, a word, or any other character
+_TOKEN_RE = re.compile(r"\s*(?:(%s)|(%s)|(\S))" % (
+    "|".join(map(re.escape, _SYMBOLS)), _ATOM_RE.pattern))
 # token kinds that may start an operand
-_STARTERS = frozenset(("!", "U", "O", "W", "K", "[", "(", "ident", "true", "false"))
+_STARTERS = frozenset((*_PREFIX, "[", "(", "ident", *_KEYWORDS))
 
 
 def _byte_offset(text: str, pos: int) -> int:
@@ -174,38 +184,18 @@ def _byte_offset(text: str, pos: int) -> int:
 
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("<->", i):
-            toks.append(_Token("<->", "<->", i))
-            i += 3
-            continue
-        if text.startswith("->", i):
-            toks.append(_Token("->", "->", i))
-            i += 2
-            continue
-        if c in "!&|()[]":
-            toks.append(_Token(c, c, i))
-            i += 1
-            continue
-        if c in _MODALITIES:
-            toks.append(_Token(c, c, i))
-            i += 1
-            continue
-        m = _ATOM_RE.match(text, i)
-        if m:
-            word = m.group()
-            kind = word if word in ("true", "false") else "ident"
-            toks.append(_Token(kind, word, i))
-            i = m.end()
-            continue
-        msg = f"unexpected character {c!r} at byte {_byte_offset(text, i)}"
-        raise ParseError(msg, _byte_offset(text, i), _STARTERS)
-    toks.append(_Token("eof", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        symbol, word, other = m.groups()
+        if other:
+            off = _byte_offset(text, m.start(3))
+            msg = f"unexpected character {other!r} at byte {off}"
+            raise ParseError(msg, off, _STARTERS)
+        if symbol:
+            toks.append(_Token(symbol, symbol, m.start(1)))
+        else:
+            kind = word if word in _KEYWORDS else "ident"
+            toks.append(_Token(kind, word, m.start(2)))
+    toks.append(_Token("eof", "", len(text)))
     return toks
 
 
@@ -237,50 +227,31 @@ class _Parser:
         return self._next()
 
     def parse(self) -> Formula:
-        f = self._iff()
+        f = self._binary(0)
         if self._peek().kind != "eof":
             raise self._fail(frozenset(("eof",)))
         return f
 
-    def _iff(self) -> Formula:
-        f = self._imp()
-        while self._peek().kind == "<->":
-            self._next()
-            f = Iff(f, self._imp())
-        return f
-
-    def _imp(self) -> Formula:
-        f = self._or()
-        if self._peek().kind == "->":
-            self._next()
-            return Imp(f, self._imp())
-        return f
-
-    def _or(self) -> Formula:
-        f = self._and()
-        while self._peek().kind == "|":
-            self._next()
-            f = Or(f, self._and())
-        return f
-
-    def _and(self) -> Formula:
+    def _binary(self, min_level: int) -> Formula:
+        """A unary operand followed by infix operators of level min_level
+        or tighter (precedence climbing)."""
         f = self._unary()
-        while self._peek().kind == "&":
+        while self._peek().kind in _INFIX_BY_SYMBOL:
+            level, cls, right = _INFIX_BY_SYMBOL[self._peek().kind]
+            if level < min_level:
+                break
             self._next()
-            f = And(f, self._unary())
+            f = cls(f, self._binary(level if right else level + 1))
         return f
 
     def _unary(self) -> Formula:
         t = self._peek()
-        if t.kind == "!":
+        if t.kind in _PREFIX:
             self._next()
-            return Not(self._unary())
-        if t.kind in _MODALITIES:
-            self._next()
-            return _MODALITIES[t.kind](self._unary())
+            return _PREFIX[t.kind](self._unary())
         if t.kind == "[":
             self._next()
-            announced = self._iff()
+            announced = self._binary(0)
             self._expect("]")
             return Announce(announced, self._unary())
         return self._atom()
@@ -290,15 +261,12 @@ class _Parser:
         if t.kind == "ident":
             self._next()
             return Atom(t.text)
-        if t.kind == "true":
+        if t.kind in _KEYWORDS:
             self._next()
-            return Top()
-        if t.kind == "false":
-            self._next()
-            return Bot()
+            return _KEYWORDS[t.kind]()
         if t.kind == "(":
             self._next()
-            f = self._iff()
+            f = self._binary(0)
             self._expect(")")
             return f
         raise self._fail(_STARTERS)
@@ -311,57 +279,34 @@ def parse(text: str) -> Formula:
 
 # --- printing --------------------------------------------------------------
 
-_LEVEL_IFF, _LEVEL_IMP, _LEVEL_OR, _LEVEL_AND, _LEVEL_UNARY, _LEVEL_ATOM = range(1, 7)
-
-
-def _level(f: Formula) -> int:
-    if isinstance(f, (Atom, Top, Bot)):
-        return _LEVEL_ATOM
-    if isinstance(f, (Not, Bullet, Circ, Wrong, Box, Announce)):
-        return _LEVEL_UNARY
-    if isinstance(f, And):
-        return _LEVEL_AND
-    if isinstance(f, Or):
-        return _LEVEL_OR
-    if isinstance(f, Imp):
-        return _LEVEL_IMP
-    return _LEVEL_IFF
-
-
-def _wrap(f: Formula, need_above: int) -> str:
-    s = pretty(f)
-    return f"({s})" if _level(f) < need_above else s
-
-
 def pretty(f: Formula) -> str:
     """Minimal-parenthesis rendering; round-trips through parse."""
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bot):
-        return "false"
-    if isinstance(f, Not):
-        return f"! {_wrap(f.child, _LEVEL_UNARY)}"
-    if isinstance(f, Bullet):
-        return f"U {_wrap(f.child, _LEVEL_UNARY)}"
-    if isinstance(f, Circ):
-        return f"O {_wrap(f.child, _LEVEL_UNARY)}"
-    if isinstance(f, Wrong):
-        return f"W {_wrap(f.child, _LEVEL_UNARY)}"
-    if isinstance(f, Box):
-        return f"K {_wrap(f.child, _LEVEL_UNARY)}"
-    if isinstance(f, Announce):
-        return f"[{pretty(f.announced)}] {_wrap(f.body, _LEVEL_UNARY)}"
-    if isinstance(f, And):
-        return f"{_wrap(f.left, _LEVEL_AND)} & {_wrap(f.right, _LEVEL_AND + 1)}"
-    if isinstance(f, Or):
-        return f"{_wrap(f.left, _LEVEL_OR)} | {_wrap(f.right, _LEVEL_OR + 1)}"
-    if isinstance(f, Imp):
-        # right-associative: bare Imp allowed on the right only
-        return f"{_wrap(f.left, _LEVEL_IMP + 1)} -> {_wrap(f.right, _LEVEL_IMP)}"
-    if isinstance(f, Iff):
-        return f"{_wrap(f.left, _LEVEL_IFF)} <-> {_wrap(f.right, _LEVEL_IFF + 1)}"
+    return _render(f)[0]
+
+
+def _operand(f: Formula, need: int) -> str:
+    text, level = _render(f)
+    return f"({text})" if level < need else text
+
+
+def _render(f: Formula) -> tuple[str, int]:
+    """f's text and the binding level of its outermost operator."""
+    cls = type(f)
+    if cls in _PREFIX_BY_CLASS:
+        return f"{_PREFIX_BY_CLASS[cls]} {_operand(f.child, _UNARY)}", _UNARY
+    if cls in _INFIX_BY_CLASS:
+        level, sym, right = _INFIX_BY_CLASS[cls]
+        # an operand of the same level goes bare on the associative side only
+        return (f"{_operand(f.left, level + right)} {sym} "
+                f"{_operand(f.right, level + (not right))}"), level
+    if cls is Announce:
+        return f"[{pretty(f.announced)}] {_operand(f.body, _UNARY)}", _UNARY
+    if cls is Atom:
+        return f.name, _ATOMIC
+    if cls is Top:
+        return "true", _ATOMIC
+    if cls is Bot:
+        return "false", _ATOMIC
     msg = f"not a formula: {f!r}"
     raise TypeError(msg)
 

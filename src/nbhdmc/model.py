@@ -504,11 +504,31 @@ def _names_to_set(frame_states: tuple[str, ...], names, where: str) -> StateSet:
         msg = f"{where}: expected an array of state names"
         raise ModelFormatError(msg)
     for name in names:
-        if name not in index:
+        if not isinstance(name, str) or name not in index:
             msg = f"{where}: unknown state name {name!r}"
             raise ModelFormatError(msg)
         bits |= 1 << index[name]
     return StateSet(n, bits)
+
+
+def _families_from_json(data: dict, key: str, states: tuple[str, ...]):
+    """Yield (state, family) for data[key], one state at a time in state
+    order, so a caller's per-state check fires before the next state's
+    entries are decoded."""
+    fam_data = data.get(key, {})
+    if not isinstance(fam_data, dict):
+        msg = f"'{key}' must be an object"
+        raise ModelFormatError(msg)
+    for name in fam_data:
+        if name not in states:
+            msg = f"{key}: unknown state name {name!r}"
+            raise ModelFormatError(msg)
+    for s in states:
+        entries = fam_data.get(s, [])
+        if not isinstance(entries, list):
+            msg = f"{key} of {s!r} must be an array of arrays"
+            raise ModelFormatError(msg)
+        yield s, tuple(_names_to_set(states, e, f"{key} of {s!r}") for e in entries)
 
 
 def model_from_json(data) -> NeighborhoodModel:
@@ -529,24 +549,12 @@ def model_from_json(data) -> NeighborhoodModel:
         msg = f"at most {MAX_STATES} states supported, got {len(states)}"
         raise ModelFormatError(msg)
     states = tuple(states)
-    nbhd = data.get("neighborhoods", {})
-    if not isinstance(nbhd, dict):
-        raise ModelFormatError("'neighborhoods' must be an object")
-    for key in nbhd:
-        if key not in states:
-            msg = f"neighborhoods: unknown state name {key!r}"
-            raise ModelFormatError(msg)
     fams = []
-    for s in states:
-        entries = nbhd.get(s, [])
-        if not isinstance(entries, list):
-            msg = f"neighborhoods of {s!r} must be an array of arrays"
-            raise ModelFormatError(msg)
-        fam = [_names_to_set(states, e, f"neighborhoods of {s!r}") for e in entries]
+    for s, fam in _families_from_json(data, "neighborhoods", states):
         if len({ss.bits for ss in fam}) != len(fam):
             msg = f"duplicate neighborhood set at state {s!r}"
             raise ModelFormatError(msg)
-        fams.append(tuple(fam))
+        fams.append(fam)
     val_data = data.get("valuation", {})
     if not isinstance(val_data, dict):
         raise ModelFormatError("'valuation' must be an object")
@@ -599,24 +607,9 @@ def pmap_from_json(data, states: tuple[str, ...]) -> PerturbationMap:
     if extra:
         msg = f"unknown perturbation keys: {sorted(extra)}"
         raise ModelFormatError(msg)
-    fam_data = data.get("families", {})
-    if not isinstance(fam_data, dict):
-        raise ModelFormatError("'families' must be an object")
-    for key in fam_data:
-        if key not in states:
-            msg = f"families: unknown state name {key!r}"
-            raise ModelFormatError(msg)
-    fams = []
-    for s in states:
-        entries = fam_data.get(s, [])
-        if not isinstance(entries, list):
-            msg = f"families of {s!r} must be an array of arrays"
-            raise ModelFormatError(msg)
-        fams.append(tuple(_names_to_set(states, e, f"families of {s!r}")
-                          for e in entries))
+    fams = tuple(fam for _, fam in _families_from_json(data, "families", states))
     try:
-        return PerturbationMap(data.get("kind", ""), data.get("sign", ""),
-                               tuple(fams))
+        return PerturbationMap(data.get("kind", ""), data.get("sign", ""), fams)
     except PerturbationError:
         raise
     except ValueError as exc:

@@ -80,7 +80,9 @@ def _check(sm: StateMap, kind: str):
     src_codes = sm.source.frame.family_codes()
     tgt_codes = sm.target.frame.family_codes()
     atoms = _atom_names(sm)
-    images = [sm.image_mask(x) for x in range(1 << n)]
+    images = [0]  # images[x] is f[x]; state s doubles the list with f(s) added
+    for t in sm.mapping:
+        images += [im | 1 << t for im in images]
     for s in range(n):
         fs = sm.mapping[s]
         code, tgt = src_codes[s], tgt_codes[fs]

@@ -366,6 +366,21 @@ def test_bad_model_json(capsys, tmp_path):
     assert err.startswith("error: model-format:")
 
 
+@pytest.mark.parametrize("argv, doc", [
+    (("props", "-m", "{}"), {"states": ["s"], "neighborhoods": {"s": [[["s"]]]}}),
+    (("props", "-m", "{}"), {"states": ["s"], "valuation": {"p": [{"a": 1}]}}),
+    (("transform", "-m", W_BASE, "--op", "perturb:{}"),
+     {"kind": "bullet", "sign": "add", "families": {"s": [[["t"]]]}}),
+])
+def test_non_string_state_name_is_model_format(capsys, tmp_path, argv, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *(arg.replace("{}", str(path)) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: model-format:") and "unknown state name" in err
+    assert err.count("\n") == 1
+
+
 def test_bad_formula(capsys):
     code, _, err = run(capsys, "extension", "-m", MOORE, "-f", "p &")
     assert code == 2

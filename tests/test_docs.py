@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 from nbhdmc import cli
+from nbhdmc.formula import Atom, children, parse
 from nbhdmc.model import MAX_STATES
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -19,3 +20,60 @@ def test_readme_lists_every_error_channel():
     assert listing, "README lost its list of error channels"
     listed = re.findall(r"`error: ([a-z-]+):`", listing.group(1))
     assert sorted(listed) == sorted(channel for _, channel in cli._CHANNELS)
+
+
+def _grammar_block():
+    block = re.search(r"## Formula language\n+```\n(.*?)```", README, re.S)
+    assert block, "README lost its formula grammar"
+    return block.group(1)
+
+
+def _binding_order():
+    line = re.search(r"Binding strength, tightest first: unary operators, "
+                     r"(.*?)\.\n", README)
+    assert line, "README lost its binding-strength line"
+    return re.findall(r"`([^`]+)`", line.group(1))
+
+
+def _unary_operators():
+    rule = re.search(r"^unary\s*(:=.*?)\n(?=\S)", _grammar_block(), re.S | re.M)
+    assert rule, "README lost its unary rule"
+    return re.findall(r'(?::=|\|)\s*"([^"]+)"\s+unary', rule.group(1))
+
+
+def _node(op):
+    """The node class the parser builds for binary operator op."""
+    return type(parse(f"p {op} q"))
+
+
+def test_readme_binding_strength_is_the_parsers():
+    binary = _binding_order()
+    assert binary, "no binary operators listed"
+    for u in _unary_operators():
+        assert parse(f"{u} p {binary[0]} q") == \
+            _node(binary[0])(parse(f"{u} p"), Atom("q")), u
+    for tight, loose in zip(binary, binary[1:]):
+        assert parse(f"p {loose} q {tight} r") == \
+            _node(loose)(Atom("p"), parse(f"q {tight} r")), (tight, loose)
+        assert parse(f"p {tight} q {loose} r") == \
+            _node(loose)(parse(f"p {tight} q"), Atom("r")), (tight, loose)
+
+
+def test_readme_associativity_is_the_parsers():
+    rules = re.findall(r'\("(\S+)" \w+\)[*?]\s+(left|right) associative',
+                       _grammar_block())
+    assert sorted(op for op, _ in rules) == sorted(_binding_order())
+    for op, side in rules:
+        node = _node(op)
+        if side == "right":
+            want = node(Atom("p"), node(Atom("q"), Atom("r")))
+        else:
+            want = node(node(Atom("p"), Atom("q")), Atom("r"))
+        assert parse(f"p {op} q {op} r") == want, op
+
+
+def test_readme_unary_operators_take_one_operand():
+    ops = _unary_operators()
+    assert ops, "no unary operators listed"
+    for op in ops:
+        assert children(parse(f"{op} p")) == (Atom("p"),), op

@@ -1,14 +1,18 @@
 """Parser, printer, desugaring and formula measures."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _gen import random_full_formula
 from nbhdmc.formula import (CORE, FULL, Announce, And, Atom, Bot, Box, Bullet,
                             Circ, Iff, Imp, Not, Or, ParseError, Top, Wrong,
                             atoms_of, children, desugar, has_announcement,
                             modal_depth, parse, pretty, replace_at,
                             subformula_at)
+from nbhdmc.search import SplitMix64
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
@@ -78,6 +82,53 @@ def test_parse_error_expected_sets():
     assert "(" in exc.value.expected and "ident" in exc.value.expected
 
 
+OPERAND = frozenset(("!", "(", "K", "O", "U", "W", "[", "false", "ident",
+                     "true"))
+_OPERAND_LIST = "!, (, K, O, U, W, [, false, ident, true"
+
+
+@pytest.mark.parametrize("text, message, offset, expected", [
+    ("", f"unexpected end of input at byte 0; expected one of: {_OPERAND_LIST}",
+     0, OPERAND),
+    ("p q", "unexpected 'q' at byte 2; expected one of: eof", 2,
+     frozenset(("eof",))),
+    ("p )", "unexpected ')' at byte 2; expected one of: eof", 2,
+     frozenset(("eof",))),
+    ("(p", "unexpected end of input at byte 2; expected one of: )", 2,
+     frozenset((")",))),
+    ("[p", "unexpected end of input at byte 2; expected one of: ]", 2,
+     frozenset(("]",))),
+    ("[p q] r", "unexpected 'q' at byte 3; expected one of: ]", 3,
+     frozenset(("]",))),
+    ("[p]", f"unexpected end of input at byte 3; expected one of: {_OPERAND_LIST}",
+     3, OPERAND),
+    ("p &", f"unexpected end of input at byte 3; expected one of: {_OPERAND_LIST}",
+     3, OPERAND),
+    ("p ->", f"unexpected end of input at byte 4; expected one of: {_OPERAND_LIST}",
+     4, OPERAND),
+    ("p <->", f"unexpected end of input at byte 5; expected one of: {_OPERAND_LIST}",
+     5, OPERAND),
+    ("p -> -> q", f"unexpected '->' at byte 5; expected one of: {_OPERAND_LIST}",
+     5, OPERAND),
+    ("U", f"unexpected end of input at byte 1; expected one of: {_OPERAND_LIST}",
+     1, OPERAND),
+    ("p <- q", "unexpected character '<' at byte 2", 2, OPERAND),
+    ("-", "unexpected character '-' at byte 0", 0, OPERAND),
+    ("A", "unexpected character 'A' at byte 0", 0, OPERAND),
+    ("é", "unexpected character 'é' at byte 0", 0, OPERAND),
+    ("p ∧ q", "unexpected character '∧' at byte 2", 2, OPERAND),
+    ("\u00a0(p", "unexpected end of input at byte 4; expected one of: )", 4,
+     frozenset((")",))),
+    ("\u3000p q", "unexpected 'q' at byte 5; expected one of: eof", 5,
+     frozenset(("eof",))),
+])
+def test_parse_error_pinned(text, message, offset, expected):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (str(exc.value), exc.value.offset, exc.value.expected) == \
+        (message, offset, expected)
+
+
 def test_parse_error_message_names_byte():
     with pytest.raises(ParseError, match="byte 2"):
         parse("p ∧ q")
@@ -115,6 +166,18 @@ def test_atom_name_validation():
 ])
 def test_pretty(ast, text):
     assert pretty(ast) == text
+
+
+def test_pretty_golden():
+    """pretty(f) and pretty(desugar(f)) for seeded random formulas, one
+    line each, tab-separated, as recorded in tests/golden/pretty.txt."""
+    rng = SplitMix64(2024)
+    lines = []
+    for _ in range(300):
+        f = random_full_formula(rng, 1 + rng.below(5), rng.below(3))
+        lines.append(f"{pretty(f)}\t{pretty(desugar(f))}\n")
+    assert "".join(lines) == (Path(__file__).parent / "golden" /
+                              "pretty.txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("text", [

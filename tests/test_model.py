@@ -456,10 +456,21 @@ def test_model_json_canonicalizes():
     ({"states": ["s"], "neighborhoods": []}, "must be an object"),
     ({"states": [f"w{i}" for i in range(17)]}, "at most 16"),
     ([], "must be an object"),
+    ({"states": ["s"], "neighborhoods": {"s": [[["s"]]]}},
+     "unknown state name \\['s'\\]"),
+    ({"states": ["s"], "valuation": {"p": [{"a": 1}]}},
+     "unknown state name \\{'a': 1\\}"),
 ])
 def test_model_json_rejections(doc, fragment):
     with pytest.raises(ModelFormatError, match=fragment):
         model_from_json(doc)
+
+
+def test_model_json_duplicate_check_precedes_later_states():
+    doc = {"states": ["s", "t"], "neighborhoods": {"s": [["t"], ["t"]], "t": [5]}}
+    with pytest.raises(ModelFormatError) as exc:
+        model_from_json(doc)
+    assert str(exc.value) == "duplicate neighborhood set at state 's'"
 
 
 def test_model_from_text_rejects_bad_json():
@@ -489,6 +500,16 @@ def test_pmap_json():
     with pytest.raises(PerturbationError):
         pmap_from_json({"kind": "wrong", "sign": "add",
                         "families": {"s": [[]]}}, ("s",))
+    with pytest.raises(ModelFormatError, match="unknown state name \\['t'\\]"):
+        pmap_from_json({"kind": "bullet", "sign": "add",
+                        "families": {"s": [[["t"]]]}}, ("s", "t"))
+
+
+def test_pmap_json_accepts_duplicate_sets():
+    pmap = pmap_from_json(
+        {"kind": "bullet", "sign": "add", "families": {"s": [["t"], ["t"]]}},
+        ("s", "t"))
+    assert pmap == PerturbationMap("bullet", "add", ((StateSet(2, 2),), ()))
 
 
 def test_shipped_model_files_are_canonical():
