@@ -203,7 +203,11 @@ def _cmd_transform(args) -> int:
         except json.JSONDecodeError as exc:
             msg = f"{path}: not valid JSON: {exc}"
             raise ModelFormatError(msg) from exc
-        out = perturb(model, pmap_from_json(data, model.states))
+        try:
+            pmap = pmap_from_json(data, model.states)
+        except (ModelFormatError, PerturbationError) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
+        out = perturb(model, pmap)
     else:
         msg = (f"unknown op {op!r}; expected supplementation, tc, "
                f"intersect:<formula>, or perturb:<file>")

@@ -8,21 +8,27 @@ level, each with its node class and associativity.  Prefix operators and
 the announcement "[psi] phi" bind tighter than every binary operator.
 The other operands are "true", "false", identifiers (_ATOM_RE) and
 parenthesized formulas.
+
+Parsed text nests at most MAX_NESTING levels: every operator and every
+pair of parentheses counts one level around its operands.  This bounds
+the recursion of the parser and of every walk over a parsed formula.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 __all__ = [
     "Formula", "Atom", "Top", "Bot", "Not", "And", "Or", "Imp", "Iff",
     "Bullet", "Circ", "Wrong", "Box", "Announce",
-    "ParseError", "parse", "pretty", "desugar", "modal_depth",
+    "ParseError", "MAX_NESTING", "parse", "pretty", "desugar", "modal_depth",
     "atoms_of", "has_announcement", "children", "subformula_at", "replace_at",
 ]
 
 _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
+MAX_NESTING = 100  # levels of operators and parentheses parse accepts
 
 
 @dataclass(frozen=True)
@@ -149,8 +155,7 @@ class ParseError(Exception):
         self.expected = expected
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int  # character offset
@@ -200,6 +205,11 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent; each rule returns (formula, nesting), the
+    levels of operators and parentheses in its text, and takes `depth`,
+    the levels open around it, so text nesting too deep is refused
+    before the recursion follows it."""
+
     def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
@@ -226,35 +236,58 @@ class _Parser:
             raise self._fail(frozenset((kind,)))
         return self._next()
 
+    def _too_deep(self) -> ParseError:
+        off = _byte_offset(self.text, self._peek().pos)
+        msg = f"formula nests deeper than {MAX_NESTING} levels at byte {off}"
+        return ParseError(msg, off, frozenset())
+
     def parse(self) -> Formula:
-        f = self._binary(0)
+        f, _ = self._binary(0, 0)
         if self._peek().kind != "eof":
             raise self._fail(frozenset(("eof",)))
         return f
 
-    def _binary(self, min_level: int) -> Formula:
+    def _binary(self, min_level: int, depth: int) -> tuple[Formula, int]:
         """A unary operand followed by infix operators of level min_level
         or tighter (precedence climbing)."""
-        f = self._unary()
+        if depth > MAX_NESTING:
+            raise self._too_deep()
+        f, nesting = self._unary(depth)
         while self._peek().kind in _INFIX_BY_SYMBOL:
             level, cls, right = _INFIX_BY_SYMBOL[self._peek().kind]
             if level < min_level:
                 break
             self._next()
-            f = cls(f, self._binary(level if right else level + 1))
-        return f
+            g, inner = self._binary(level if right else level + 1, depth + 1)
+            f, nesting = cls(f, g), max(nesting, inner) + 1
+            if nesting > MAX_NESTING:
+                raise self._too_deep()
+        return f, nesting
 
-    def _unary(self) -> Formula:
+    def _unary(self, depth: int) -> tuple[Formula, int]:
+        if depth > MAX_NESTING:
+            raise self._too_deep()
         t = self._peek()
         if t.kind in _PREFIX:
             self._next()
-            return _PREFIX[t.kind](self._unary())
-        if t.kind == "[":
+            f, nesting = self._unary(depth + 1)
+            f, nesting = _PREFIX[t.kind](f), nesting + 1
+        elif t.kind == "[":
             self._next()
-            announced = self._binary(0)
+            announced, outer = self._binary(0, depth + 1)
             self._expect("]")
-            return Announce(announced, self._unary())
-        return self._atom()
+            body, inner = self._unary(depth + 1)
+            f, nesting = Announce(announced, body), max(outer, inner) + 1
+        elif t.kind == "(":
+            self._next()
+            f, nesting = self._binary(0, depth + 1)
+            self._expect(")")
+            nesting += 1
+        else:
+            return self._atom(), 0
+        if nesting > MAX_NESTING:
+            raise self._too_deep()
+        return f, nesting
 
     def _atom(self) -> Formula:
         t = self._peek()
@@ -264,11 +297,6 @@ class _Parser:
         if t.kind in _KEYWORDS:
             self._next()
             return _KEYWORDS[t.kind]()
-        if t.kind == "(":
-            self._next()
-            f = self._binary(0)
-            self._expect(")")
-            return f
         raise self._fail(_STARTERS)
 
 

@@ -11,7 +11,11 @@ falsifying state).
 Sampled mode expands a 64-bit seed splitmix-style; each sample draws,
 in order, one value per state to index the class-allowed family list
 (by modulo) and one value per atom (sorted) for its valuation mask.
-Sequences and verdicts are fixed byte for byte by the seed.
+Sequences and verdicts are fixed byte for byte by the seed.  Draws are
+judged in chunks (64, doubling up to 4096): the chunk's part of the
+stream is computed at once, and the kernel evaluates every draw of the
+chunk together, one draw per lane.  The stream and the verdict bytes
+are those of drawing and judging one sample at a time.
 
 Scans go through the evaluation kernel in `semantics`: the formula is
 compiled once, and each frame sweeps all of its valuations at once.
@@ -30,6 +34,8 @@ minimum, with the verdict unchanged:
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
@@ -41,8 +47,8 @@ from .model import (MAX_STATES, PROPERTY_IDS, NeighborhoodModel,
                     PointedModel, StateSet, _members, code_has_property,
                     frame_from_codes, model_to_json)
 from .semantics import (Program, _blocks, _Closure, _failing_states, _Frame,
-                        _run, _sweep, _valuation_masks, compile_formula,
-                        evaluate)
+                        _lane_ints, _Lanes, _sweep, _sweep_lanes,
+                        _valuation_masks, compile_formula, evaluate)
 
 __all__ = [
     "SplitMix64", "ClassSpec", "Countermodel", "NoCounterexampleUpTo",
@@ -57,6 +63,7 @@ SAMPLED_MAX_STATES = 4     # family-code tables stay enumerable up to 2^16
 _STATE_NAMES = ("s", "t", "u", "v")
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
@@ -78,6 +85,41 @@ class SplitMix64:
 
     def below(self, k: int) -> int:
         return self.next() % k
+
+
+@lru_cache(maxsize=16)  # a call uses at most 8 chunk sizes
+def _stream_lanes(count: int) -> tuple[int, int, int]:
+    """(steps, rep, mask) for `count` 128-bit lanes in one int: lane i of
+    steps holds (i + 1) * gamma mod 2^64, rep has bit 0 of every lane and
+    mask the low 64 bits of every lane."""
+    ones = array("Q", bytes(16 * count))
+    ones[0::2] = array("Q", range(1, count + 1))
+    if sys.byteorder == "big":
+        ones.byteswap()
+    rep = ((1 << 128 * count) - 1) // ((1 << 128) - 1)
+    mask = rep * _MASK64
+    return int.from_bytes(ones.tobytes(), "little") * _GAMMA & mask, rep, mask
+
+
+def _splitmix_block(seed: int, start: int, count: int) -> array:
+    """Outputs start .. start + count - 1 (from 0) of SplitMix64(seed).
+
+    Output i is mix(seed + (i + 1) * gamma mod 2^64), so a block of the
+    stream is computed at once: one int holds each output's state in a
+    128-bit lane, where the xor-shifts (masked back to the low 64 bits)
+    and the products with the 64-bit constants never cross lanes.
+    """
+    steps, rep, mask = _stream_lanes(count)
+    z = (steps + (seed + start * _GAMMA & _MASK64) * rep) & mask
+    z = (z ^ z >> 30) & mask
+    z = z * 0xBF58476D1CE4E5B9 & mask
+    z = (z ^ z >> 27) & mask
+    z = z * 0x94D049BB133111EB & mask
+    z = (z ^ z >> 31) & mask
+    out = array("Q", z.to_bytes(16 * count, "little"))
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out[0::2]
 
 
 CLASS_PROPERTY_IDS = frozenset(PROPERTY_IDS) - {"filter"}
@@ -323,7 +365,19 @@ def find_countermodel(f: Formula, cls: ClassSpec, mode: str = "exhaustive",
     return NoCounterexampleUpTo(cls.max_states, "exhaustive")
 
 
+_FIRST_CHUNK = 64    # draws judged at once, first; each later chunk doubles
+_CHUNK_CAP = 4096    # up to this many
+_LOW_BYTE = 0 if sys.byteorder == "little" else 7  # of a 64-bit output
+
+
 def _sampled_search(f: Formula, cls: ClassSpec, atoms, seed: int, samples: int):
+    """The first of `samples` draws of the stream that falsifies f, as a
+    countermodel at its lowest failing state, or NoCounterexampleUpTo.
+
+    Draws are judged a chunk at a time on a lane frame, draw j of the
+    chunk in lane j; the chunk's part of the stream is computed at once
+    (_splitmix_block) and read exactly as SplitMix64.below would read it.
+    """
     n = cls.max_states
     if n > SAMPLED_MAX_STATES:
         msg = (f"sampled search caps max_states at {SAMPLED_MAX_STATES}, "
@@ -335,14 +389,26 @@ def _sampled_search(f: Formula, cls: ClassSpec, atoms, seed: int, samples: int):
     prog = compile_formula(f, atoms)
     allowed = _allowed_lists(n, cls.properties)
     full = (1 << n) - 1
-    rng = SplitMix64(seed)
-    for _ in range(samples):
-        codes = tuple(options[rng.below(len(options))] for options in allowed)
-        assignment = tuple(rng.below(1 << n) for _ in atoms)
-        miss = full ^ _run(prog, _Frame(n, codes), assignment)
-        if miss:
-            state = (miss & -miss).bit_length() - 1
-            return _witness_to_countermodel(f, n, codes, atoms, assignment, state)
+    per = n + len(atoms)  # stream outputs per draw
+    done, size = 0, _FIRST_CHUNK
+    while done < samples:
+        V = min(size, samples - done)
+        out = _splitmix_block(seed, done * per, V * per)
+        codes = [0] * (V * n)
+        for s, options in enumerate(allowed):
+            m = len(options)
+            codes[s::n] = [options[x % m] for x in out[s::per]]
+        low = out.tobytes()[_LOW_BYTE::8]  # x % 2^n reads the low byte
+        A = [_lane_ints(low[n + i::per], n) for i in range(len(atoms))]
+        hit = _sweep_lanes(prog, _Lanes(n, codes), A)
+        if hit:
+            j, state = hit
+            draw = out[j * per:(j + 1) * per]
+            return _witness_to_countermodel(
+                f, n, tuple(codes[j * n:(j + 1) * n]), atoms,
+                tuple(x & full for x in draw[n:]), state)
+        done += V
+        size = min(2 * size, _CHUNK_CAP)
     return NoCounterexampleUpTo(n, "sampled", samples, seed)
 
 

@@ -21,10 +21,18 @@ per valuation, the frame's table K[x]: the states whose family code
 (bit x set when the set with mask x is a neighborhood) has bit x.  An
 announcement runs its body's own program on the submodel, once per
 valuation whose announced extension is non-empty.
+
+A lane frame (_Lanes) runs V models side by side instead, lane j with
+its own family codes and valuation at bits [j*n, (j+1)*n): sampled
+search judges a chunk of draws with one pass of the same interpreter.
+Its modal nodes pick every lane's K entry at once with 2^n - 1
+big-int multiplexers, and its announcements restrict each lane's own
+frame.  Verdicts are those of evaluating the lanes one at a time.
 """
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
 from operator import or_
 from typing import NamedTuple
@@ -173,9 +181,10 @@ def _k_table(n: int, codes) -> list[int]:
 class _Frame:
     """A frame as the kernel reads it: family codes and the K table.
 
-    K is a full list when sweeping V > 1 valuations, and a dict filled on
-    demand at V = 1.  `blocked` is the first valuation (in the current
-    run) whose announcement met a non-monotone frame without force.
+    K is a full list when sweeping V > 1 valuations, a dict filled on
+    demand at V = 1, and None on a lane frame of V > 1 lanes (_Lanes).
+    `blocked` is the first valuation (in the current run) whose
+    announcement met a non-monotone frame without force.
     """
 
     __slots__ = ("n", "full", "codes", "K", "force", "blocked", "_monotone",
@@ -198,17 +207,112 @@ class _Frame:
     def monotone(self) -> bool:
         if self._monotone is None:
             self._monotone = all(code_has_property(self.n, c, "m")
-                                 for c in self.codes)
+                                 for c in set(self.codes))
         return self._monotone
 
-    def sub(self, pa: int):
-        """(submodel frame, kept states) of the restriction to pa."""
+    def sub(self, pa: int, lane: int):
+        """(submodel frame, kept states) of the restriction to pa; every
+        lane (valuation) shares the frame."""
         hit = self._subs.get(pa)
         if hit is None:
             kept = tuple(_members(pa))
             sub = _Frame(len(kept), restrict_codes(self.codes, pa), self.force)
             hit = self._subs[pa] = (sub, kept)
         return hit
+
+
+# _BIT[b] maps a byte to its bit b.
+_BIT = tuple(bytes(c >> b & 1 for c in range(256)) for b in range(8))
+
+
+@lru_cache(maxsize=64)
+def _transpose_masks(words: int) -> tuple[int, int, int]:
+    rep = ((1 << 64 * words) - 1) // ((1 << 64) - 1)  # bit 0 of every word
+    return (rep * 0x00AA00AA00AA00AA, rep * 0x0000CCCC0000CCCC,
+            rep * 0x00000000F0F0F0F0)
+
+
+def _bit_columns(data) -> bytes:
+    """data, zero-padded to 8-byte groups, with every group transposed as
+    an 8 x 8 bit matrix: bit b of byte i becomes bit i of byte b.  Three
+    masked swaps do it for every group at once (Warren, Hacker's Delight,
+    section 7-3), so byte b of the groups, read in order, holds bit b of
+    every byte of data."""
+    words = -(-len(data) // 8)
+    m1, m2, m3 = _transpose_masks(words)
+    x = int.from_bytes(data, "little")
+    t = (x ^ x >> 7) & m1
+    x ^= t ^ t << 7
+    t = (x ^ x >> 14) & m2
+    x ^= t ^ t << 14
+    t = (x ^ x >> 28) & m3
+    x ^= t ^ t << 28
+    return x.to_bytes(8 * words, "little")
+
+
+def _lane_ints(values: bytes, n: int) -> int:
+    """One int holding values[j] (below 2^n) at bits [j*n, (j+1)*n)."""
+    flags = bytearray(len(values) * n)  # byte j*n+s: bit s of values[j]
+    for s in range(n):
+        flags[s::n] = values.translate(_BIT[s])
+    return int.from_bytes(_bit_columns(flags)[0::8], "little")
+
+
+def _byte_planes(codes, n: int) -> tuple:
+    """Byte q of every code, per q: one plane up to n = 3, two at n = 4."""
+    if n <= 3:
+        return (bytes(codes),)
+    raw = struct.pack(f"<{len(codes)}H", *codes)
+    return raw[0::2], raw[1::2]
+
+
+class _Lanes(_Frame):
+    """V frames side by side, one per lane: lane j's family codes are
+    codes[j*n:(j+1)*n], and its states sit at bits [j*n, (j+1)*n) of
+    every slot, as valuations do over a shared frame.
+
+    Kl[x] has bit j*n+s set when lane j's code at state s has bit x, so
+    a modal node picks each lane's K entry with 2^n - 1 multiplexers
+    (_mux) instead of a loop over the lanes.  Announcements restrict
+    each lane's own codes.  A lane frame's lanes come from one class,
+    so monotone() reads them all at once.
+    """
+
+    __slots__ = ("V", "ALL", "rep", "Kl")
+
+    def __init__(self, n: int, codes):
+        super().__init__(n, codes)
+        self.V = len(codes) // n
+        if self.V > 1:
+            self.K = None  # read Kl instead
+        self.ALL = (1 << self.V * n) - 1
+        self.rep = self.ALL // self.full  # bit 0 of every lane
+        columns = [_bit_columns(plane) for plane in _byte_planes(codes, n)]
+        self.Kl = [int.from_bytes(columns[x >> 3][x & 7::8], "little")
+                   for x in range(1 << n)]
+
+    def sub(self, pa: int, lane: int):
+        """(submodel frame, kept states) of lane's restriction to pa."""
+        hit = self._subs.get((lane, pa))
+        if hit is None:
+            n = self.n
+            kept = tuple(_members(pa))
+            codes = restrict_codes(self.codes[lane * n:(lane + 1) * n], pa)
+            sub = _Frame(len(kept), codes, self.force)
+            hit = self._subs[lane, pa] = (sub, kept)
+        return hit
+
+
+def _mux(Kl: list, v: int, rep: int, full: int, n: int) -> int:
+    """Per lane j, Kl[x] at lane j where x is v's value at lane j: bit i
+    of each lane's x, spread over the lane, selects between the halves
+    of the table, so 2^n - 1 selections cover every lane at once."""
+    level = Kl
+    for i in range(n):
+        sel = (v >> i & rep) * full
+        level = [lo ^ (lo ^ hi) & sel
+                 for lo, hi in zip(level[0::2], level[1::2])]
+    return level[0]
 
 
 def _announce(fr: _Frame, pa_all: int, body: Program, A, V: int) -> int:
@@ -220,7 +324,7 @@ def _announce(fr: _Frame, pa_all: int, body: Program, A, V: int) -> int:
         sh = j * n
         pa = pa_all >> sh & full
         if pa and (fr.force or fr.monotone()):
-            sub, kept = fr.sub(pa)
+            sub, kept = fr.sub(pa, j)
             eb = _run(body, sub, [_compress(v >> sh & pa, kept) for v in A])
             out |= (full ^ pa | _expand(eb, kept)) << sh
         else:
@@ -245,6 +349,8 @@ def _exec(code, vals: list, A, fr: _Frame, V: int, ALL: int) -> None:
                     k = K[v]
                 except KeyError:
                     k = K[v] = fr.k_at(v)
+            elif K is None:
+                k = _mux(fr.Kl, v, fr.rep, full, n)
             else:
                 k = 0
                 for sh in range(0, V * n, n):
@@ -368,6 +474,14 @@ def _sweep(prog: Program, fr: _Frame, blocks):
             j, state = divmod(first, n)
             return start + j, state
     return None
+
+
+def _sweep_lanes(prog: Program, fr: _Lanes, A):
+    """First (lane, state) where the formula fails, lane j read under
+    the valuation at lane j of the atom ints A, or None."""
+    base = [0] * prog.size
+    _exec(prog.static, base, A, fr, fr.V, fr.ALL)
+    return _sweep(prog, fr, ((0, fr.V, fr.ALL, A, base),))
 
 
 def _failing_states(prog: Program, fr: _Frame, blocks) -> int:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from nbhdmc.cli import main
+from nbhdmc.formula import MAX_NESTING
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 MOORE = str(MODELS / "moore.json")
@@ -179,6 +180,17 @@ def test_desugar(capsys):
     assert (code, out) == (0, "K p\n")
 
 
+def test_desugar_nesting_cap(capsys):
+    code, out, _ = run(capsys, "desugar", "-f", "! " * MAX_NESTING + "p")
+    assert (code, out) == (0, "! " * MAX_NESTING + "p\n")
+    for text in ("(" * 400 + "p" + ")" * 400, "! " * 1200 + "p",
+                 "(" * (MAX_NESTING + 1) + "p" + ")" * (MAX_NESTING + 1)):
+        code, out, err = run(capsys, "desugar", "-f", text)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: parse: formula nests deeper than "
+                              f"{MAX_NESTING} levels at byte ")
+
+
 # --- morphism ---------------------------------------------------------------------------
 
 def test_morphism_witness(capsys):
@@ -284,6 +296,25 @@ def test_transform_perturb_rejects_illegal_map(capsys, tmp_path):
                        "--op", f"perturb:{pmap}")
     assert code == 2
     assert err.startswith("error: model-format:")
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"kind": "bullet", "sign": "add", "families": {"s": [["s"]]}},
+     "bullet perturbation at state 0"),
+    ({"kind": "bullet", "sign": "add", "families": {"nowhere": []}},
+     "unknown state"),
+    ({"kind": "bullet", "sign": "add", "families": {}, "extra": 1},
+     "unknown perturbation keys"),
+])
+def test_transform_perturb_errors_name_the_file(capsys, tmp_path, doc,
+                                                message):
+    pmap = tmp_path / "pmap.json"
+    pmap.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "transform", "-m", W_BASE,
+                         "--op", f"perturb:{pmap}")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: model-format: {pmap}: ")
+    assert message in err
 
 
 def test_transform_perturb_bad_json_is_model_format(capsys, tmp_path):

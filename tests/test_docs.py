@@ -4,7 +4,7 @@ import re
 from pathlib import Path
 
 from nbhdmc import cli
-from nbhdmc.formula import Atom, children, parse
+from nbhdmc.formula import MAX_NESTING, Atom, children, parse
 from nbhdmc.model import MAX_STATES
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -13,6 +13,11 @@ README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 def test_readme_state_cap_is_max_states():
     caps = re.findall(r"States are nonempty, at most (\d+)", README)
     assert caps == [str(MAX_STATES)]
+
+
+def test_readme_nesting_cap_is_max_nesting():
+    caps = re.findall(r"A formula nests at most (\d+) levels", README)
+    assert caps == [str(MAX_NESTING)]
 
 
 def test_readme_lists_every_error_channel():

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _gen import random_full_formula
-from nbhdmc.formula import (CORE, FULL, Announce, And, Atom, Bot, Box, Bullet,
-                            Circ, Iff, Imp, Not, Or, ParseError, Top, Wrong,
-                            atoms_of, children, desugar, has_announcement,
-                            modal_depth, parse, pretty, replace_at,
-                            subformula_at)
+from nbhdmc.formula import (CORE, FULL, MAX_NESTING, Announce, And, Atom, Bot,
+                            Box, Bullet, Circ, Iff, Imp, Not, Or, ParseError,
+                            Top, Wrong, atoms_of, children, desugar,
+                            has_announcement, modal_depth, parse, pretty,
+                            replace_at, subformula_at)
 from nbhdmc.search import SplitMix64
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
@@ -132,6 +132,38 @@ def test_parse_error_pinned(text, message, offset, expected):
 def test_parse_error_message_names_byte():
     with pytest.raises(ParseError, match="byte 2"):
         parse("p ∧ q")
+
+
+# text nesting k levels, per shape: every operator and every pair of
+# parentheses is one level
+NESTED = {
+    "parentheses": lambda k: "(" * k + "p" + ")" * k,
+    "prefix": lambda k: "! " * k + "p",
+    "left chain": lambda k: " & ".join(["p"] * (k + 1)),
+    "right chain": lambda k: " -> ".join(["p"] * (k + 1)),
+    "announcements": lambda k: "[p] " * k + "p",
+    "mixed": lambda k: ("(U " * (k // 2) + "p" + ")" * (k // 2)
+                        + " | q" * (k % 2)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_cap(shape):
+    f = parse(NESTED[shape](MAX_NESTING))
+    assert parse(pretty(f)) == f
+    assert pretty(desugar(f))  # the recursive walks keep within the stack
+    with pytest.raises(ParseError) as exc:
+        parse(NESTED[shape](MAX_NESTING + 1))
+    assert str(exc.value).startswith(
+        f"formula nests deeper than {MAX_NESTING} levels at byte ")
+    assert exc.value.expected == frozenset()
+
+
+def test_nesting_cap_refuses_deep_text_without_recursing():
+    for text in ("(" * 5000 + "p" + ")" * 5000, "! " * 5000 + "p",
+                 " & ".join(["p"] * 5000)):
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse(text)
 
 
 def test_atom_name_validation():
