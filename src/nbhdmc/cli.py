@@ -199,12 +199,10 @@ def _cmd_transform(args) -> int:
         path = op[len("perturb:"):]
         raw = _read_file(path)
         try:
-            data = json.loads(raw)
+            pmap = pmap_from_json(json.loads(raw), model.states)
         except json.JSONDecodeError as exc:
             msg = f"{path}: not valid JSON: {exc}"
             raise ModelFormatError(msg) from exc
-        try:
-            pmap = pmap_from_json(data, model.states)
         except (ModelFormatError, PerturbationError) as exc:
             raise type(exc)(f"{path}: {exc}") from exc
         out = perturb(model, pmap)

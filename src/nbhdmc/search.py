@@ -12,9 +12,9 @@ Sampled mode expands a 64-bit seed splitmix-style; each sample draws,
 in order, one value per state to index the class-allowed family list
 (by modulo) and one value per atom (sorted) for its valuation mask.
 Sequences and verdicts are fixed byte for byte by the seed.  Draws are
-judged in chunks (64, doubling up to 4096): the chunk's part of the
-stream is computed at once, and the kernel evaluates every draw of the
-chunk together, one draw per lane.  The stream and the verdict bytes
+judged in chunks (one draw, doubling up to 4096): the chunk's part of
+the stream is computed at once, and the kernel evaluates every draw of
+the chunk together, one draw per lane.  The stream and the verdict bytes
 are those of drawing and judging one sample at a time.
 
 Scans go through the evaluation kernel in `semantics`: the formula is
@@ -47,7 +47,7 @@ from .model import (MAX_STATES, PROPERTY_IDS, NeighborhoodModel,
                     PointedModel, StateSet, _members, code_has_property,
                     frame_from_codes, model_to_json)
 from .semantics import (Program, _blocks, _Closure, _failing_states, _Frame,
-                        _lane_ints, _Lanes, _sweep, _sweep_lanes,
+                        _lane_ints, _Lanes, _run, _sweep, _sweep_lanes,
                         _valuation_masks, compile_formula, evaluate)
 
 __all__ = [
@@ -365,7 +365,7 @@ def find_countermodel(f: Formula, cls: ClassSpec, mode: str = "exhaustive",
     return NoCounterexampleUpTo(cls.max_states, "exhaustive")
 
 
-_FIRST_CHUNK = 64    # draws judged at once, first; each later chunk doubles
+_FIRST_CHUNK = 1     # draws judged at once, first; each later chunk doubles
 _CHUNK_CAP = 4096    # up to this many
 _LOW_BYTE = 0 if sys.byteorder == "little" else 7  # of a 64-bit output
 
@@ -377,6 +377,10 @@ def _sampled_search(f: Formula, cls: ClassSpec, atoms, seed: int, samples: int):
     Draws are judged a chunk at a time on a lane frame, draw j of the
     chunk in lane j; the chunk's part of the stream is computed at once
     (_splitmix_block) and read exactly as SplitMix64.below would read it.
+    The first chunk is one draw, judged on a plain frame, so a failure
+    at draw 0 builds no lane tables; from there the chunks double, so a
+    failure at draw k judges fewer than 2k + 2 draws.  That bound
+    matters for announcements, which cost each lane a run of the body.
     """
     n = cls.max_states
     if n > SAMPLED_MAX_STATES:
@@ -398,9 +402,14 @@ def _sampled_search(f: Formula, cls: ClassSpec, atoms, seed: int, samples: int):
         for s, options in enumerate(allowed):
             m = len(options)
             codes[s::n] = [options[x % m] for x in out[s::per]]
-        low = out.tobytes()[_LOW_BYTE::8]  # x % 2^n reads the low byte
-        A = [_lane_ints(low[n + i::per], n) for i in range(len(atoms))]
-        hit = _sweep_lanes(prog, _Lanes(n, codes), A)
+        if V == 1:  # one draw: a plain frame, no lane tables
+            miss = full ^ _run(prog, _Frame(n, codes),
+                               [x & full for x in out[n:]])
+            hit = miss and (0, (miss & -miss).bit_length() - 1)
+        else:
+            low = out.tobytes()[_LOW_BYTE::8]  # x % 2^n reads the low byte
+            A = [_lane_ints(low[n + i::per], n) for i in range(len(atoms))]
+            hit = _sweep_lanes(prog, _Lanes(n, codes), A)
         if hit:
             j, state = hit
             draw = out[j * per:(j + 1) * per]

@@ -62,7 +62,7 @@ def _sampled(f, props, n, seed, samples) -> str:
 
 def test_random_full_language_formulas_match_the_referee():
     rng = SplitMix64(2024)
-    counts = (1, 63, 64, 65, 130, 200)
+    counts = (1, 2, 3, 63, 64, 200)
     found = 0
     for case in range(120):
         props = CLASSES[case % len(CLASSES)]
@@ -91,7 +91,8 @@ def test_random_announcements_over_m_match_the_referee():
         assert _sampled(f, props, n, seed, 200) == want, (case, f)
 
 
-@pytest.mark.parametrize("samples", [1, 63, 64, 65, 191, 192, 193, 3000])
+@pytest.mark.parametrize("samples", [1, 2, 3, 4, 63, 64, 127, 128, 3000,
+                                     4095, 4096, 4097])
 def test_sample_counts_around_chunk_boundaries(samples):
     # valid over (c), so every draw is judged
     f = parse("U p & U q -> U (p | q) | U (p & q)")
@@ -102,6 +103,7 @@ def test_sample_counts_around_chunk_boundaries(samples):
 
 # (formula, class, n, seed, index of the first failing draw)
 LATE = [
+    ("[W p] false", ("m",), 3, 768, 1),
     ("W p & W q -> W (p | q)", ("n",), 4, 3, 64),
     ("O p & O q -> O (p & q)", ("r",), 3, 0, 64),
     ("W p & W q -> W (p | q)", ("c",), 4, 5, 73),
@@ -125,7 +127,8 @@ def test_first_failure_past_the_first_chunk(text, props, n, seed, first):
     assert _sampled(f, props, n, seed, 1000) == want
 
 
-@pytest.mark.parametrize("first_chunk,cap", [(1, 1), (1, 4), (3, 7)])
+@pytest.mark.parametrize("first_chunk,cap", [(1, 1), (1, 4), (3, 7),
+                                             (64, 4096)])
 def test_chunk_sizes_do_not_change_verdicts(monkeypatch, first_chunk, cap):
     monkeypatch.setattr(search, "_FIRST_CHUNK", first_chunk)
     monkeypatch.setattr(search, "_CHUNK_CAP", cap)
@@ -137,6 +140,18 @@ def test_chunk_sizes_do_not_change_verdicts(monkeypatch, first_chunk, cap):
     assert _sampled(f, ("c",), 2, 11, 50) == referee(f, ("c",), 2, 11, 50)[0]
 
 
+def test_a_failure_at_the_first_draw_builds_no_lane_frame(monkeypatch):
+    # the first chunk is one draw on a plain frame, so an announcement
+    # that fails at once runs its body once, not once per lane
+    def no_lanes(*args):
+        raise AssertionError("lane frame built")
+
+    f = parse("[(true | q) & (true | q)] q")
+    want, index = referee(f, ("m",), 4, 383, 1000)
+    assert index == 0
+    monkeypatch.setattr(search, "_Lanes", no_lanes)
+    assert _sampled(f, ("m",), 4, 383, 1000) == want
+
 # --- the bulk stream -------------------------------------------------------
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1, 1 << 64, -1, 3 << 130,
@@ -145,7 +160,8 @@ def test_bulk_stream_is_the_splitmix_stream(seed):
     rng = SplitMix64(seed)
     stream = [rng.next() for _ in range(1200)]
     # starts and ends straddle the chunk boundaries at 6 outputs per draw
-    for start, count in [(0, 1), (0, 384), (383, 2), (384, 768), (1, 1199),
-                         (1151, 49)]:
+    # (after draws 1, 3, 7, ..., 127)
+    for start, count in [(0, 1), (0, 6), (5, 2), (6, 12), (377, 2),
+                         (378, 384), (761, 439), (1, 1199), (1151, 49)]:
         got = search._splitmix_block(seed, start, count)
         assert list(got) == stream[start:start + count], (start, count)

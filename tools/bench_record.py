@@ -1,15 +1,18 @@
 """Record a benchmark snapshot as one JSON file.  Run from the repository root:
 
-    python3 tools/bench_record.py --out BENCH_<n>.json [--seeds 1 2 3]
-        [--seconds 20] [--repeats 3]
+    python3 tools/bench_record.py --out BENCH_<n>.json
 
 It writes, with the interpreter and machine it ran on:
 
 * `perfbench`: per workload, the median and the per-seed values of every
-  end-to-end metric that `perfbench/run.py` prints, one run per seed;
+  end-to-end metric that `perfbench/run.py` prints, one run of SECONDS
+  per seed in SEEDS;
 * `criteria`: the wall time of acceptance criteria 3 and 10, each run
-  `--repeats` times in a fresh interpreter, in the order the acceptance
+  REPEATS times in a fresh interpreter, in the order the acceptance
   gate runs them (criteria 1, 3 and 6 first, since 10 reruns those).
+
+The seeds, run length and repeats are fixed, so every BENCH_<n>.json is
+recorded the same way and the files compare from one change to the next.
 
 Only the standard library is used; nothing under perfbench/ is changed.
 """
@@ -27,6 +30,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("exhaustive-scan", "sampled-scan", "model-requests")
+SEEDS = (1, 2, 3)
+SECONDS = 20
+REPEATS = 3
 
 # Times criteria 3 and 10 as the acceptance gate runs them; prints JSON.
 _CRITERIA_PROBE = """
@@ -64,15 +70,15 @@ def _last_json_line(argv: list[str]) -> dict:
     return json.loads(lines[-1])
 
 
-def perfbench(seeds: list[int], seconds: float) -> dict:
+def perfbench() -> dict:
     out = {}
     for workload in WORKLOADS:
         runs = []
-        for seed in seeds:
+        for seed in SEEDS:
             print(f"perfbench {workload} seed {seed}", file=sys.stderr)
             runs.append(_last_json_line(
                 [sys.executable, "perfbench/run.py", "--workload", workload,
-                 "--seed", str(seed), "--seconds", str(seconds)]))
+                 "--seed", str(seed), "--seconds", str(SECONDS)]))
         metrics = {}
         for name, entry in runs[0]["metrics"].items():
             values = [run["metrics"][name]["value"] for run in runs]
@@ -83,9 +89,9 @@ def perfbench(seeds: list[int], seconds: float) -> dict:
     return out
 
 
-def criteria(repeats: int) -> dict:
+def criteria() -> dict:
     runs = []
-    for i in range(repeats):
+    for i in range(REPEATS):
         print(f"criteria 3 and 10, run {i + 1}", file=sys.stderr)
         runs.append(_last_json_line(
             [sys.executable, "-c", _CRITERIA_PROBE]))
@@ -97,17 +103,14 @@ def criteria(repeats: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
     record = {
         "python": platform.python_version(),
         "machine": {"system": platform.system(), "arch": platform.machine(),
                     "cpus": os.cpu_count()},
-        "perfbench": {"seeds": args.seeds, "seconds": args.seconds,
-                      "workloads": perfbench(args.seeds, args.seconds)},
-        "criteria": {"repeats": args.repeats, **criteria(args.repeats)},
+        "perfbench": {"seeds": list(SEEDS), "seconds": SECONDS,
+                      "workloads": perfbench()},
+        "criteria": {"repeats": REPEATS, **criteria()},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
