@@ -17,8 +17,8 @@ import sys
 from .announce import ReductionInputError, format_trace
 from .announce import reduce as reduce_announcements
 from .fixtures import ROWS, run_suite
-from .formula import (CORE, FULL, ParseError, desugar, has_announcement,
-                      parse, pretty)
+from .formula import (CORE, FULL, Formula, ParseError, children, desugar,
+                      has_announcement, parse, pretty)
 from .model import (FILTER, PROPERTY_IDS, ModelFormatError,
                     NeighborhoodModel, NonMonotoneError, PerturbationError,
                     PointedModel, check_property, intersection_submodel,
@@ -30,6 +30,11 @@ from .search import (ClassSpec, Countermodel, count_frames, distinguish,
 from .semantics import evaluate, extension, frame_valid
 
 _JSON_SEPARATORS = (", ", ": ")
+
+# The largest formula `desugar` prints, in nodes counted as printed.
+# Desugaring `K c` names c three times, so nested K's grow the printed
+# text threefold each; at this cap it stays a few hundred KB.
+MAX_DESUGARED_NODES = 100_000
 
 
 class _ReadError(Exception):
@@ -148,9 +153,32 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
+def _tree_size(f: Formula) -> int:
+    """Nodes of f counted as printed: a shared subformula once per
+    occurrence.  Each distinct node is summed once (memo by id), so this
+    takes time linear in the nodes built, not in the printed size."""
+    size: dict[int, int] = {}
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        kids = children(g)
+        todo = [k for k in kids if id(k) not in size]
+        if todo:
+            stack.extend(todo)
+            continue
+        size[id(g)] = 1 + sum(size[id(k)] for k in kids)
+        stack.pop()
+    return size[id(f)]
+
+
 def _cmd_desugar(args) -> int:
-    f = parse(args.formula)
-    print(pretty(desugar(f, target=args.target)))
+    f = desugar(parse(args.formula), target=args.target)
+    nodes = _tree_size(f)
+    if nodes > MAX_DESUGARED_NODES:
+        msg = (f"desugared formula has {nodes} nodes, over the cap of "
+               f"{MAX_DESUGARED_NODES}")
+        raise ValueError(msg)
+    print(pretty(f))
     return 0
 
 

@@ -27,6 +27,15 @@ MAX_STATES = 16
 PROPERTY_IDS = ("m", "c", "n", "r", "filter", "neg-suppl")
 FILTER = ("m", "c", "n")  # the filter property is these three together
 
+# The member order in which a property holds on every prefix of a family
+# that has it, for the properties that do.  The members of an
+# intersection-closed family up to any mask are intersection-closed,
+# since x & y <= min(x, y); the members of an upward-closed or neg-suppl
+# family from any mask up keep their supersets, since a superset's mask
+# is never smaller.  (n) and (r) hold on no such prefixes.
+PREFIX_ORDER = {"c": "ascending", "m": "descending",
+                "neg-suppl": "descending"}
+
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 

@@ -8,6 +8,15 @@ significant, which fixes the canonical countermodel order (fewest
 states, then frame encoding, then valuation encoding, then lowest
 falsifying state).
 
+A class's allowed codes per state (allowed_family_codes) are grown one
+member mask at a time, not filtered out of all 2^(2^n) codes.  (c)
+holds on every prefix of a family in ascending member order, and (m)
+and neg-suppl in descending order (model.PREFIX_ORDER), so a partial
+family failing one of them has no extension in the class, and cutting
+its branch is exact; (n) and (r) are checked on the grown codes.  The
+tables are sorted, so they hold the codes a filter would keep, in the
+same order, and enumeration and sampling read them unchanged.
+
 Sampled mode expands a 64-bit seed splitmix-style; each sample draws,
 in order, one value per state to index the class-allowed family list
 (by modulo) and one value per atom (sorted) for its valuation mask.
@@ -43,9 +52,9 @@ from math import prod
 
 from .formula import (And, Atom, Bullet, Formula, Not, Wrong, atoms_of,
                       has_announcement)
-from .model import (MAX_STATES, PROPERTY_IDS, NeighborhoodModel,
-                    PointedModel, StateSet, _members, code_has_property,
-                    frame_from_codes, model_to_json)
+from .model import (MAX_STATES, PREFIX_ORDER, PROPERTY_IDS,
+                    NeighborhoodModel, PointedModel, StateSet, _members,
+                    code_has_property, frame_from_codes, model_to_json)
 from .semantics import (Program, _blocks, _Closure, _failing_states, _Frame,
                         _lane_ints, _Lanes, _run, _sweep, _sweep_lanes,
                         _valuation_masks, compile_formula, evaluate)
@@ -184,16 +193,56 @@ def verdict_to_text(verdict) -> str:
 @lru_cache(maxsize=None)
 def allowed_family_codes(n: int, properties: frozenset,
                          state: int) -> tuple[int, ...]:
-    """Family codes at the given state satisfying every class property.
+    """Family codes at the given state satisfying every class property,
+    ascending.
 
-    Only neg-suppl depends on the state; other classes share state 0's
-    table.
+    The table is grown member by member (_grow) in one member order,
+    descending when a class property holds on descending prefixes
+    (model.PREFIX_ORDER; upward closure prunes hardest), else ascending.
+    The class properties that hold on prefixes in that order prune the
+    walk, and the others are checked on the codes it yields; without a
+    pruning property every code is a candidate.  Only neg-suppl depends
+    on the state; other classes share state 0's table.
     """
     if state and "neg-suppl" not in properties:
         return allowed_family_codes(n, properties, 0)
-    return tuple(code for code in range(1 << (1 << n))
-                 if all(code_has_property(n, code, p, state)
-                        for p in properties))
+    order = ("descending" if "descending" in map(PREFIX_ORDER.get, properties)
+             else "ascending")
+    prune = [p for p in properties if PREFIX_ORDER.get(p) == order]
+    rest = [p for p in properties if p not in prune]
+    if prune:
+        codes = sorted(_grow(n, prune, state, order == "descending"))
+    else:
+        codes = range(1 << (1 << n))
+    if rest:
+        codes = [code for code in codes
+                 if all(code_has_property(n, code, p, state) for p in rest)]
+    return tuple(codes)
+
+
+def _grow(n: int, properties, state: int, descending: bool) -> list[int]:
+    """Codes of the families all of whose prefixes in the member order
+    have the properties, grown one member mask at a time.
+
+    The walk reaches every family through its prefixes.  When the
+    properties hold on every prefix of a family that has them, a partial
+    family that fails has no extension with them, so cutting its branch
+    loses nothing: the walk yields exactly the families with the
+    properties.
+    """
+    masks = range((1 << n) - 1, -1, -1) if descending else range(1 << n)
+    found = []
+    stack = [(0, 0)]  # a family, and the position in masks of its next member
+    while stack:
+        code, i = stack.pop()
+        for p in properties:
+            if not code_has_property(n, code, p, state):
+                break
+        else:
+            found.append(code)
+            stack.extend([(code | 1 << masks[j], j + 1)
+                          for j in range(i, len(masks))])
+    return found
 
 
 def _allowed_lists(n: int, properties: frozenset) -> list[tuple[int, ...]]:
@@ -242,13 +291,32 @@ def _state_permutations(n: int) -> tuple:
 @lru_cache(maxsize=None)
 def _orbit_least(n: int, properties: frozenset, prefix: tuple) -> int:
     """Bit i is set when prefix + (the last state's i-th allowed code,)
-    is the least frame of its orbit under state permutation."""
-    perms = _state_permutations(n)
+    is the least frame of its orbit under state permutation.
+
+    Each permutation is first compared on the leading positions the
+    prefix alone fixes, those w < n - 1 it fills from a state other than
+    the last.  The first fixed position it makes smaller makes every
+    frame of the block smaller (no bit is set), and the first it makes
+    larger makes none of them smaller.  The permutations still tied at
+    the first position the last code reaches are compared code by code.
+    """
+    last = n - 1
+    live = []
+    for source, table in _state_permutations(n):
+        for w, src in enumerate(source):
+            if last in (w, src):
+                live.append((source, table))
+                break
+            image = table[prefix[src]]
+            if image != prefix[w]:
+                if image < prefix[w]:
+                    return 0
+                break
     mask = 0
-    for i, code in enumerate(allowed_family_codes(n, properties, n - 1)):
+    for i, code in enumerate(allowed_family_codes(n, properties, last)):
         codes = prefix + (code,)
         if all(tuple(table[codes[w]] for w in source) >= codes
-               for source, table in perms):
+               for source, table in live):
             mask |= 1 << i
     return mask
 
@@ -439,10 +507,21 @@ def fragment_representatives(models, atoms, operators, max_depth: int):
     model.  Each offered formula is one kernel node over the slots of
     representatives.
     """
+    return list(_representatives(models, atoms, operators, max_depth))
+
+
+def _representatives(models, atoms, operators, max_depth: int):
+    """The closure of fragment_representatives, yielding the
+    representatives in order as they are appended: at the latest at the
+    end of the row of conjunctions, or the sweep of modal operators,
+    that found them.  Representatives are only appended, and a formula
+    once kept never changes, so what is yielded is final, and a consumer
+    may stop at any point."""
     names = tuple(sorted(set(atoms)))
     closure = _Closure(models, names)
     reps: list[list] = []  # [formula, signature, best known depth, slot]
     index: dict[tuple, int] = {}
+    emitted = 0
 
     def offer(node, depth: int, make, *parts) -> bool:
         slot, sig = node
@@ -456,8 +535,15 @@ def fragment_representatives(models, atoms, operators, max_depth: int):
             return True
         return False
 
+    def fresh():
+        nonlocal emitted
+        for f, sig, _, _ in reps[emitted:]:
+            yield f, sig
+        emitted = len(reps)
+
     for name in names:
         offer(closure.atom(name), 0, Atom, name)
+    yield from fresh()
     changed = True
     while changed:
         changed = False
@@ -473,29 +559,32 @@ def fragment_representatives(models, atoms, operators, max_depth: int):
                     changed = True
                 j += 1
             i += 1
+            yield from fresh()
         for pos in range(len(reps)):
             f, _, d, a = reps[pos]
             if d < max_depth:
                 for op in operators:
                     if offer(closure.node(op, a), d + 1, op, f):
                         changed = True
-    return [(f, sig) for f, sig, _, _ in reps]
+        yield from fresh()
 
 
 def distinguish(pm1: PointedModel, pm2: PointedModel, fragment: str,
                 depth: int):
     """First fragment formula telling the two points apart, or None.
 
-    None is a bounded verdict: no distinguishing formula up to the
-    modal depth over the shared atoms.
+    The formula is the first separating one of fragment_representatives,
+    whose closure is cut off once it is found.  None is a bounded
+    verdict: no distinguishing formula up to the modal depth over the
+    shared atoms.
     """
     if fragment not in _FRAGMENT_OPS:
         msg = f"fragment must be one of {sorted(_FRAGMENT_OPS)}, got {fragment!r}"
         raise ValueError(msg)
     atoms = {name for name, _ in pm1.model.valuation}
     atoms.update(name for name, _ in pm2.model.valuation)
-    reps = fragment_representatives((pm1.model, pm2.model), sorted(atoms),
-                                    _FRAGMENT_OPS[fragment], depth)
+    reps = _representatives((pm1.model, pm2.model), sorted(atoms),
+                            _FRAGMENT_OPS[fragment], depth)
     for formula, (e1, e2) in reps:
         if bool(e1 >> pm1.point & 1) != bool(e2 >> pm2.point & 1):
             return formula

@@ -1,10 +1,12 @@
 """End-to-end CLI behavior: golden outputs, exit codes, error channel."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+from nbhdmc import cli
 from nbhdmc.cli import main
 from nbhdmc.formula import MAX_NESTING
 
@@ -189,6 +191,34 @@ def test_desugar_nesting_cap(capsys):
         assert (code, out) == (2, "")
         assert err.startswith(f"error: parse: formula nests deeper than "
                               f"{MAX_NESTING} levels at byte ")
+
+
+def test_desugar_size_cap(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_DESUGARED_NODES", 11)
+    code, out, _ = run(capsys, "desugar", "-f", "K p")  # 11 nodes
+    assert (code, out) == (0, "! (! W p & ! (! U p & p))\n")
+    # p <-> q names p and q twice each: 11 nodes printed from 9 built
+    code, out, _ = run(capsys, "desugar", "-f", "p <-> q")
+    assert (code, out) == (0, "! (p & ! q) & ! (q & ! p)\n")
+    for text, nodes in (("K p & q", 13), ("K K p", 41), ("p <-> ! q", 13)):
+        code, out, err = run(capsys, "desugar", "-f", text)
+        assert (code, out) == (2, "")
+        assert err == (f"error: invalid-argument: desugared formula has "
+                       f"{nodes} nodes, over the cap of 11\n")
+    code, out, _ = run(capsys, "desugar", "-f", "K K p", "--target", "full")
+    assert (code, out) == (0, "K K p\n")
+
+
+def test_desugar_size_cap_stops_nested_k_at_once(capsys):
+    code, out, _ = run(capsys, "desugar", "-f", "K " * 9 + "p")
+    assert code == 0 and len(out) > 200_000  # 98411 nodes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "desugar", "-f", "K " * 16 + "p")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == ("error: invalid-argument: desugared formula has "
+                   f"{3 ** 16 * 5 - 4} nodes, over the cap of "
+                   f"{cli.MAX_DESUGARED_NODES}\n")
 
 
 # --- morphism ---------------------------------------------------------------------------

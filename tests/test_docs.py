@@ -20,6 +20,12 @@ def test_readme_nesting_cap_is_max_nesting():
     assert caps == [str(MAX_NESTING)]
 
 
+def test_readme_desugar_cap_is_max_desugared_nodes():
+    caps = re.findall(r"subcommand therefore prints at most (\d+)\s+nodes",
+                      README)
+    assert caps == [str(cli.MAX_DESUGARED_NODES)]
+
+
 def test_readme_lists_every_error_channel():
     listing = re.search(r"prefixed by a channel:\n(.*?\.)\n", README, re.S)
     assert listing, "README lost its list of error channels"

@@ -7,9 +7,10 @@ import pytest
 import nbhdmc.search as search
 
 import _oracle
+from _gen import random_model, random_model_doc
 from nbhdmc.formula import Atom, Wrong, atoms_of, parse
 from nbhdmc.model import (NeighborhoodFrame, NeighborhoodModel, PointedModel,
-                          StateSet, check_property)
+                          StateSet, check_property, model_from_json)
 from nbhdmc.search import (ClassSpec, Countermodel, NoCounterexampleUpTo,
                            SplitMix64, allowed_family_codes, count_frames,
                            distinguish, enumerate_frames, find_countermodel,
@@ -128,15 +129,39 @@ def _member_filter_ok(n, code, prop, state, sup):
     *[(n, frozenset((p,))) for n in (1, 2, 3)
       for p in ("m", "c", "n", "r", "neg-suppl")],
     (3, frozenset(("m", "c", "n"))), (3, frozenset(("neg-suppl", "r"))),
-    (4, frozenset(("m",))), (4, frozenset(("c",))),
+    *[(4, frozenset(props)) for props in (
+        ("m",), ("c",), ("neg-suppl",), ("c", "r"), ("m", "n"),
+        ("c", "neg-suppl"))],
 ])
 def test_allowed_family_codes_match_the_member_filter(n, props):
     sup = [sum(1 << y for y in range(1 << n) if y & x == x)
            for x in range(1 << n)]
+    reference = {}  # the filter reads the state for neg-suppl only
     for state in range(n):
-        assert allowed_family_codes(n, props, state) == tuple(
-            code for code in range(1 << (1 << n))
-            if all(_member_filter_ok(n, code, p, state, sup) for p in props))
+        key = state if "neg-suppl" in props else 0
+        if key not in reference:
+            reference[key] = tuple(
+                code for code in range(1 << (1 << n))
+                if all(_member_filter_ok(n, code, p, key, sup)
+                       for p in props))
+        assert allowed_family_codes(n, props, state) == reference[key]
+
+
+@pytest.mark.parametrize("n, upward, moore, neg_suppl", [
+    (1, 3, 2, 4), (2, 6, 7, 12), (3, 20, 61, 96), (4, 168, 2480, 5120)])
+def test_class_table_sizes_match_known_counts(n, upward, moore, neg_suppl):
+    """Upward-closed families are counted by the Dedekind numbers M(n).
+    The intersection-closed ones are the Moore families (those holding
+    the full set) and the same families without it.  A neg-suppl family
+    at s is an upward-closed family of subsets of the other n - 1 states
+    plus any sets holding s: M(n - 1) * 2^(2^(n - 1)) of them."""
+    assert len(allowed_family_codes(n, frozenset(("m",)), 0)) == upward
+    assert len(allowed_family_codes(n, frozenset(("c",)), 0)) == 2 * moore
+    dedekind = (2, 3, 6, 20)
+    assert neg_suppl == dedekind[n - 1] * 2 ** 2 ** (n - 1)
+    for state in range(n):
+        assert len(allowed_family_codes(
+            n, frozenset(("neg-suppl",)), state)) == neg_suppl
 
 
 # --- class specs ------------------------------------------------------------------
@@ -423,6 +448,38 @@ def test_worker_count_refuses_below_one():
         find_countermodel(parse("p"), ALL2, jobs=0)
 
 
+def _orbit_mask_by_code(n, props, prefix):
+    """The orbit mask of a block, every frame of it checked against every
+    state renaming, over sets of states."""
+    mask = 0
+    for i, code in enumerate(allowed_family_codes(n, props, n - 1)):
+        codes = prefix + (code,)
+        if all(_permuted(n, codes, image) >= codes
+               for image in permutations(range(n))):
+            mask |= 1 << i
+    return mask
+
+
+@pytest.mark.parametrize("props", [
+    *EVERY_CLASS, frozenset(("c", "neg-suppl")), frozenset(("c", "r"))])
+def test_orbit_masks_match_the_per_code_check(props):
+    for n in (1, 2):
+        allowed = [allowed_family_codes(n, props, w) for w in range(n)]
+        for prefix in product(*allowed[:-1]):
+            assert search._orbit_least(n, props, prefix) == \
+                _orbit_mask_by_code(n, props, prefix), prefix
+    # a seeded sample of n = 3 blocks, half of them with prefix codes in
+    # ascending order, where a block holds least frames more often
+    rng = SplitMix64(9)
+    first, second = (allowed_family_codes(3, props, w) for w in (0, 1))
+    for k in range(16):
+        prefix = (first[rng.below(len(first))], second[rng.below(len(second))])
+        if k % 2:
+            prefix = tuple(sorted(prefix))
+        assert search._orbit_least(3, props, prefix) == \
+            _orbit_mask_by_code(3, props, prefix), prefix
+
+
 # --- distinguishability -------------------------------------------------------------------
 
 W_BASE = _model(("s", "t"), ((3,), (3,)), (("p", 2),))
@@ -471,3 +528,43 @@ def test_fragment_representatives_signatures_are_unique():
     sigs = [sig for _, sig in reps]
     assert len(sigs) == len(set(sigs))
     assert any(f == Atom("p") for f, _ in reps)
+
+
+def _distinguish_pairs(rng, count):
+    """Pairs of (model, state) of up to 4 states each.  Every third pair
+    is two random models; the others are a model and a copy with one
+    state's family redrawn, at the same state, so that only modal
+    formulas can tell them apart, if anything can."""
+    for k in range(count):
+        n1 = 1 + rng.below(4)
+        if k % 3 == 0:
+            n2 = 1 + rng.below(4)
+            yield (random_model(rng, n1), rng.below(n1),
+                   random_model(rng, n2), rng.below(n2))
+            continue
+        doc = random_model_doc(rng, n1)
+        other = random_model_doc(rng, n1)
+        changed = doc["states"][rng.below(n1)]
+        copy = dict(doc, neighborhoods=dict(
+            doc["neighborhoods"], **{changed: other["neighborhoods"][changed]}))
+        state = rng.below(n1)
+        yield model_from_json(doc), state, model_from_json(copy), state
+
+
+def test_distinguish_returns_the_first_separating_representative():
+    """distinguish stops its closure early; the full closure referees."""
+    outcomes = set()
+    for m1, s1, m2, s2 in _distinguish_pairs(SplitMix64(2024), 15):
+        atoms = {name for m in (m1, m2) for name, _ in m.valuation}
+        for fragment, operators in search._FRAGMENT_OPS.items():
+            for depth in (0, 1, 2):
+                reps = fragment_representatives((m1, m2), atoms, operators,
+                                                depth)
+                expected = next(
+                    (f for f, (e1, e2) in reps
+                     if (e1 >> s1 & 1) != (e2 >> s2 & 1)), None)
+                assert distinguish(PointedModel(m1, s1), PointedModel(m2, s2),
+                                   fragment, depth) == expected
+                outcomes.add(None if expected is None else
+                             isinstance(expected, Atom))
+    assert outcomes == {None, True, False}  # none, an atom, a compound

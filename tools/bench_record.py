@@ -9,7 +9,12 @@ It writes, with the interpreter and machine it ran on:
   per seed in SEEDS;
 * `criteria`: the wall time of acceptance criteria 3 and 10, each run
   REPEATS times in a fresh interpreter, in the order the acceptance
-  gate runs them (criteria 1, 3 and 6 first, since 10 reruns those).
+  gate runs them (criteria 1, 3 and 6 first, since 10 reruns those);
+* `class_tables`: per class in TABLE_CLASSES, the time to build its
+  n = 4 family-code tables for every state, REPEATS times, each in a
+  fresh interpreter;
+* `cold_start`: the wall time of `nbhdmc desugar -f p` as a new process,
+  REPEATS times.
 
 The seeds, run length and repeats are fixed, so every BENCH_<n>.json is
 recorded the same way and the files compare from one change to the next.
@@ -26,6 +31,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,6 +39,9 @@ WORKLOADS = ("exhaustive-scan", "sampled-scan", "model-requests")
 SEEDS = (1, 2, 3)
 SECONDS = 20
 REPEATS = 3
+TABLE_CLASSES = ((), ("m",), ("c",), ("m", "c"), ("n",), ("r",),
+                 ("neg-suppl",))
+COLD_START = ("desugar", "-f", "p")
 
 # Times criteria 3 and 10 as the acceptance gate runs them; prints JSON.
 _CRITERIA_PROBE = """
@@ -48,6 +57,18 @@ for num, test in (
     test()
     took[num] = time.perf_counter() - start
 print(json.dumps({num: took[num] for num in ("3", "10")}))
+"""
+
+
+# Times the n = 4 tables of the class named by the arguments; prints JSON.
+_TABLE_PROBE = """
+import json, sys, time
+from nbhdmc.search import allowed_family_codes
+props = frozenset(sys.argv[1:])
+start = time.perf_counter()
+for state in range(4):
+    allowed_family_codes(4, props, state)
+print(json.dumps(time.perf_counter() - start))
 """
 
 
@@ -100,6 +121,32 @@ def criteria() -> dict:
             for num in ("3", "10")}
 
 
+def class_tables() -> dict:
+    out = {}
+    for props in TABLE_CLASSES:
+        name = f"({','.join(props)})"
+        print(f"class tables {name}", file=sys.stderr)
+        runs = [1e3 * _last_json_line([sys.executable, "-c", _TABLE_PROBE,
+                                       *props])
+                for _ in range(REPEATS)]
+        out[name] = {"median_ms": statistics.median(runs), "runs_ms": runs}
+    return out
+
+
+def cold_start() -> dict:
+    argv = [sys.executable, "-m", "nbhdmc.cli", *COLD_START]
+    runs = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        proc = subprocess.run(argv, cwd=ROOT, env=_env(), capture_output=True,
+                              check=False)
+        runs.append(time.perf_counter() - start)
+        if proc.returncode != 0:
+            msg = f"{' '.join(COLD_START)} exited with {proc.returncode}"
+            raise RuntimeError(msg)
+    return {"median_s": statistics.median(runs), "runs_s": runs}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", required=True, type=Path)
@@ -111,6 +158,9 @@ def main(argv=None) -> int:
         "perfbench": {"seeds": list(SEEDS), "seconds": SECONDS,
                       "workloads": perfbench()},
         "criteria": {"repeats": REPEATS, **criteria()},
+        "class_tables": {"repeats": REPEATS, "states": 4, **class_tables()},
+        "cold_start": {"repeats": REPEATS, "argv": " ".join(COLD_START),
+                       **cold_start()},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
