@@ -87,17 +87,19 @@ def _apply_axiom(node: Announce) -> tuple[str, Formula]:
 
 def reduce(f: Formula) -> tuple[Formula, tuple[ReductionStep, ...]]:
     """Announcement-free equivalent of f plus the rewrite trace."""
+    steps = tuple(_steps(f))
+    return (steps[-1].after if steps else f), steps
+
+
+def _steps(f: Formula):
+    """The steps of reduce's trace, each yielded once it is made, so a
+    caller can stop the rewriting at any step."""
     _check_fragment(f)
-    steps: list[ReductionStep] = []
     cur = f
-    while True:
-        path = _find_announce(cur)
-        if path is None:
-            return cur, tuple(steps)
-        node = subformula_at(cur, path)
-        axiom, replacement = _apply_axiom(node)
+    while (path := _find_announce(cur)) is not None:
+        axiom, replacement = _apply_axiom(subformula_at(cur, path))
         nxt = replace_at(cur, path, replacement)
-        steps.append(ReductionStep(axiom, path, cur, nxt))
+        yield ReductionStep(axiom, path, cur, nxt)
         cur = nxt
 
 

@@ -14,8 +14,7 @@ import argparse
 import json
 import sys
 
-from .announce import ReductionInputError, format_trace
-from .announce import reduce as reduce_announcements
+from .announce import ReductionInputError, _steps, format_trace
 from .fixtures import ROWS, run_suite
 from .formula import (CORE, FULL, Formula, ParseError, children, desugar,
                       has_announcement, parse, pretty)
@@ -31,9 +30,11 @@ from .semantics import evaluate, extension, frame_valid
 
 _JSON_SEPARATORS = (", ", ": ")
 
-# The largest formula `desugar` prints, in nodes counted as printed.
-# Desugaring `K c` names c three times, so nested K's grow the printed
-# text threefold each; at this cap it stays a few hundred KB.
+# The most `desugar` and `reduce` print, in formula nodes counted as
+# printed.  Desugaring `K c` names c three times, so nested K's grow the
+# printed text threefold each, and each nested announcement grows the
+# reduction trace about eightfold; at this cap either stays a few
+# hundred KB.
 MAX_DESUGARED_NODES = 100_000
 
 
@@ -146,18 +147,34 @@ def _cmd_countermodel(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    reduced, steps = reduce_announcements(parse(args.formula))
+    f = parse(args.formula)
+    steps = []
+    size: dict[int, int] = {}  # one memo: the steps keep every node alive
+    nodes = 0
+    for step in _steps(f):  # counted as made, so a refusal costs little
+        steps.append(step)
+        nodes += _tree_size(step.before, size) + _tree_size(step.after, size)
+        if nodes > MAX_DESUGARED_NODES:
+            break
+    reduced = steps[-1].after if steps else f
+    nodes += _tree_size(reduced, size)
+    if nodes > MAX_DESUGARED_NODES:
+        msg = (f"reduction output passes the cap of {MAX_DESUGARED_NODES} "
+               f"nodes by step {len(steps)}")
+        raise ValueError(msg)
     print(pretty(reduced))
     if steps:
         print(format_trace(steps))
     return 0
 
 
-def _tree_size(f: Formula) -> int:
+def _tree_size(f: Formula, size: dict[int, int] | None = None) -> int:
     """Nodes of f counted as printed: a shared subformula once per
-    occurrence.  Each distinct node is summed once (memo by id), so this
-    takes time linear in the nodes built, not in the printed size."""
-    size: dict[int, int] = {}
+    occurrence.  Each distinct node is summed once (memo by id, kept in
+    size across calls while the nodes it names are alive), so this takes
+    time linear in the nodes built, not in the printed size."""
+    if size is None:
+        size = {}
     stack = [f]
     while stack:
         g = stack[-1]

@@ -27,14 +27,20 @@ the chunk together, one draw per lane.  The stream and the verdict bytes
 are those of drawing and judging one sample at a time.
 
 Scans go through the evaluation kernel in `semantics`: the formula is
-compiled once, and each frame sweeps all of its valuations at once.
-Exhaustive scans sweep only the frames that can be the canonical
+compiled once.  Exhaustive scans judge frames a chunk at a time like
+sampled draws, one (frame, valuation) pair per lane, frame by frame and
+valuation by valuation, so the first failing lane is the first failing
+frame's first failing valuation; a chunk of fewer lanes than a measured
+crossover sweeps each frame's valuations on a plain frame, as do a frame
+whose valuations fill more than one block and a formula with an
+announcement.  They judge only the frames that can be the canonical
 minimum, with the verdict unchanged:
 
 * a formula of modal depth at most 1 without announcements is true at a
   state depending only on that state's family code and the valuation,
   so one frame with every state given code c tells at which states c
-  fails; the least frame with a failing state follows from that;
+  fails (these frames, too, are judged in lane chunks); the least frame
+  with a failing state follows from that;
 * otherwise, the frames with a countermodel are closed under state
   permutation and every class is too, so the canonical minimum is the
   least frame of its orbit, and frames some permutation makes smaller
@@ -47,17 +53,17 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from math import prod
 
-from .formula import (And, Atom, Bullet, Formula, Not, Wrong, atoms_of,
-                      has_announcement)
+from .formula import And, Atom, Bullet, Formula, Not, Wrong, atoms_of
 from .model import (MAX_STATES, PREFIX_ORDER, PROPERTY_IDS,
                     NeighborhoodModel, PointedModel, StateSet, _members,
                     code_has_property, frame_from_codes, model_to_json)
-from .semantics import (Program, _blocks, _Closure, _failing_states, _Frame,
-                        _lane_ints, _Lanes, _run, _sweep, _sweep_lanes,
-                        _valuation_masks, compile_formula, evaluate)
+from .semantics import (Program, _blocks, _Closure, _failing_lanes,
+                        _failing_states, _Frame, _lane_ints, _Lanes, _run,
+                        _sweep, _sweep_lanes, _valuation_masks,
+                        compile_formula, evaluate)
 
 __all__ = [
     "SplitMix64", "ClassSpec", "Countermodel", "NoCounterexampleUpTo",
@@ -336,6 +342,35 @@ def _orbit_least_frames(n: int, properties: frozenset):
             yield prefix + (last[i],)
 
 
+_FIRST_CHUNK = 1       # items judged at once, first; each later chunk doubles
+_CHUNK_CAP = 4096      # up to this many lanes
+# A scan chunk of fewer lanes sweeps its frames one at a time.  Measured
+# on two- and three-state frames, plain sweeps cost 0.3-2x a lane frame
+# at 4-32 lanes, 1.6-3.5x at 64 lanes of 4 to 16 frames (about 1x for
+# one frame of 64 valuations), and 8-12x at 4096 lanes.
+_SCAN_LANES_FROM = 64
+
+
+def _chunk_sizes(per: int):
+    """Items judged at once, `per` lanes an item: _FIRST_CHUNK, then
+    doubling up to _CHUNK_CAP lanes (one item at least), so a failure at
+    item i is judged with fewer than 2i + 2 items."""
+    size, cap = _FIRST_CHUNK, max(1, _CHUNK_CAP // per)
+    while True:
+        yield size
+        size = min(2 * size, cap)
+
+
+def _chunks(items, per: int):
+    """items in lists of _chunk_sizes(per) items."""
+    it = iter(items)
+    for size in _chunk_sizes(per):
+        chunk = list(islice(it, size))
+        if not chunk:
+            return
+        yield chunk
+
+
 def _local_frames(prog: Program, n: int, properties: frozenset, eager: bool,
                   blocks):
     """The frames a scan of a local program (see Program) must sweep.
@@ -346,36 +381,97 @@ def _local_frames(prog: Program, n: int, properties: frozenset, eager: bool,
     at least the minimum frame with state s's code raised to the least
     one failing at s, for the largest such s: that frame comes next.
     Where a code fails is read off the frame giving every state that
-    code.
+    code.  Codes are judged in order of first need, one at a time when
+    all of them fill fewer lanes than one lane run, else a chunk at a
+    time (_code_failures).
     """
     allowed = _allowed_lists(n, properties)
     least = tuple(options[0] for options in allowed)
     yield least
+    codes = dict.fromkeys(code for s in reversed(range(n))
+                          for code in allowed[s][1:])
+    per = _lanes_per_frame(blocks)
+    chunks = (_chunks(codes, per) if len(codes) * per >= _SCAN_LANES_FROM
+              else None)
     failing: dict[int, int] = {}
     for s in reversed(range(n)):
         for code in allowed[s][1:]:
             if code not in failing:
-                failing[code] = _failing_states(
-                    prog, _Frame(n, (code,) * n, eager=eager), blocks)
+                if chunks is None:
+                    failing[code] = _failing_states(
+                        prog, _Frame(n, (code,) * n, eager=eager), blocks)
+                else:  # the next chunk starts with this code
+                    failing.update(_code_failures(prog, n, next(chunks),
+                                                  eager, blocks))
             if failing[code] >> s & 1:
                 yield least[:s] + (code,) + least[s + 1:]
                 return
 
 
+def _code_failures(prog: Program, n: int, chunk, eager: bool, blocks):
+    """(code, mask of the states where it fails) for each code of the
+    chunk: the states failing, under some valuation, on the frame giving
+    every state that code.  On a lane frame, code i's frame under
+    valuation j sits in lane i * V + j."""
+    per = _lanes_per_frame(blocks)
+    if len(chunk) * per < _SCAN_LANES_FROM:
+        return [(code, _failing_states(
+            prog, _Frame(n, (code,) * n, eager=eager), blocks))
+            for code in chunk]
+    width = n * per
+    lanes = _Lanes(n, b"".join([bytes((code,)) * width for code in chunk]))
+    return zip(chunk, _failing_lanes(prog, lanes, _repeat_atoms(blocks, lanes),
+                                     per))
+
+
+def _lanes_per_frame(blocks) -> int:
+    """Valuations per frame when they fit one block, else 0: a frame then
+    takes several runs of the kernel and is swept on its own."""
+    return blocks[0][1] if len(blocks) == 1 else 0
+
+
+def _repeat_atoms(blocks, lanes: _Lanes) -> list[int]:
+    """The one block's atom ints repeated over the lanes, once per frame
+    of its valuations."""
+    _, _, ALL, A, _ = blocks[0]
+    rep = lanes.ALL // ALL  # bit 0 of every run of V lanes
+    return [a * rep for a in A]
+
+
 def _scan(prog: Program, n: int, properties: frozenset):
     """First witness (family codes, valuation masks, state) among the
-    class's n-state frames in canonical order, or None."""
+    class's n-state frames in canonical order, or None.
+
+    When a frame's valuations fit one block and the formula has no
+    announcement, frames are judged a chunk at a time (_chunks), frame i
+    of the chunk under valuation j in lane i * V + j, so the first
+    failing lane is the first failing frame's first failing valuation at
+    its lowest failing state, as frame by frame sweeps find it.
+    """
     k = len(prog.atoms)
     blocks = tuple(_blocks(prog, n))  # static slots, shared by every frame
     if prog.local:
         frames = _local_frames(prog, n, properties, k > 0, blocks)
     else:
         frames = _orbit_least_frames(n, properties)
-    for codes in frames:
-        hit = _sweep(prog, _Frame(n, codes, eager=k > 0), blocks)
+    # A local scan sweeps 2 frames.  An announcement's body runs once per
+    # lane as once per valuation, so lanes save it little, and a chunk's
+    # submodels held at once measured 5-20 % slower than frame by frame.
+    per = 0 if prog.local or prog.announces else _lanes_per_frame(blocks)
+    for chunk in _chunks(frames, per) if per else (frames,):
+        if not per or len(chunk) * per < _SCAN_LANES_FROM:
+            for codes in chunk:
+                hit = _sweep(prog, _Frame(n, codes, eager=k > 0), blocks)
+                if hit:
+                    j, state = hit
+                    return codes, _valuation_masks(j, n, k), state
+            continue
+        lanes = _Lanes(n, b"".join([bytes(codes) * per for codes in chunk]))
+        hit = _sweep_lanes(prog, lanes, _repeat_atoms(blocks, lanes))
         if hit:
-            j, state = hit
-            return codes, _valuation_masks(j, n, k), state
+            lane, state = hit
+            i, j = divmod(lane, per)
+            return chunk[i], _valuation_masks(j, n, k), state
     return None
 
 
@@ -413,18 +509,18 @@ def find_countermodel(f: Formula, cls: ClassSpec, mode: str = "exhaustive",
         msg = f"mode must be 'exhaustive' or 'sampled', got {mode!r}"
         raise ValueError(msg)
     worker_count(jobs)
-    if has_announcement(f) and "m" not in cls.properties:
+    atoms = cls.atoms if cls.atoms else atoms_of(f)
+    prog = compile_formula(f, atoms)
+    if prog.announces and "m" not in cls.properties:
         msg = ("announcement formulas are only searched over classes "
                "requiring property m")
         raise ValueError(msg)
-    atoms = cls.atoms if cls.atoms else atoms_of(f)
     if mode == "sampled":
-        return _sampled_search(f, cls, atoms, seed, samples)
+        return _sampled_search(f, prog, cls, seed, samples)
     if cls.max_states > EXHAUSTIVE_MAX_STATES:
         msg = (f"exhaustive search caps max_states at {EXHAUSTIVE_MAX_STATES}, "
                f"got {cls.max_states}; use sampled mode")
         raise ValueError(msg)
-    prog = compile_formula(f, atoms)
     for n in range(1, cls.max_states + 1):
         hit = _scan(prog, n, cls.properties)
         if hit:
@@ -433,12 +529,11 @@ def find_countermodel(f: Formula, cls: ClassSpec, mode: str = "exhaustive",
     return NoCounterexampleUpTo(cls.max_states, "exhaustive")
 
 
-_FIRST_CHUNK = 1     # draws judged at once, first; each later chunk doubles
-_CHUNK_CAP = 4096    # up to this many
 _LOW_BYTE = 0 if sys.byteorder == "little" else 7  # of a 64-bit output
 
 
-def _sampled_search(f: Formula, cls: ClassSpec, atoms, seed: int, samples: int):
+def _sampled_search(f: Formula, prog: Program, cls: ClassSpec, seed: int,
+                    samples: int):
     """The first of `samples` draws of the stream that falsifies f, as a
     countermodel at its lowest failing state, or NoCounterexampleUpTo.
 
@@ -458,13 +553,14 @@ def _sampled_search(f: Formula, cls: ClassSpec, atoms, seed: int, samples: int):
     if samples <= 0:
         msg = f"sampled mode needs a positive sample count, got {samples}"
         raise ValueError(msg)
-    prog = compile_formula(f, atoms)
+    atoms = prog.atoms
     allowed = _allowed_lists(n, cls.properties)
     full = (1 << n) - 1
     per = n + len(atoms)  # stream outputs per draw
-    done, size = 0, _FIRST_CHUNK
+    sizes = _chunk_sizes(1)
+    done = 0
     while done < samples:
-        V = min(size, samples - done)
+        V = min(next(sizes), samples - done)
         out = _splitmix_block(seed, done * per, V * per)
         codes = [0] * (V * n)
         for s, options in enumerate(allowed):
@@ -485,7 +581,6 @@ def _sampled_search(f: Formula, cls: ClassSpec, atoms, seed: int, samples: int):
                 f, n, tuple(codes[j * n:(j + 1) * n]), atoms,
                 tuple(x & full for x in draw[n:]), state)
         done += V
-        size = min(2 * size, _CHUNK_CAP)
     return NoCounterexampleUpTo(n, "sampled", samples, seed)
 
 

@@ -24,10 +24,12 @@ valuation whose announced extension is non-empty.
 
 A lane frame (_Lanes) runs V models side by side instead, lane j with
 its own family codes and valuation at bits [j*n, (j+1)*n): sampled
-search judges a chunk of draws with one pass of the same interpreter.
-Its modal nodes pick every lane's K entry at once with 2^n - 1
-big-int multiplexers, and its announcements restrict each lane's own
-frame.  Verdicts are those of evaluating the lanes one at a time.
+search judges a chunk of draws, and exhaustive search a chunk of
+frames under all their valuations, with one pass of the same
+interpreter.  Its modal nodes pick every lane's K entry at once with
+2^n - 1 big-int multiplexers, and its announcements restrict each
+lane's own frame.  Verdicts are those of evaluating the lanes one at a
+time.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ class Program(NamedTuple):
     its body's Program, which reads the same atom indexes.  `local` says
     the formula has modal depth at most 1 and no announcement, so its
     truth at a state reads only that state's family code and the
-    valuation.
+    valuation; `announces` says it has an announcement.
     """
 
     atoms: tuple[str, ...]
@@ -80,6 +82,7 @@ class Program(NamedTuple):
     size: int
     root: int
     local: bool
+    announces: bool
 
 
 class _Builder:
@@ -139,17 +142,19 @@ class _Builder:
     def program(self, root: int) -> Program:
         is_static: list[bool] = []
         static, dynamic = [], []
-        local = True
+        local, announces = True, False
         for ins in self.code:
             _, op, a, b = ins
             flag = op <= _BOT or (op <= _IFF and is_static[a] and
                                   (op == _NOT or is_static[b]))
             is_static.append(flag)
             (static if flag else dynamic).append(ins)
-            if op == _ANN or op >= _BOX and not is_static[a]:
+            if op == _ANN:
+                local, announces = False, True
+            elif op >= _BOX and not is_static[a]:
                 local = False
         return Program(tuple(self.index), tuple(static), tuple(dynamic),
-                       len(self.code), root, local)
+                       len(self.code), root, local, announces)
 
 
 def compile_formula(f: Formula, atoms=None) -> Program:
@@ -225,8 +230,13 @@ class _Frame:
 _BIT = tuple(bytes(c >> b & 1 for c in range(256)) for b in range(8))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=16)
 def _transpose_masks(words: int) -> tuple[int, int, int]:
+    """The swap masks over `words` 64-bit words, a power of two.  A mask
+    longer than the data costs nothing (x & m reads min(x, m) digits), so
+    every size shares the masks of the next power of two: data of any
+    size keeps at most one entry per doubling, in all less than twelve
+    times the bytes of the largest data transposed."""
     rep = ((1 << 64 * words) - 1) // ((1 << 64) - 1)  # bit 0 of every word
     return (rep * 0x00AA00AA00AA00AA, rep * 0x0000CCCC0000CCCC,
             rep * 0x00000000F0F0F0F0)
@@ -239,7 +249,7 @@ def _bit_columns(data) -> bytes:
     section 7-3), so byte b of the groups, read in order, holds bit b of
     every byte of data."""
     words = -(-len(data) // 8)
-    m1, m2, m3 = _transpose_masks(words)
+    m1, m2, m3 = _transpose_masks(1 << (words - 1).bit_length())
     x = int.from_bytes(data, "little")
     t = (x ^ x >> 7) & m1
     x ^= t ^ t << 7
@@ -503,6 +513,23 @@ def _failing_states(prog: Program, fr: _Frame, blocks) -> int:
         if out == fr.full:
             break
     return out
+
+
+def _failing_lanes(prog: Program, fr: _Lanes, A, per: int) -> list[int]:
+    """_failing_states per run of `per` lanes: run i's mask of the states
+    failing in some lane of it, lane j read under the valuation at lane j
+    of the atom ints A.  For programs without announcements."""
+    n = fr.n
+    vals = [0] * prog.size
+    _exec(prog.static, vals, A, fr, fr.V, fr.ALL)
+    _exec(prog.dynamic, vals, A, fr, fr.V, fr.ALL)
+    miss = fr.ALL ^ vals[prog.root]
+    run = width = per * n
+    rep = fr.ALL // ((1 << run) - 1)  # bit 0 of every run
+    while width > n:  # fold each run's n-bit groups into its lowest
+        width >>= 1
+        miss = (miss | miss >> width) & rep * ((1 << width) - 1)
+    return [miss >> sh & fr.full for sh in range(0, fr.V * n, run)]
 
 
 def _valuation_masks(j: int, n: int, k: int) -> tuple[int, ...]:

@@ -175,6 +175,35 @@ def test_reduce_rejects_sugar(capsys):
     assert err.startswith("error: reduction-input:")
 
 
+def test_reduce_size_cap(capsys, monkeypatch):
+    # [W p] W p prints 5 + 8 nodes in step 1, 8 + 8 in step 2 and 8 in
+    # the result: 37 in all
+    monkeypatch.setattr(cli, "MAX_DESUGARED_NODES", 37)
+    code, out, _ = run(capsys, "reduce", "-f", "[W p] W p")
+    assert (code, out.count("\n")) == (0, 3)
+    for cap, step in ((36, 2), (20, 2), (12, 1)):
+        monkeypatch.setattr(cli, "MAX_DESUGARED_NODES", cap)
+        code, out, err = run(capsys, "reduce", "-f", "[W p] W p")
+        assert (code, out) == (2, "")
+        assert err == (f"error: invalid-argument: reduction output passes "
+                       f"the cap of {cap} nodes by step {step}\n")
+
+
+def test_reduce_size_cap_stops_nested_announcements_early(capsys):
+    # the trace grows about eightfold per nested [U p]: five print 39600
+    # nodes; six take 248 steps and seven 735, refused after 123 and 96
+    code, out, _ = run(capsys, "reduce", "-f", "[U p] " * 5 + "p")
+    assert code == 0 and len(out) > 100_000
+    for nested, step in ((6, 123), (7, 96)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "reduce", "-f", "[U p] " * nested + "p")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == ("error: invalid-argument: reduction output passes "
+                       f"the cap of {cli.MAX_DESUGARED_NODES} nodes by step "
+                       f"{step}\n")
+
+
 def test_desugar(capsys):
     code, out, _ = run(capsys, "desugar", "-f", "K p")
     assert (code, out) == (0, "! (! W p & ! (! U p & p))\n")

@@ -26,6 +26,11 @@ def test_readme_desugar_cap_is_max_desugared_nodes():
     assert caps == [str(cli.MAX_DESUGARED_NODES)]
 
 
+def test_readme_reduce_cap_is_max_desugared_nodes():
+    caps = re.findall(r"to the same cap of (\d+)\s+nodes", README)
+    assert caps == [str(cli.MAX_DESUGARED_NODES)]
+
+
 def test_readme_lists_every_error_channel():
     listing = re.search(r"prefixed by a channel:\n(.*?\.)\n", README, re.S)
     assert listing, "README lost its list of error channels"

@@ -1,5 +1,6 @@
 """Frame enumeration, countermodel search, sampling, distinguishability."""
 
+from functools import lru_cache
 from itertools import permutations, product
 
 import pytest
@@ -7,8 +8,8 @@ import pytest
 import nbhdmc.search as search
 
 import _oracle
-from _gen import random_model, random_model_doc
-from nbhdmc.formula import Atom, Wrong, atoms_of, parse
+from _gen import random_announcement_formula, random_model, random_model_doc
+from nbhdmc.formula import Atom, Not, Or, Wrong, atoms_of, parse
 from nbhdmc.model import (NeighborhoodFrame, NeighborhoodModel, PointedModel,
                           StateSet, check_property, model_from_json)
 from nbhdmc.search import (ClassSpec, Countermodel, NoCounterexampleUpTo,
@@ -16,7 +17,8 @@ from nbhdmc.search import (ClassSpec, Countermodel, NoCounterexampleUpTo,
                            distinguish, enumerate_frames, find_countermodel,
                            fragment_representatives, verdict_to_json,
                            verdict_to_text, worker_count)
-from nbhdmc.semantics import compile_formula, evaluate
+from nbhdmc.semantics import (_blocks, _failing_states, _Frame,
+                              compile_formula, evaluate)
 
 ALL2 = ClassSpec(frozenset(), 2)
 M3 = ClassSpec(frozenset(("m",)), 3)
@@ -478,6 +480,123 @@ def test_orbit_masks_match_the_per_code_check(props):
             prefix = tuple(sorted(prefix))
         assert search._orbit_least(3, props, prefix) == \
             _orbit_mask_by_code(3, props, prefix), prefix
+
+
+# --- chunked scans ----------------------------------------------------------------------
+
+M = frozenset(("m",))
+
+# Invalid formulas over (m) whose canonical countermodels have three
+# states.  Their depth is 2, so the n = 3 scan runs over the orbit-least
+# frames, where it meets the minimum at frames 13, 32, 50 and 603 of 1440.
+LATE_N3 = (
+    "! (! K false & K (p & K p) & K (p & ! K p) & K ! p)",
+    "! p | ! K (p & K ! p) | ! K (p & ! K ! p) | ! K (! p & K true) | K false",
+    "! K (p & K p) | ! K (p & U p) | ! K (! p & K p) | K false",
+    "p | K false | ! K (p & K p) | ! K (p & ! K p & K ! p) | ! K ! p",
+)
+
+
+@lru_cache(maxsize=None)
+def _late_minimum(text):
+    return _brute_minimum(parse(text), 3, M,
+                          lambda n: _oracle_class_frames(n, M))
+
+
+def _scan_json(f, cls):
+    return verdict_to_json(find_countermodel(f, cls))
+
+
+def _expected_json(found):
+    doc, state = found
+    return {"verdict": "countermodel", "model": doc, "state": state}
+
+
+@pytest.mark.parametrize("text", LATE_N3)
+def test_chunked_scans_find_the_brute_force_minimum(monkeypatch, text):
+    f = parse(text)
+    expected = _expected_json(_late_minimum(text))
+    assert _scan_json(f, M3) == expected
+    codes = find_countermodel(f, M3).pointed.model.frame.family_codes()
+    w = list(search._orbit_least_frames(3, M)).index(tuple(codes))
+    assert w in (13, 32, 50, 603)
+    per = 8  # valuations of one atom over three states
+    # (first chunk, lane crossover, cap): frame w first in the first lane
+    # chunk, after a plain one; last of a lane chunk; every chunk plain
+    for first, lanes_from, cap in ((w, w * per + 1, 2 * w * per),
+                                   (w + 1, 1, 4096), (1, 10 ** 9, 4096)):
+        monkeypatch.setattr(search, "_FIRST_CHUNK", first)
+        monkeypatch.setattr(search, "_SCAN_LANES_FROM", lanes_from)
+        monkeypatch.setattr(search, "_CHUNK_CAP", cap)
+        assert _scan_json(f, M3) == expected, (first, lanes_from, cap)
+
+
+def test_a_witness_at_the_first_frame_on_a_lane_frame(monkeypatch):
+    # the least one-state frame has no neighborhood, so K K p fails there
+    # once p holds: at lane 1 of the first chunk, one frame wide
+    f = parse("p -> K K p")
+    expected = _expected_json(_brute_minimum(f, 1, M))
+    assert expected["model"]["neighborhoods"] == {"s": []}
+    assert expected["model"]["valuation"] == {"p": ["s"]}
+    monkeypatch.setattr(search, "_SCAN_LANES_FROM", 1)
+    assert _scan_json(f, M3) == expected
+
+
+def test_scans_past_the_valuation_block_sweep_frame_by_frame(monkeypatch):
+    # four atoms over three states fill more than one valuation block, so
+    # each three-state frame is swept alone; atoms f does not read stay
+    # empty
+    states = []
+
+    def lanes(n, codes):
+        states.append(n)
+        return lane_frame(n, codes)
+
+    lane_frame = search._Lanes
+    monkeypatch.setattr(search, "_Lanes", lanes)
+    text = LATE_N3[0]
+    cls = ClassSpec(M, 3, ("p", "q", "r", "s"))
+    assert _scan_json(parse(text), cls) == _expected_json(_late_minimum(text))
+    assert 2 in states and 3 not in states
+
+
+def test_announcement_scans_match_brute_force(monkeypatch):
+    # an announcement's body runs once per lane, so these scans sweep
+    # their frames one at a time, whatever the chunk sizes
+    def no_lanes(*args):
+        raise AssertionError("lane frame built")
+
+    monkeypatch.setattr(search, "_Lanes", no_lanes)
+    monkeypatch.setattr(search, "_SCAN_LANES_FROM", 1)
+    rng = SplitMix64(2024)
+    kinds = {"countermodel": 0, "none": 0}
+    for i in range(24):
+        g = random_announcement_formula(rng, 3)
+        f = Or(g, Not(g)) if i % 3 == 0 else g  # valid: every frame swept
+        found = _brute_minimum(f, 2, M, lambda n: _oracle_class_frames(n, M))
+        expected = (_expected_json(found) if found else
+                    verdict_to_json(NoCounterexampleUpTo(2, "exhaustive")))
+        kinds["countermodel" if found else "none"] += 1
+        assert _scan_json(f, ClassSpec(M, 2)) == expected, f
+    assert min(kinds.values()) >= 5, kinds
+
+
+@pytest.mark.parametrize("props", [*EVERY_CLASS, frozenset(("c", "neg-suppl"))])
+def test_lane_failing_masks_match_the_per_code_sweep(monkeypatch, props):
+    monkeypatch.setattr(search, "_SCAN_LANES_FROM", 1)  # every chunk on lanes
+    for text in ("U p -> p", "W (p & q) -> W p", "O q | K ! p", "K true"):
+        prog = compile_formula(parse(text))
+        for n in (1, 2, 3):
+            blocks = tuple(_blocks(prog, n))
+            eager = bool(prog.atoms)
+            codes = sorted(set().union(*(allowed_family_codes(n, props, s)
+                                         for s in range(n))))
+            on_lanes = dict(search._code_failures(prog, n, codes, eager,
+                                                  blocks))
+            for code in codes:
+                frame = _Frame(n, (code,) * n, eager=eager)
+                assert on_lanes[code] == _failing_states(prog, frame, blocks), \
+                    (text, n, code)
 
 
 # --- distinguishability -------------------------------------------------------------------

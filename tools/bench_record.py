@@ -14,7 +14,11 @@ It writes, with the interpreter and machine it ran on:
   n = 4 family-code tables for every state, REPEATS times, each in a
   fresh interpreter;
 * `cold_start`: the wall time of `nbhdmc desugar -f p` as a new process,
-  REPEATS times.
+  REPEATS times;
+* `valid_probe`: likewise for `nbhdmc valid -f "W p -> ! W W p" --class
+  c`, an exhaustive three-state scan over the orbit-least frames of (c);
+* `paper_suite`: likewise for `nbhdmc paper-suite --jobs J`, per J in
+  SUITE_JOBS.
 
 The seeds, run length and repeats are fixed, so every BENCH_<n>.json is
 recorded the same way and the files compare from one change to the next.
@@ -42,6 +46,8 @@ REPEATS = 3
 TABLE_CLASSES = ((), ("m",), ("c",), ("m", "c"), ("n",), ("r",),
                  ("neg-suppl",))
 COLD_START = ("desugar", "-f", "p")
+VALID_PROBE = ("valid", "-f", "W p -> ! W W p", "--class", "c")
+SUITE_JOBS = (1, 2, 4)
 
 # Times criteria 3 and 10 as the acceptance gate runs them; prints JSON.
 _CRITERIA_PROBE = """
@@ -133,8 +139,11 @@ def class_tables() -> dict:
     return out
 
 
-def cold_start() -> dict:
-    argv = [sys.executable, "-m", "nbhdmc.cli", *COLD_START]
+def cli_wall(args) -> dict:
+    """Wall time of `nbhdmc <args>` as a new process, REPEATS times; the
+    command must exit 0."""
+    print(f"nbhdmc {' '.join(args)}", file=sys.stderr)
+    argv = [sys.executable, "-m", "nbhdmc.cli", *args]
     runs = []
     for _ in range(REPEATS):
         start = time.perf_counter()
@@ -142,9 +151,10 @@ def cold_start() -> dict:
                               check=False)
         runs.append(time.perf_counter() - start)
         if proc.returncode != 0:
-            msg = f"{' '.join(COLD_START)} exited with {proc.returncode}"
+            msg = f"{' '.join(args)} exited with {proc.returncode}"
             raise RuntimeError(msg)
-    return {"median_s": statistics.median(runs), "runs_s": runs}
+    return {"argv": " ".join(args), "median_s": statistics.median(runs),
+            "runs_s": runs}
 
 
 def main(argv=None) -> int:
@@ -159,8 +169,12 @@ def main(argv=None) -> int:
                       "workloads": perfbench()},
         "criteria": {"repeats": REPEATS, **criteria()},
         "class_tables": {"repeats": REPEATS, "states": 4, **class_tables()},
-        "cold_start": {"repeats": REPEATS, "argv": " ".join(COLD_START),
-                       **cold_start()},
+        "cold_start": {"repeats": REPEATS, **cli_wall(COLD_START)},
+        "valid_probe": {"repeats": REPEATS, **cli_wall(VALID_PROBE)},
+        "paper_suite": {"repeats": REPEATS,
+                        **{f"jobs_{jobs}": cli_wall(("paper-suite", "--jobs",
+                                                     str(jobs)))
+                           for jobs in SUITE_JOBS}},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
