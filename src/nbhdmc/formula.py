@@ -394,31 +394,34 @@ def _core(f: Formula) -> Formula:
 
 # --- measures --------------------------------------------------------------
 
+_MODAL = (Bullet, Circ, Wrong, Box, Announce)
+
+
+def _distinct_nodes(f: Formula, found=None) -> dict[int, Formula]:
+    """The distinct nodes of f by id, each after its children, so shared
+    subtrees (as desugaring makes) are visited once."""
+    found = {} if found is None else found
+    if id(f) not in found:
+        for c in children(f):
+            _distinct_nodes(c, found)
+        found[id(f)] = f
+    return found
+
+
 def modal_depth(f: Formula) -> int:
     """Nesting depth of U/O/W/K/announcement operators."""
-    if isinstance(f, (Atom, Top, Bot)):
-        return 0
-    kid_depth = max(modal_depth(c) for c in children(f))
-    if isinstance(f, (Bullet, Circ, Wrong, Box, Announce)):
-        return 1 + kid_depth
-    return kid_depth
+    depth: dict[int, int] = {}
+    for key, g in _distinct_nodes(f).items():
+        depth[key] = (max((depth[id(c)] for c in children(g)), default=0)
+                      + isinstance(g, _MODAL))
+    return depth[id(f)]
 
 
 def atoms_of(f: Formula) -> tuple[str, ...]:
     """Sorted atom names occurring in f."""
-    acc: set[str] = set()
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, Atom):
-            acc.add(g.name)
-        for c in children(g):
-            walk(c)
-
-    walk(f)
-    return tuple(sorted(acc))
+    return tuple(sorted({g.name for g in _distinct_nodes(f).values()
+                         if isinstance(g, Atom)}))
 
 
 def has_announcement(f: Formula) -> bool:
-    if isinstance(f, Announce):
-        return True
-    return any(has_announcement(c) for c in children(f))
+    return any(isinstance(g, Announce) for g in _distinct_nodes(f).values())

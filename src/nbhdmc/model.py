@@ -394,11 +394,6 @@ def _compress(mask: int, kept) -> int:
     return sum((mask >> old & 1) << new for new, old in enumerate(kept))
 
 
-def _expand(mask: int, kept) -> int:
-    """Inverse of _compress: bit i goes back to state kept[i]."""
-    return sum((mask >> new & 1) << old for new, old in enumerate(kept))
-
-
 def restrict_codes(codes, kept: int) -> tuple[int, ...]:
     """Family codes of the submodel on the states in the mask kept.
 

@@ -31,16 +31,19 @@ compiled once.  Exhaustive scans judge frames a chunk at a time like
 sampled draws, one (frame, valuation) pair per lane, frame by frame and
 valuation by valuation, so the first failing lane is the first failing
 frame's first failing valuation; a chunk of fewer lanes than a measured
-crossover sweeps each frame's valuations on a plain frame, as do a frame
-whose valuations fill more than one block and a formula with an
-announcement.  They judge only the frames that can be the canonical
-minimum, with the verdict unchanged:
+crossover sweeps each frame's valuations on a plain frame, as does a
+frame whose valuations fill more than one block.  Announcements run on
+lanes like any connective, relativized (see `semantics`).  Scans judge
+only the frames that can be the canonical minimum, with the verdict
+unchanged:
 
-* a formula of modal depth at most 1 without announcements is true at a
-  state depending only on that state's family code and the valuation,
-  so one frame with every state given code c tells at which states c
-  fails (these frames, too, are judged in lane chunks); the least frame
-  with a failing state follows from that;
+* a local formula (Program.local: its modal operators read
+  valuation-only arguments, inside announcements of valuation-only
+  formulas only) is true at a state depending only on that state's
+  family code and the valuation, so one frame with every state given
+  code c tells at which states c fails (these frames, too, are judged
+  in lane chunks); the least frame with a failing state follows from
+  that;
 * otherwise, the frames with a countermodel are closed under state
   permutation and every class is too, so the canonical minimum is the
   least frame of its orbit, and frames some permutation makes smaller
@@ -442,11 +445,11 @@ def _scan(prog: Program, n: int, properties: frozenset):
     """First witness (family codes, valuation masks, state) among the
     class's n-state frames in canonical order, or None.
 
-    When a frame's valuations fit one block and the formula has no
-    announcement, frames are judged a chunk at a time (_chunks), frame i
-    of the chunk under valuation j in lane i * V + j, so the first
-    failing lane is the first failing frame's first failing valuation at
-    its lowest failing state, as frame by frame sweeps find it.
+    When a frame's valuations fit one block, frames are judged a chunk
+    at a time (_chunks), frame i of the chunk under valuation j in lane
+    i * V + j, so the first failing lane is the first failing frame's
+    first failing valuation at its lowest failing state, as frame by
+    frame sweeps find it.
     """
     k = len(prog.atoms)
     blocks = tuple(_blocks(prog, n))  # static slots, shared by every frame
@@ -454,10 +457,8 @@ def _scan(prog: Program, n: int, properties: frozenset):
         frames = _local_frames(prog, n, properties, k > 0, blocks)
     else:
         frames = _orbit_least_frames(n, properties)
-    # A local scan sweeps 2 frames.  An announcement's body runs once per
-    # lane as once per valuation, so lanes save it little, and a chunk's
-    # submodels held at once measured 5-20 % slower than frame by frame.
-    per = 0 if prog.local or prog.announces else _lanes_per_frame(blocks)
+    # A local scan sweeps 2 frames.
+    per = 0 if prog.local else _lanes_per_frame(blocks)
     for chunk in _chunks(frames, per) if per else (frames,):
         if not per or len(chunk) * per < _SCAN_LANES_FROM:
             for codes in chunk:
@@ -542,8 +543,7 @@ def _sampled_search(f: Formula, prog: Program, cls: ClassSpec, seed: int,
     (_splitmix_block) and read exactly as SplitMix64.below would read it.
     The first chunk is one draw, judged on a plain frame, so a failure
     at draw 0 builds no lane tables; from there the chunks double, so a
-    failure at draw k judges fewer than 2k + 2 draws.  That bound
-    matters for announcements, which cost each lane a run of the body.
+    failure at draw k judges fewer than 2k + 2 draws.
     """
     n = cls.max_states
     if n > SAMPLED_MAX_STATES:

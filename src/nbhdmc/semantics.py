@@ -10,26 +10,36 @@ Clauses at state s, writing E for the child's extension:
 
 One kernel serves every caller: evaluate, extension, frame_valid, the
 countermodel scans and distinguish.  A formula is compiled once into a
-straight-line program with one slot per distinct subformula; slots are
-hash-consed on (operator, child slots), never on formula trees.
+straight-line program with one slot per distinct subformula and
+context; slots are hash-consed on (operator, child slots), never on
+formula trees.
 
 Over one frame of n states a slot's value is a single int holding the
 extension under V valuations at once: valuation j sits at bits
 [j*n, (j+1)*n), and V = 1 is the single-model case.  The connectives
 cost one big-int operation each, whatever V is.  A modal node reads,
 per valuation, the frame's table K[x]: the states whose family code
-(bit x set when the set with mask x is a neighborhood) has bit x.  An
-announcement runs its body's own program on the submodel, once per
-valuation whose announced extension is non-empty.
+(bit x set when the set with mask x is a neighborhood) has bit x.
+
+Announcements never build a submodel; they relativize.  The submodel
+on the states P keeps X & P of every neighborhood X (Ma & Sano, "How to
+update neighbourhood models", J. Logic Comput. 2018), so for s in P
+and Y within P, Y is a neighborhood of s there exactly when K[Y | Z]
+has bit s for some Z outside P, and on a frame closed under supersets
+when K[Y | ~P] has.  So [a] b compiles inline as pa -> b, with the
+announced set pa = ctx & a, where ctx is the set announced around it
+(everything at the top), and b compiled under the context pa: a modal
+node under a context reads its argument v as v & pa | ~pa.  Nested
+announcements compose by intersection.  Slot values outside their
+context are never read.
 
 A lane frame (_Lanes) runs V models side by side instead, lane j with
 its own family codes and valuation at bits [j*n, (j+1)*n): sampled
 search judges a chunk of draws, and exhaustive search a chunk of
 frames under all their valuations, with one pass of the same
 interpreter.  Its modal nodes pick every lane's K entry at once with
-2^n - 1 big-int multiplexers, and its announcements restrict each
-lane's own frame.  Verdicts are those of evaluating the lanes one at a
-time.
+2^n - 1 big-int multiplexers.  Verdicts are those of evaluating the
+lanes one at a time.
 """
 
 from __future__ import annotations
@@ -42,8 +52,7 @@ from typing import NamedTuple
 from .formula import (And, Announce, Atom, Bot, Box, Bullet, Circ, Formula,
                       Iff, Imp, Not, Or, Top, Wrong, atoms_of)
 from .model import (NeighborhoodFrame, NeighborhoodModel, NonMonotoneError,
-                    PointedModel, StateSet, _compress, _expand, _members,
-                    code_has_property, restrict_codes)
+                    PointedModel, StateSet, code_has_property)
 
 __all__ = ["evaluate", "extension", "frame_valid"]
 
@@ -69,11 +78,12 @@ class Program(NamedTuple):
     `static` fills the slots that depend on the valuation only, `dynamic`
     the rest, so a scan computes the static slots once per valuation
     block instead of once per frame.  Atom instructions read index a of
-    `atoms`; atoms not listed there are empty.  An announcement's b is
-    its body's Program, which reads the same atom indexes.  `local` says
-    the formula has modal depth at most 1 and no announcement, so its
-    truth at a state reads only that state's family code and the
-    valuation; `announces` says it has an announcement.
+    `atoms`; atoms not listed there are empty.  A modal instruction's b
+    is its context slot, None outside every announcement, and an
+    announcement's (pa, body) are (a, b).  `local` says every modal
+    instruction reads a static argument in a static context, so the
+    formula's truth at a state reads only that state's family code and
+    the valuation; `announces` says it has an announcement.
     """
 
     atoms: tuple[str, ...]
@@ -90,22 +100,19 @@ class _Builder:
 
     Given atoms fix the atom indexes and other atoms read as empty;
     without them each atom gets the next index where it first occurs.
-    An announcement body's builder shares its parent's index.
     """
 
     __slots__ = ("fixed", "index", "slots", "code", "seen")
 
-    def __init__(self, atoms=None, parent: _Builder | None = None):
-        if parent is not None:
-            self.fixed, self.index = parent.fixed, parent.index
-        else:
-            self.fixed = atoms is not None
-            self.index = {name: i for i, name in enumerate(atoms or ())}
+    def __init__(self, atoms=None):
+        self.fixed = atoms is not None
+        self.index = {name: i for i, name in enumerate(atoms or ())}
         self.slots: dict[tuple, int] = {}  # (op, a, b) -> slot
         self.code: list[tuple] = []
-        self.seen: dict[int, int] = {}  # id of a node -> slot, shared subtrees
+        # (id of a node, context slot) -> slot, shared subtrees
+        self.seen: dict[tuple, int] = {}
 
-    def node(self, op: int, a=0, b=0) -> int:
+    def node(self, op: int, a=0, b=None) -> int:
         key = (op, a, b)
         slot = self.slots.get(key)
         if slot is None:
@@ -113,8 +120,10 @@ class _Builder:
             self.code.append((slot,) + key)
         return slot
 
-    def formula(self, f: Formula) -> int:
-        slot = self.seen.get(id(f))
+    def formula(self, f: Formula, ctx: int | None = None) -> int:
+        """f's slot under the context slot ctx (None: no announcement)."""
+        key = (id(f), ctx)
+        slot = self.seen.get(key)
         if slot is not None:
             return slot
         op = _OPS.get(type(f))
@@ -122,21 +131,25 @@ class _Builder:
             msg = f"not a formula: {f!r}"
             raise TypeError(msg)
         if _AND <= op <= _IFF:
-            slot = self.node(op, self.formula(f.left), self.formula(f.right))
-        elif op == _NOT or op >= _BOX:
-            slot = self.node(op, self.formula(f.child))
+            slot = self.node(op, self.formula(f.left, ctx),
+                             self.formula(f.right, ctx))
+        elif op == _NOT:
+            slot = self.node(op, self.formula(f.child, ctx))
+        elif op >= _BOX:
+            slot = self.node(op, self.formula(f.child, ctx), ctx)
         elif op == _ATOM:
             i = self.index.get(f.name)
             if i is None and not self.fixed:
                 i = self.index[f.name] = len(self.index)
             slot = self.node(_BOT) if i is None else self.node(_ATOM, i)
         elif op == _ANN:
-            body = _Builder(parent=self)
-            slot = self.node(_ANN, self.formula(f.announced),
-                             body.program(body.formula(f.body)))
+            pa = self.formula(f.announced, ctx)
+            if ctx is not None:
+                pa = self.node(_AND, ctx, pa)
+            slot = self.node(_ANN, pa, self.formula(f.body, pa))
         else:
             slot = self.node(op)
-        self.seen[id(f)] = slot
+        self.seen[key] = slot
         return slot
 
     def program(self, root: int) -> Program:
@@ -150,8 +163,9 @@ class _Builder:
             is_static.append(flag)
             (static if flag else dynamic).append(ins)
             if op == _ANN:
-                local, announces = False, True
-            elif op >= _BOX and not is_static[a]:
+                announces = True
+            elif op >= _BOX and not (is_static[a] and
+                                     (b is None or is_static[b])):
                 local = False
         return Program(tuple(self.index), tuple(static), tuple(dynamic),
                        len(self.code), root, local, announces)
@@ -192,8 +206,7 @@ class _Frame:
     announcement met a non-monotone frame without force.
     """
 
-    __slots__ = ("n", "full", "codes", "K", "force", "blocked", "_monotone",
-                 "_subs")
+    __slots__ = ("n", "full", "codes", "K", "force", "blocked", "_monotone")
 
     def __init__(self, n: int, codes, force: bool = False,
                  eager: bool = False):
@@ -204,7 +217,6 @@ class _Frame:
         self.force = force
         self.blocked: int | None = None
         self._monotone: bool | None = None
-        self._subs: dict[int, tuple] = {}
 
     def k_at(self, x: int) -> int:
         return sum((c >> x & 1) << s for s, c in enumerate(self.codes))
@@ -214,16 +226,6 @@ class _Frame:
             self._monotone = all(code_has_property(self.n, c, "m")
                                  for c in set(self.codes))
         return self._monotone
-
-    def sub(self, pa: int, lane: int):
-        """(submodel frame, kept states) of the restriction to pa; every
-        lane (valuation) shares the frame."""
-        hit = self._subs.get(pa)
-        if hit is None:
-            kept = tuple(_members(pa))
-            sub = _Frame(len(kept), restrict_codes(self.codes, pa), self.force)
-            hit = self._subs[pa] = (sub, kept)
-        return hit
 
 
 # _BIT[b] maps a byte to its bit b.
@@ -283,9 +285,8 @@ class _Lanes(_Frame):
 
     Kl[x] has bit j*n+s set when lane j's code at state s has bit x, so
     a modal node picks each lane's K entry with 2^n - 1 multiplexers
-    (_mux) instead of a loop over the lanes.  Announcements restrict
-    each lane's own codes.  A lane frame's lanes come from one class,
-    so monotone() reads them all at once.
+    (_mux) instead of a loop over the lanes.  A lane frame's lanes come
+    from one class, so monotone() reads them all at once.
     """
 
     __slots__ = ("V", "ALL", "rep", "Kl")
@@ -301,17 +302,6 @@ class _Lanes(_Frame):
         self.Kl = [int.from_bytes(columns[x >> 3][x & 7::8], "little")
                    for x in range(1 << n)]
 
-    def sub(self, pa: int, lane: int):
-        """(submodel frame, kept states) of lane's restriction to pa."""
-        hit = self._subs.get((lane, pa))
-        if hit is None:
-            n = self.n
-            kept = tuple(_members(pa))
-            codes = restrict_codes(self.codes[lane * n:(lane + 1) * n], pa)
-            sub = _Frame(len(kept), codes, self.force)
-            hit = self._subs[lane, pa] = (sub, kept)
-        return hit
-
 
 def _mux(Kl: list, v: int, rep: int, full: int, n: int) -> int:
     """Per lane j, Kl[x] at lane j where x is v's value at lane j: bit i
@@ -325,23 +315,21 @@ def _mux(Kl: list, v: int, rep: int, full: int, n: int) -> int:
     return level[0]
 
 
-def _announce(fr: _Frame, pa_all: int, body: Program, A, V: int) -> int:
-    # The submodel of a monotone frame is monotone, and a non-monotone
-    # frame is only entered under force, so a body run never blocks.
+def _k_forced(fr: _Frame, v: int, pa: int, V: int) -> int:
+    """Per valuation, the states s where v within pa is a neighborhood of
+    s in the submodel on pa, on a frame not closed under supersets: where
+    K[v & pa | z] has s for some z outside pa."""
     n, full = fr.n, fr.full
-    out = 0
-    for j in range(V):
-        sh = j * n
-        pa = pa_all >> sh & full
-        if pa and (fr.force or fr.monotone()):
-            sub, kept = fr.sub(pa, j)
-            eb = _run(body, sub, [_compress(v >> sh & pa, kept) for v in A])
-            out |= (full ^ pa | _expand(eb, kept)) << sh
-        else:
-            if pa and (fr.blocked is None or j < fr.blocked):
-                fr.blocked = j
-            out |= full << sh  # vacuous, or blocked: the caller raises
-    return out
+    k = 0
+    for sh in range(0, V * n, n):
+        keep = pa >> sh & full
+        y, out = v >> sh & keep, full ^ keep
+        acc, z = fr.k_at(y), out
+        while z:  # every nonempty z within out
+            acc |= fr.k_at(y | z)
+            z = z - 1 & out
+        k |= acc << sh
+    return k
 
 
 def _exec(code, vals: list, A, fr: _Frame, V: int, ALL: int) -> None:
@@ -354,7 +342,12 @@ def _exec(code, vals: list, A, fr: _Frame, V: int, ALL: int) -> None:
             vals[dst] = ALL ^ vals[a]
         elif op >= _BOX:
             v = vals[a]
-            if V == 1:
+            if b is not None:  # in the submodel on the context pa
+                pa = vals[b]
+                v = v & pa | ALL ^ pa
+            if b is not None and fr.force and not fr.monotone():
+                k = _k_forced(fr, v, pa, V)
+            elif V == 1:
                 try:
                     k = K[v]
                 except KeyError:
@@ -380,7 +373,12 @@ def _exec(code, vals: list, A, fr: _Frame, V: int, ALL: int) -> None:
         elif op == _IFF:
             vals[dst] = ALL ^ vals[a] ^ vals[b]
         elif op == _ANN:
-            vals[dst] = _announce(fr, vals[a], b, A, V)
+            pa = vals[a]
+            if pa and not fr.force and not fr.monotone():
+                j = ((pa & -pa).bit_length() - 1) // n  # first valuation
+                if fr.blocked is None or j < fr.blocked:
+                    fr.blocked = j  # the caller raises
+            vals[dst] = ALL ^ pa | vals[b]
         elif op == _ATOM:
             vals[dst] = A[a]
         elif op == _TOP:
@@ -414,13 +412,13 @@ class _Closure:
                      for m in models]
 
     def atom(self, name: str) -> tuple[int, tuple[int, ...]]:
-        return self._add(_ATOM, self.builder.index[name], 0)
+        return self._add(_ATOM, self.builder.index[name], None)
 
-    def node(self, kind: type, a: int, b: int = 0) -> tuple[int, tuple[int, ...]]:
+    def node(self, kind: type, a: int, b=None) -> tuple[int, tuple[int, ...]]:
         op = _UNARY[kind] if kind in _UNARY else _BINARY[kind]
         return self._add(op, a, b)
 
-    def _add(self, op: int, a: int, b: int):
+    def _add(self, op: int, a: int, b):
         slot = self.builder.node(op, a, b)
         for fr, masks, vals in self.runs:
             if slot == len(vals):
@@ -497,7 +495,8 @@ def _sweep_lanes(prog: Program, fr: _Lanes, A):
 def _failing_states(prog: Program, fr: _Frame, blocks) -> int:
     """Mask of the states where the formula fails under some valuation.
 
-    For programs without announcements, which never block.
+    Announcements are not checked for blocking: the scans that ask read
+    classes closed under supersets only.
     """
     n = fr.n
     out = 0
@@ -518,7 +517,7 @@ def _failing_states(prog: Program, fr: _Frame, blocks) -> int:
 def _failing_lanes(prog: Program, fr: _Lanes, A, per: int) -> list[int]:
     """_failing_states per run of `per` lanes: run i's mask of the states
     failing in some lane of it, lane j read under the valuation at lane j
-    of the atom ints A.  For programs without announcements."""
+    of the atom ints A."""
     n = fr.n
     vals = [0] * prog.size
     _exec(prog.static, vals, A, fr, fr.V, fr.ALL)

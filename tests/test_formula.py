@@ -1,5 +1,6 @@
 """Parser, printer, desugaring and formula measures."""
 
+import time
 from pathlib import Path
 
 import pytest
@@ -282,6 +283,20 @@ def test_atoms_of():
 def test_has_announcement():
     assert has_announcement(parse("K [p] q"))
     assert not has_announcement(parse("K p & W q"))
+
+
+def test_measures_visit_shared_subtrees_once():
+    # desugaring K reads its argument three times, so 40 nested K make a
+    # tree of 3^40 paths over a few hundred distinct nodes
+    f = desugar(parse("K " * 40 + "p"))
+    g = desugar(parse("[q] " + "K " * 40 + "p"))
+    for measure, formula, expected in [(atoms_of, f, ("p",)),
+                                       (modal_depth, f, 40),
+                                       (has_announcement, f, False),
+                                       (has_announcement, g, True)]:
+        start = time.perf_counter()
+        assert measure(formula) == expected, measure
+        assert time.perf_counter() - start < 1, measure
 
 
 def test_node_access():

@@ -78,8 +78,8 @@ def test_random_full_language_formulas_match_the_referee():
 
 
 def test_random_announcements_over_m_match_the_referee():
-    # announced and body formulas vary per lane, so each lane restricts
-    # its own frame to its own announced extension
+    # announced and body formulas vary per lane, so each lane reads its
+    # modal operators relative to its own announced extension
     rng = SplitMix64(3)
     for case in range(40):
         props = (("m",), ("m", "c"), ("m", "n"))[case % 3]
@@ -141,8 +141,8 @@ def test_chunk_sizes_do_not_change_verdicts(monkeypatch, first_chunk, cap):
 
 
 def test_a_failure_at_the_first_draw_builds_no_lane_frame(monkeypatch):
-    # the first chunk is one draw on a plain frame, so an announcement
-    # that fails at once runs its body once, not once per lane
+    # the first chunk is one draw on a plain frame, so a formula that
+    # fails at once builds no lane tables
     def no_lanes(*args):
         raise AssertionError("lane frame built")
 

@@ -290,6 +290,11 @@ EVERY_CLASS = [frozenset(props) for props in (
     *[("W W p -> p", props) for props in EVERY_CLASS],
     *[("K p -> K K p", props) for props in EVERY_CLASS],
     ("U p -> U U p", frozenset(("neg-suppl",))),
+    # local announcements, through the per-code sweeps; the last is the
+    # reduction axiom of K, valid over (m)
+    ("[p] K q -> K q", frozenset(("m",))),
+    ("[p] ! K q | K (q | p)", frozenset(("m",))),
+    ("[p] K q <-> (p -> K (p -> q))", frozenset(("m",))),
 ])
 def test_search_minimum_matches_brute_force(text, properties):
     f = parse(text)
@@ -334,10 +339,15 @@ def test_three_state_minimum_matches_brute_force(text, depth):
     assert verdict.pointed.model.frame != next(enumerate_frames(3, M3))
 
 
-def test_local_flag_is_modal_depth_at_most_one_without_announcements():
+def test_local_flag_is_static_modal_arguments_and_contexts():
+    # an announcement of a valuation-only formula gives its body's modal
+    # operators a static context, so it keeps them local
     for text, local in [("p & q", True), ("K p -> U (p | ! q)", True),
                         ("O p & W p", True), ("U U p", False),
-                        ("K (p & W q)", False), ("[p] q", False)]:
+                        ("K (p & W q)", False), ("[p] q", True),
+                        ("[p] K q", True), ("[p] [! q] (O p | W q)", True),
+                        ("[p] K (q & W p)", False), ("[K p] K q", False),
+                        ("[K p] q", True)]:
         assert compile_formula(parse(text)).local == local, text
 
 
@@ -561,12 +571,16 @@ def test_scans_past_the_valuation_block_sweep_frame_by_frame(monkeypatch):
 
 
 def test_announcement_scans_match_brute_force(monkeypatch):
-    # an announcement's body runs once per lane, so these scans sweep
-    # their frames one at a time, whatever the chunk sizes
-    def no_lanes(*args):
-        raise AssertionError("lane frame built")
+    # announcements run on lanes like any connective: with every chunk on
+    # lanes, the scans build lane frames and keep the brute-force minimum
+    built = []
 
-    monkeypatch.setattr(search, "_Lanes", no_lanes)
+    def lanes(n, codes):
+        built.append(n)
+        return lane_frame(n, codes)
+
+    lane_frame = search._Lanes
+    monkeypatch.setattr(search, "_Lanes", lanes)
     monkeypatch.setattr(search, "_SCAN_LANES_FROM", 1)
     rng = SplitMix64(2024)
     kinds = {"countermodel": 0, "none": 0}
@@ -579,6 +593,17 @@ def test_announcement_scans_match_brute_force(monkeypatch):
         kinds["countermodel" if found else "none"] += 1
         assert _scan_json(f, ClassSpec(M, 2)) == expected, f
     assert min(kinds.values()) >= 5, kinds
+    assert built
+
+
+def test_local_announcement_three_state_minimum_matches_brute_force():
+    # three pairwise disjoint neighborhoods of the submodel, none empty
+    f = parse("[! (p & q)] "
+              "! (! K false & K (p & ! q) & K (q & ! p) & K (! p & ! q))")
+    assert compile_formula(f).local
+    doc, state = _brute_minimum(f, 3, M, lambda n: _oracle_class_frames(n, M))
+    assert len(doc["states"]) == 3
+    assert _scan_json(f, M3) == _expected_json((doc, state))
 
 
 @pytest.mark.parametrize("props", [*EVERY_CLASS, frozenset(("c", "neg-suppl"))])

@@ -102,6 +102,11 @@ def test_announcement_requires_monotone_unless_forced():
         evaluate(PointedModel(nonmono, 0), parse("[p] K p"))
     assert evaluate(PointedModel(nonmono, 0), parse("[p] K p"), force=True) \
         is False
+    # one block holds both valuations: the failure at valuation 0, where p
+    # is empty, comes before the blocked valuation 1
+    assert _first_failure(nonmono.frame, parse("! [p] p")) == (0, 0)
+    with pytest.raises(NonMonotoneError, match="pass force"):
+        frame_valid(nonmono.frame, parse("[p] p"))
 
 
 def test_announcement_matches_submodel_restriction():

@@ -17,6 +17,9 @@ It writes, with the interpreter and machine it ran on:
   REPEATS times;
 * `valid_probe`: likewise for `nbhdmc valid -f "W p -> ! W W p" --class
   c`, an exhaustive three-state scan over the orbit-least frames of (c);
+* `announce_probe`: likewise for `nbhdmc valid -f "[[W false] (p | K q)]
+  [q] (U true -> true)" --class m,n`, an exhaustive three-state scan of
+  a valid formula with nested announcements;
 * `paper_suite`: likewise for `nbhdmc paper-suite --jobs J`, per J in
   SUITE_JOBS.
 
@@ -47,6 +50,8 @@ TABLE_CLASSES = ((), ("m",), ("c",), ("m", "c"), ("n",), ("r",),
                  ("neg-suppl",))
 COLD_START = ("desugar", "-f", "p")
 VALID_PROBE = ("valid", "-f", "W p -> ! W W p", "--class", "c")
+ANNOUNCE_PROBE = ("valid", "-f", "[[W false] (p | K q)] [q] (U true -> true)",
+                  "--class", "m,n")
 SUITE_JOBS = (1, 2, 4)
 
 # Times criteria 3 and 10 as the acceptance gate runs them; prints JSON.
@@ -171,6 +176,7 @@ def main(argv=None) -> int:
         "class_tables": {"repeats": REPEATS, "states": 4, **class_tables()},
         "cold_start": {"repeats": REPEATS, **cli_wall(COLD_START)},
         "valid_probe": {"repeats": REPEATS, **cli_wall(VALID_PROBE)},
+        "announce_probe": {"repeats": REPEATS, **cli_wall(ANNOUNCE_PROBE)},
         "paper_suite": {"repeats": REPEATS,
                         **{f"jobs_{jobs}": cli_wall(("paper-suite", "--jobs",
                                                      str(jobs)))
