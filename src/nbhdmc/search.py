@@ -30,30 +30,36 @@ Scans go through the evaluation kernel in `semantics`: the formula is
 compiled once.  Exhaustive scans judge frames a chunk at a time like
 sampled draws, one (frame, valuation) pair per lane, frame by frame and
 valuation by valuation, so the first failing lane is the first failing
-frame's first failing valuation; a chunk of fewer lanes than a measured
-crossover sweeps each frame's valuations on a plain frame, as does a
-frame whose valuations fill more than one block.  Announcements run on
-lanes like any connective, relativized (see `semantics`).  Scans judge
-only the frames that can be the canonical minimum, with the verdict
+frame's first failing valuation; a frame whose valuations fill more
+than one block is swept on a plain frame.  Announcements run on lanes
+like any connective, relativized (see `semantics`).  Scans judge only
+the frames that can be the canonical minimum, with the verdict
 unchanged:
 
 * a local formula (Program.local: its modal operators read
   valuation-only arguments, inside announcements of valuation-only
   formulas only) is true at a state depending only on that state's
   family code and the valuation, so one frame with every state given
-  code c tells at which states c fails (these frames, too, are judged
-  in lane chunks); the least frame with a failing state follows from
-  that;
+  code c tells at which states c fails (all codes are judged in one
+  pass on a lane frame); the least frame with a failing state follows
+  from that;
 * otherwise, the frames with a countermodel are closed under state
   permutation and every class is too, so the canonical minimum is the
   least frame of its orbit, and frames some permutation makes smaller
   are skipped (McKay, "Isomorph-Free Exhaustive Generation", 1998).
+
+The lane frames and atom ints of a scan depend on its kind, n, class
+and valuations per frame, not on the formula, so they are built once
+and replayed by later scans (_lane_chunks): the first _MEMO_LANES lanes
+of each of the _MEMO_KEYS keys used last are kept, and chunks past that
+budget are built and dropped, so memory stays bounded.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, permutations, product
@@ -63,9 +69,9 @@ from .formula import And, Atom, Bullet, Formula, Not, Wrong, atoms_of
 from .model import (MAX_STATES, PREFIX_ORDER, PROPERTY_IDS,
                     NeighborhoodModel, PointedModel, StateSet, _members,
                     code_has_property, frame_from_codes, model_to_json)
-from .semantics import (Program, _blocks, _Closure, _failing_lanes,
-                        _failing_states, _Frame, _lane_ints, _Lanes, _run,
-                        _sweep, _sweep_lanes, _valuation_masks,
+from .semantics import (Program, _block_atoms, _blocks, _Closure,
+                        _failing_lanes, _failing_states, _Frame, _lane_ints,
+                        _Lanes, _run, _sweep, _sweep_lanes, _valuation_masks,
                         compile_formula, evaluate)
 
 __all__ = [
@@ -347,11 +353,9 @@ def _orbit_least_frames(n: int, properties: frozenset):
 
 _FIRST_CHUNK = 1       # items judged at once, first; each later chunk doubles
 _CHUNK_CAP = 4096      # up to this many lanes
-# A scan chunk of fewer lanes sweeps its frames one at a time.  Measured
-# on two- and three-state frames, plain sweeps cost 0.3-2x a lane frame
-# at 4-32 lanes, 1.6-3.5x at 64 lanes of 4 to 16 frames (about 1x for
-# one frame of 64 valuations), and 8-12x at 4096 lanes.
-_SCAN_LANES_FROM = 64
+_MEMO_LANES = 1 << 14  # lanes of lane chunks kept per scan key (_lane_chunks)
+_MEMO_KEYS = 32        # scan keys kept, the least recently used dropped
+_memo: OrderedDict = OrderedDict()  # key -> _Memo, least recently used first
 
 
 def _chunk_sizes(per: int):
@@ -374,8 +378,75 @@ def _chunks(items, per: int):
         yield chunk
 
 
-def _local_frames(prog: Program, n: int, properties: frozenset, eager: bool,
-                  blocks):
+class _Memo:
+    """A key's lane chunks kept so far, and the stream of frame lists
+    that continues them; None once the lane budget is spent."""
+
+    __slots__ = ("chunks", "lanes", "stream")
+
+    def __init__(self, stream):
+        self.chunks: list = []
+        self.lanes = 0
+        self.stream = stream
+
+
+def _lane_chunks(key, frames, A, whole: bool = False):
+    """(lane frame, atom ints) per chunk of frames(), the key's frames:
+    all of them when whole, else _chunks of them.  Frame i of a chunk
+    under valuation j sits in lane i * per + j, valuation j read off the
+    one block's atom ints A.
+
+    The first chunks of a key, up to _MEMO_LANES lanes, are built once
+    and replayed by every later scan of the key (_memo, an LRU of
+    _MEMO_KEYS keys); later chunks are built and dropped.
+    """
+    _, n, properties, per = key
+
+    def split():
+        return iter((list(frames()),)) if whole else _chunks(frames(), per)
+
+    memo = _memo.pop(key, None) or _Memo(split())
+    _memo[key] = memo
+    if len(_memo) > _MEMO_KEYS:
+        _memo.popitem(last=False)
+    monotone = "m" in properties or None
+
+    def build(chunk):
+        lanes = _Lanes(n, b"".join([bytes(codes) * per for codes in chunk]),
+                       monotone)
+        rep = lanes.ALL // ((1 << per * n) - 1)  # bit 0 of every frame
+        return lanes, [a * rep for a in A]
+
+    yield from memo.chunks
+    if memo.stream is None:  # past the budget: rebuild the rest
+        yield from map(build, islice(split(), len(memo.chunks), None))
+        return
+    for chunk in memo.stream:
+        built = build(chunk)
+        if memo.lanes + len(chunk) * per > _MEMO_LANES:
+            rest, memo.stream = memo.stream, None
+            yield built
+            yield from map(build, rest)
+            return
+        memo.chunks.append(built)
+        memo.lanes += len(chunk) * per
+        yield built
+
+
+@lru_cache(maxsize=None)
+def _local_codes(n: int, properties: frozenset) -> tuple[int, ...]:
+    """The codes a local scan judges, in order of first need: the class
+    minimum's code when it gives every state one code, then each state's
+    other codes, the last state first."""
+    allowed = _allowed_lists(n, properties)
+    least = {options[0] for options in allowed}
+    codes = [code for s in reversed(range(n)) for code in allowed[s][1:]]
+    return tuple(dict.fromkeys([*least, *codes] if len(least) == 1
+                               else codes))
+
+
+def _local_frames(prog: Program, n: int, properties: frozenset, per: int,
+                  blocks, A):
     """The frames a scan of a local program (see Program) must sweep.
 
     First the class minimum; if the scan goes on, that frame has no
@@ -384,95 +455,103 @@ def _local_frames(prog: Program, n: int, properties: frozenset, eager: bool,
     at least the minimum frame with state s's code raised to the least
     one failing at s, for the largest such s: that frame comes next.
     Where a code fails is read off the frame giving every state that
-    code.  Codes are judged in order of first need, one at a time when
-    all of them fill fewer lanes than one lane run, else a chunk at a
-    time (_code_failures).
+    code (_code_failures).  A minimum giving every state one code is
+    such a frame, judged with the others and yielded only if it has a
+    countermodel, so the scan sweeps one frame on its own at most.
     """
     allowed = _allowed_lists(n, properties)
     least = tuple(options[0] for options in allowed)
-    yield least
-    codes = dict.fromkeys(code for s in reversed(range(n))
-                          for code in allowed[s][1:])
-    per = _lanes_per_frame(blocks)
-    chunks = (_chunks(codes, per) if len(codes) * per >= _SCAN_LANES_FROM
-              else None)
+    uniform = len(set(least)) == 1
+    if not uniform:
+        yield least
+    judged = _code_failures(prog, n, properties, per, blocks, A)
     failing: dict[int, int] = {}
+
+    def fails(code: int) -> int:
+        while code not in failing:
+            done, mask = next(judged)
+            failing[done] = mask
+        return failing[code]
+
+    if uniform and fails(least[0]):
+        yield least
+        return
     for s in reversed(range(n)):
         for code in allowed[s][1:]:
-            if code not in failing:
-                if chunks is None:
-                    failing[code] = _failing_states(
-                        prog, _Frame(n, (code,) * n, eager=eager), blocks)
-                else:  # the next chunk starts with this code
-                    failing.update(_code_failures(prog, n, next(chunks),
-                                                  eager, blocks))
-            if failing[code] >> s & 1:
+            if fails(code) >> s & 1:
                 yield least[:s] + (code,) + least[s + 1:]
                 return
 
 
-def _code_failures(prog: Program, n: int, chunk, eager: bool, blocks):
-    """(code, mask of the states where it fails) for each code of the
-    chunk: the states failing, under some valuation, on the frame giving
-    every state that code.  On a lane frame, code i's frame under
-    valuation j sits in lane i * V + j."""
-    per = _lanes_per_frame(blocks)
-    if len(chunk) * per < _SCAN_LANES_FROM:
-        return [(code, _failing_states(
-            prog, _Frame(n, (code,) * n, eager=eager), blocks))
-            for code in chunk]
-    width = n * per
-    lanes = _Lanes(n, b"".join([bytes((code,)) * width for code in chunk]))
-    return zip(chunk, _failing_lanes(prog, lanes, _repeat_atoms(blocks, lanes),
-                                     per))
+def _code_failures(prog: Program, n: int, properties: frozenset, per: int,
+                   blocks, A):
+    """(code, mask of the states where it fails under some valuation) per
+    code of _local_codes, in order, on the frame giving every state that
+    code.
 
-
-def _lanes_per_frame(blocks) -> int:
-    """Valuations per frame when they fit one block, else 0: a frame then
-    takes several runs of the kernel and is swept on its own."""
-    return blocks[0][1] if len(blocks) == 1 else 0
-
-
-def _repeat_atoms(blocks, lanes: _Lanes) -> list[int]:
-    """The one block's atom ints repeated over the lanes, once per frame
-    of its valuations."""
-    _, _, ALL, A, _ = blocks[0]
-    rep = lanes.ALL // ALL  # bit 0 of every run of V lanes
-    return [a * rep for a in A]
+    When those frames fill at most _MEMO_LANES lanes, every code is
+    judged in one pass of the kernel, on a lane frame kept for later
+    scans (_lane_chunks); more are judged in lane chunks (_chunk_sizes),
+    and a frame whose valuations fill more than one block (per == 0) is
+    swept on its own.  Code i of a lane frame under valuation j sits in
+    lane i * per + j.
+    """
+    codes = _local_codes(n, properties)
+    if not per:
+        for code in codes:
+            yield code, _failing_states(
+                prog, _Frame(n, (code,) * n, eager=True), blocks)
+        return
+    chunks = _lane_chunks(("local", n, properties, per),
+                          lambda: [(code,) * n for code in codes], A,
+                          len(codes) * per <= _MEMO_LANES)
+    for lanes, atoms in chunks:
+        yield from zip(lanes.codes[::n * per],
+                       _failing_lanes(prog, lanes, atoms, per))
 
 
 def _scan(prog: Program, n: int, properties: frozenset):
     """First witness (family codes, valuation masks, state) among the
     class's n-state frames in canonical order, or None.
 
-    When a frame's valuations fit one block, frames are judged a chunk
-    at a time (_chunks), frame i of the chunk under valuation j in lane
-    i * V + j, so the first failing lane is the first failing frame's
-    first failing valuation at its lowest failing state, as frame by
-    frame sweeps find it.
+    When a frame's `per` valuations fit one block, orbit-least frames
+    are judged a chunk at a time (_chunk_sizes), frame i of the chunk
+    under valuation j in lane i * per + j, so the first failing lane is
+    the first failing frame's first failing valuation at its lowest
+    failing state, as frame by frame sweeps find it.  The chunks are the
+    kept ones as far as they go (_lane_chunks), and the failing frame is
+    read back from its lanes' codes.  A local program sweeps the one
+    frame its per-code judgement leaves on a plain frame, as is every
+    frame whose valuations fill more than one block.  Announcements are
+    only scanned over classes requiring (m), and the frames are told so.
     """
     k = len(prog.atoms)
-    blocks = tuple(_blocks(prog, n))  # static slots, shared by every frame
+    V, A = _block_atoms(n, k)
+    per = V if V == 1 << n * k else 0  # valuations per frame in one block
+    blocks = None if per else tuple(_blocks(prog, n))
+    if per and not prog.local:
+        for lanes, atoms in _lane_chunks(
+                ("orbit", n, properties, per),
+                lambda: _orbit_least_frames(n, properties), A):
+            hit = _sweep_lanes(prog, lanes, atoms)
+            if hit:
+                lane, state = hit
+                i, j = divmod(lane, per)
+                return (tuple(lanes.codes[i * per * n:i * per * n + n]),
+                        _valuation_masks(j, n, k), state)
+        return None
     if prog.local:
-        frames = _local_frames(prog, n, properties, k > 0, blocks)
+        frames = _local_frames(prog, n, properties, per, blocks, A)
     else:
         frames = _orbit_least_frames(n, properties)
-    # A local scan sweeps 2 frames.
-    per = 0 if prog.local else _lanes_per_frame(blocks)
-    for chunk in _chunks(frames, per) if per else (frames,):
-        if not per or len(chunk) * per < _SCAN_LANES_FROM:
-            for codes in chunk:
-                hit = _sweep(prog, _Frame(n, codes, eager=k > 0), blocks)
-                if hit:
-                    j, state = hit
-                    return codes, _valuation_masks(j, n, k), state
-            continue
-        lanes = _Lanes(n, b"".join([bytes(codes) * per for codes in chunk]))
-        hit = _sweep_lanes(prog, lanes, _repeat_atoms(blocks, lanes))
+    monotone = "m" in properties or None
+    for codes in frames:
+        blocks = blocks or tuple(_blocks(prog, n))
+        hit = _sweep(prog, _Frame(n, codes, eager=k > 0, monotone=monotone),
+                     blocks)
         if hit:
-            lane, state = hit
-            i, j = divmod(lane, per)
-            return chunk[i], _valuation_masks(j, n, k), state
+            j, state = hit
+            return codes, _valuation_masks(j, n, k), state
     return None
 
 
@@ -558,6 +637,7 @@ def _sampled_search(f: Formula, prog: Program, cls: ClassSpec, seed: int,
     full = (1 << n) - 1
     per = n + len(atoms)  # stream outputs per draw
     sizes = _chunk_sizes(1)
+    monotone = "m" in cls.properties or None
     done = 0
     while done < samples:
         V = min(next(sizes), samples - done)
@@ -567,13 +647,13 @@ def _sampled_search(f: Formula, prog: Program, cls: ClassSpec, seed: int,
             m = len(options)
             codes[s::n] = [options[x % m] for x in out[s::per]]
         if V == 1:  # one draw: a plain frame, no lane tables
-            miss = full ^ _run(prog, _Frame(n, codes),
+            miss = full ^ _run(prog, _Frame(n, codes, monotone=monotone),
                                [x & full for x in out[n:]])
             hit = miss and (0, (miss & -miss).bit_length() - 1)
         else:
             low = out.tobytes()[_LOW_BYTE::8]  # x % 2^n reads the low byte
             A = [_lane_ints(low[n + i::per], n) for i in range(len(atoms))]
-            hit = _sweep_lanes(prog, _Lanes(n, codes), A)
+            hit = _sweep_lanes(prog, _Lanes(n, codes, monotone), A)
         if hit:
             j, state = hit
             draw = out[j * per:(j + 1) * per]

@@ -203,20 +203,22 @@ class _Frame:
     K is a full list when sweeping V > 1 valuations, a dict filled on
     demand at V = 1, and None on a lane frame of V > 1 lanes (_Lanes).
     `blocked` is the first valuation (in the current run) whose
-    announcement met a non-monotone frame without force.
+    announcement met a non-monotone frame without force.  A caller that
+    knows the frame is closed under supersets says so with monotone=True;
+    otherwise monotone() checks the codes on first use.
     """
 
     __slots__ = ("n", "full", "codes", "K", "force", "blocked", "_monotone")
 
     def __init__(self, n: int, codes, force: bool = False,
-                 eager: bool = False):
+                 eager: bool = False, monotone: bool | None = None):
         self.n = n
         self.full = (1 << n) - 1
         self.codes = codes
         self.K = _k_table(n, codes) if eager else {}
         self.force = force
         self.blocked: int | None = None
-        self._monotone: bool | None = None
+        self._monotone = monotone
 
     def k_at(self, x: int) -> int:
         return sum((c >> x & 1) << s for s, c in enumerate(self.codes))
@@ -291,8 +293,8 @@ class _Lanes(_Frame):
 
     __slots__ = ("V", "ALL", "rep", "Kl")
 
-    def __init__(self, n: int, codes):
-        super().__init__(n, codes)
+    def __init__(self, n: int, codes, monotone: bool | None = None):
+        super().__init__(n, codes, monotone=monotone)
         self.V = len(codes) // n
         if self.V > 1:
             self.K = None  # read Kl instead
@@ -439,24 +441,30 @@ def _low_pattern(n: int, V: int, lo: int) -> int:
     return sum((t >> lo & full) << t * n for t in range(V))
 
 
+def _block_atoms(n: int, k: int) -> tuple[int, list[int]]:
+    """(V, atom ints) of the first block of valuations of k atoms over n
+    states: atom i's mask under valuation t < V at bits [t*n, (t+1)*n).
+    V is every valuation when n * k is at most _BLOCK_BITS."""
+    V = 1 << min(n * k, _BLOCK_BITS)
+    return V, [_low_pattern(n, V, n * (k - 1 - i)) for i in range(k)]
+
+
 def _blocks(prog: Program, n: int):
     """(first valuation, V, ALL, atom ints, static slot values) per block.
 
     Valuations run in the order of product(range(2^n), repeat=atoms),
     first atom most significant.  Blocks hold V = 2^b valuations and
     start at multiples of V, so atom i's ints are its high digit
-    repeated plus a pattern that is the same in every block.
+    repeated plus its ints in the first block (_block_atoms).
     """
     k = len(prog.atoms)
     full = (1 << n) - 1
-    total_bits = n * k
-    V = 1 << min(total_bits, _BLOCK_BITS)
+    V, lows = _block_atoms(n, k)
     ALL = (1 << V * n) - 1
     rep = ALL // full  # bit 0 of every valuation
     shifts = [n * (k - 1 - i) for i in range(k)]
-    lows = [_low_pattern(n, V, lo) for lo in shifts]
     no_frame = _Frame(n, ())  # static instructions read no family code
-    for start in range(0, 1 << total_bits, V):
+    for start in range(0, 1 << n * k, V):
         A = [(start >> lo & full) * rep | low for lo, low in zip(shifts, lows)]
         base = [0] * prog.size
         _exec(prog.static, base, A, no_frame, V, ALL)

@@ -22,6 +22,14 @@ CLASSES = ((), ("m",), ("c",), ("n",), ("r",), ("neg-suppl",), ("m", "c"),
            ("m", "n"), ("c", "n", "r"))
 
 
+@pytest.fixture(autouse=True)
+def _cold_scans():
+    """Sampled scans keep no lane chunks; every test still starts without
+    those exhaustive scans keep, so a lane frame a test here forbids or
+    counts is one its own scan would build."""
+    search._memo.clear()
+
+
 def _draw_doc(names, codes, atoms, masks) -> dict:
     n = len(names)
 

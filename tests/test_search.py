@@ -8,7 +8,8 @@ import pytest
 import nbhdmc.search as search
 
 import _oracle
-from _gen import random_announcement_formula, random_model, random_model_doc
+from _gen import (random_announcement_formula, random_full_formula,
+                  random_model, random_model_doc)
 from nbhdmc.formula import Atom, Not, Or, Wrong, atoms_of, parse
 from nbhdmc.model import (NeighborhoodFrame, NeighborhoodModel, PointedModel,
                           StateSet, check_property, model_from_json)
@@ -17,11 +18,19 @@ from nbhdmc.search import (ClassSpec, Countermodel, NoCounterexampleUpTo,
                            distinguish, enumerate_frames, find_countermodel,
                            fragment_representatives, verdict_to_json,
                            verdict_to_text, worker_count)
-from nbhdmc.semantics import (_blocks, _failing_states, _Frame,
-                              compile_formula, evaluate)
+from nbhdmc.semantics import (_block_atoms, _blocks, _failing_states,
+                              _Frame, compile_formula, evaluate)
 
 ALL2 = ClassSpec(frozenset(), 2)
 M3 = ClassSpec(frozenset(("m",)), 3)
+
+
+@pytest.fixture(autouse=True)
+def _cold_scans():
+    """Every test starts without kept lane chunks, so a test that patches
+    the chunking, or counts the lane frames built, sees its scans build
+    them."""
+    search._memo.clear()
 
 
 def _model(states, families, valuation=()):
@@ -522,6 +531,20 @@ def _expected_json(found):
     return {"verdict": "countermodel", "model": doc, "state": state}
 
 
+def _counting_lanes(monkeypatch):
+    """Patch the scans' lane frames to record the state count of each
+    one built; returns that list."""
+    built = []
+    lane_frame = search._Lanes
+
+    def lanes(n, codes, monotone=None):
+        built.append(n)
+        return lane_frame(n, codes, monotone)
+
+    monkeypatch.setattr(search, "_Lanes", lanes)
+    return built
+
+
 @pytest.mark.parametrize("text", LATE_N3)
 def test_chunked_scans_find_the_brute_force_minimum(monkeypatch, text):
     f = parse(text)
@@ -531,14 +554,21 @@ def test_chunked_scans_find_the_brute_force_minimum(monkeypatch, text):
     w = list(search._orbit_least_frames(3, M)).index(tuple(codes))
     assert w in (13, 32, 50, 603)
     per = 8  # valuations of one atom over three states
-    # (first chunk, lane crossover, cap): frame w first in the first lane
-    # chunk, after a plain one; last of a lane chunk; every chunk plain
-    for first, lanes_from, cap in ((w, w * per + 1, 2 * w * per),
-                                   (w + 1, 1, 4096), (1, 10 ** 9, 4096)):
+    built = _counting_lanes(monkeypatch)
+    # (first chunk, cap, three-state lane frames built): frame w first in
+    # the second chunk; last of the first; one frame a chunk
+    for first, cap, chunks in ((w, 2 * w * per, 2), (w + 1, 4096, 1),
+                               (1, per, w + 1)):
         monkeypatch.setattr(search, "_FIRST_CHUNK", first)
-        monkeypatch.setattr(search, "_SCAN_LANES_FROM", lanes_from)
         monkeypatch.setattr(search, "_CHUNK_CAP", cap)
-        assert _scan_json(f, M3) == expected, (first, lanes_from, cap)
+        search._memo.clear()
+        built.clear()
+        assert _scan_json(f, M3) == expected, (first, cap)
+        assert built.count(3) == chunks, (first, cap)
+        # the kept chunks are replayed: the same scan builds none
+        built.clear()
+        assert _scan_json(f, M3) == expected, (first, cap)
+        assert built == [], (first, cap)
 
 
 def test_a_witness_at_the_first_frame_on_a_lane_frame(monkeypatch):
@@ -548,22 +578,16 @@ def test_a_witness_at_the_first_frame_on_a_lane_frame(monkeypatch):
     expected = _expected_json(_brute_minimum(f, 1, M))
     assert expected["model"]["neighborhoods"] == {"s": []}
     assert expected["model"]["valuation"] == {"p": ["s"]}
-    monkeypatch.setattr(search, "_SCAN_LANES_FROM", 1)
+    built = _counting_lanes(monkeypatch)
     assert _scan_json(f, M3) == expected
+    assert built == [1]
 
 
 def test_scans_past_the_valuation_block_sweep_frame_by_frame(monkeypatch):
     # four atoms over three states fill more than one valuation block, so
     # each three-state frame is swept alone; atoms f does not read stay
     # empty
-    states = []
-
-    def lanes(n, codes):
-        states.append(n)
-        return lane_frame(n, codes)
-
-    lane_frame = search._Lanes
-    monkeypatch.setattr(search, "_Lanes", lanes)
+    states = _counting_lanes(monkeypatch)
     text = LATE_N3[0]
     cls = ClassSpec(M, 3, ("p", "q", "r", "s"))
     assert _scan_json(parse(text), cls) == _expected_json(_late_minimum(text))
@@ -571,17 +595,9 @@ def test_scans_past_the_valuation_block_sweep_frame_by_frame(monkeypatch):
 
 
 def test_announcement_scans_match_brute_force(monkeypatch):
-    # announcements run on lanes like any connective: with every chunk on
-    # lanes, the scans build lane frames and keep the brute-force minimum
-    built = []
-
-    def lanes(n, codes):
-        built.append(n)
-        return lane_frame(n, codes)
-
-    lane_frame = search._Lanes
-    monkeypatch.setattr(search, "_Lanes", lanes)
-    monkeypatch.setattr(search, "_SCAN_LANES_FROM", 1)
+    # announcements run on lanes like any connective: the scans build lane
+    # frames and keep the brute-force minimum
+    built = _counting_lanes(monkeypatch)
     rng = SplitMix64(2024)
     kinds = {"countermodel": 0, "none": 0}
     for i in range(24):
@@ -608,20 +624,154 @@ def test_local_announcement_three_state_minimum_matches_brute_force():
 
 @pytest.mark.parametrize("props", [*EVERY_CLASS, frozenset(("c", "neg-suppl"))])
 def test_lane_failing_masks_match_the_per_code_sweep(monkeypatch, props):
-    monkeypatch.setattr(search, "_SCAN_LANES_FROM", 1)  # every chunk on lanes
-    for text in ("U p -> p", "W (p & q) -> W p", "O q | K ! p", "K true"):
-        prog = compile_formula(parse(text))
-        for n in (1, 2, 3):
-            blocks = tuple(_blocks(prog, n))
-            eager = bool(prog.atoms)
-            codes = sorted(set().union(*(allowed_family_codes(n, props, s)
-                                         for s in range(n))))
-            on_lanes = dict(search._code_failures(prog, n, codes, eager,
-                                                  blocks))
-            for code in codes:
-                frame = _Frame(n, (code,) * n, eager=eager)
-                assert on_lanes[code] == _failing_states(prog, frame, blocks), \
-                    (text, n, code)
+    # every code in one pass on a kept lane frame, or, past a budget of
+    # one lane, in lane chunks that are not kept
+    for memo_lanes in (search._MEMO_LANES, 1):
+        monkeypatch.setattr(search, "_MEMO_LANES", memo_lanes)
+        search._memo.clear()
+        for text in ("U p -> p", "W (p & q) -> W p", "O q | K ! p", "K true"):
+            prog = compile_formula(parse(text))
+            for n in (1, 2, 3):
+                per, A = _block_atoms(n, len(prog.atoms))
+                on_lanes = dict(search._code_failures(prog, n, props, per,
+                                                      None, A))
+                codes = sorted(set().union(*(allowed_family_codes(n, props, s)
+                                             for s in range(n))))
+                assert sorted(on_lanes) == codes
+                blocks = tuple(_blocks(prog, n))
+                for code in codes:
+                    frame = _Frame(n, (code,) * n, eager=bool(prog.atoms))
+                    assert on_lanes[code] == \
+                        _failing_states(prog, frame, blocks), (text, n, code)
+                held = search._memo.get(("local", n, props, per))
+                assert (held.lanes if held else 0) <= memo_lanes
+
+
+# --- kept lane chunks ----------------------------------------------------------------
+
+NEG_SUPPL = frozenset(("neg-suppl",))
+DISJOINT3 = "! (! K false & K (p & ! q) & K (q & ! p) & K (! p & ! q))"
+
+
+def _cold_then_warm(cases, max_states):
+    """Each (formula, properties) scanned cold, with no kept chunks, and
+    then warm, after a pass over every case has kept its chunks."""
+    cold = []
+    for f, props in cases:
+        search._memo.clear()
+        cold.append(_scan_json(f, ClassSpec(props, max_states)))
+    for f, props in cases:
+        _scan_json(f, ClassSpec(props, max_states))
+    warm = [_scan_json(f, ClassSpec(props, max_states)) for f, props in cases]
+    return cold, warm
+
+
+@pytest.mark.parametrize("props", [M, NEG_SUPPL])
+def test_warm_scans_match_cold_scans_and_brute_force(props):
+    # local and non-local formulas, with announcements over (m), a quarter
+    # of them valid so their scans run past the last kept chunk
+    rng = SplitMix64(31)
+    cases, kinds = [], set()
+    for i in range(24):
+        g = random_full_formula(rng, 1 + i % 3, 1 if props == M else 0)
+        f = Or(g, Not(g)) if i % 4 == 0 else g
+        cases.append((f, props))
+        kinds.add(compile_formula(f).local)
+    assert kinds == {True, False}
+    expected = []
+    for f, _ in cases:
+        found = _brute_minimum(f, 2, props,
+                               lambda n: _oracle_class_frames(n, props))
+        expected.append(_expected_json(found) if found else verdict_to_json(
+            NoCounterexampleUpTo(2, "exhaustive")))
+    assert {e["verdict"] for e in expected} == {"countermodel",
+                                                "no-counterexample"}
+    cold, warm = _cold_then_warm(cases, 2)
+    assert cold == expected
+    assert warm == expected
+
+
+def test_warm_three_state_scans_match_cold_scans_and_brute_force():
+    # minima at three states over (m) and neg-suppl, found early and late,
+    # local, non-local and announced; and a valid non-local formula
+    texts = [(DISJOINT3, M), (DISJOINT3, NEG_SUPPL),
+             (f"({DISJOINT3}) & (K K p | ! K K p)", NEG_SUPPL),
+             (f"[! (p & q)] {DISJOINT3}", M), (LATE_N3[0], M),
+             (LATE_N3[3], M), ("U p -> U U p", M)]
+    cases = [(parse(text), props) for text, props in texts]
+    expected = []
+    for f, props in cases[:-1]:
+        found = _brute_minimum(f, 3, props,
+                               lambda n, props=props:
+                               _oracle_class_frames(n, props))
+        assert len(found[0]["states"]) == 3
+        expected.append(_expected_json(found))
+    expected.append(verdict_to_json(NoCounterexampleUpTo(3, "exhaustive")))
+    cold, warm = _cold_then_warm(cases, 3)
+    assert cold == expected
+    assert warm == expected
+
+
+def _held_lanes():
+    """Lanes of every kept chunk, per key."""
+    return {key: sum(lanes.V for lanes, _ in memo.chunks)
+            for key, memo in search._memo.items()}
+
+
+def test_kept_lanes_stay_within_the_budget(monkeypatch):
+    # two atoms over three states: 1440 orbit-least frames of 64 lanes
+    valid = parse("q | (U p -> U U p)")
+    assert _scan_json(valid, M3) == verdict_to_json(
+        NoCounterexampleUpTo(3, "exhaustive"))
+    held = _held_lanes()
+    assert 0 < held[("orbit", 3, M, 64)] <= search._MEMO_LANES < 1440 * 64
+    # a small budget over few keys; the witness at frame 603 lies past the
+    # kept chunks, so warm scans rebuild the chunks after them
+    monkeypatch.setattr(search, "_MEMO_LANES", 100)
+    monkeypatch.setattr(search, "_MEMO_KEYS", 3)
+    search._memo.clear()
+    late = LATE_N3[3]
+    for _ in range(2):
+        assert _scan_json(parse("U p -> U U p"), M3) == verdict_to_json(
+            NoCounterexampleUpTo(3, "exhaustive"))
+        assert _scan_json(parse(late), M3) == \
+            _expected_json(_late_minimum(late))
+        assert len(search._memo) <= 3
+        for key, lanes in _held_lanes().items():
+            assert lanes == search._memo[key].lanes <= 100, key
+
+
+def test_announcement_scans_check_no_frame_for_monotonicity(monkeypatch):
+    # scans read announcements over classes requiring (m) only, so they
+    # tell their frames so; a frame not told checks its codes
+    import nbhdmc.semantics as semantics
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return has_property(*args)
+
+    has_property = semantics.code_has_property
+    monkeypatch.setattr(semantics, "code_has_property", counted)
+    model = _model(("s", "t"), ((3,), (2, 3)), (("p", 1), ("q", 3)))
+    evaluate(PointedModel(model, 0), parse("[p] K q"))
+    assert calls
+    calls.clear()
+    rng = SplitMix64(8)
+    valid = [parse("[p] K q <-> (p -> K (p -> q))"),
+             parse("[[W false] (p | K q)] [q] (U true -> true)")]
+    for _ in range(6):
+        g = random_announcement_formula(rng, 3)
+        valid.append(Or(g, Not(g)))
+    assert not all(compile_formula(f).local for f in valid)
+    none = {"exhaustive": NoCounterexampleUpTo(3, "exhaustive"),
+            "sampled": NoCounterexampleUpTo(3, "sampled", 300, 4)}
+    for f in valid:
+        for props in (M, frozenset(("m", "n"))):
+            for mode, verdict in none.items():
+                assert find_countermodel(f, ClassSpec(props, 3), mode,
+                                         seed=4, samples=300) == verdict
+    assert calls == []
 
 
 # --- distinguishability -------------------------------------------------------------------

@@ -13,8 +13,8 @@ It writes, with the interpreter and machine it ran on:
 * `class_tables`: per class in TABLE_CLASSES, the time to build its
   n = 4 family-code tables for every state, REPEATS times, each in a
   fresh interpreter;
-* `cold_start`: the wall time of `nbhdmc desugar -f p` as a new process,
-  REPEATS times;
+* `cold_start`: the wall time and peak RSS of `nbhdmc desugar -f p` as
+  a new process, REPEATS times;
 * `valid_probe`: likewise for `nbhdmc valid -f "W p -> ! W W p" --class
   c`, an exhaustive three-state scan over the orbit-least frames of (c);
 * `announce_probe`: likewise for `nbhdmc valid -f "[[W false] (p | K q)]
@@ -145,21 +145,27 @@ def class_tables() -> dict:
 
 
 def cli_wall(args) -> dict:
-    """Wall time of `nbhdmc <args>` as a new process, REPEATS times; the
-    command must exit 0."""
+    """Wall time and peak RSS of `nbhdmc <args>` as a new process,
+    REPEATS times; the command must exit 0.  The peak is the child's own
+    (ru_maxrss from os.wait4, KiB on Linux), not this process's."""
     print(f"nbhdmc {' '.join(args)}", file=sys.stderr)
     argv = [sys.executable, "-m", "nbhdmc.cli", *args]
-    runs = []
+    runs, peaks = [], []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        proc = subprocess.run(argv, cwd=ROOT, env=_env(), capture_output=True,
-                              check=False)
+        proc = subprocess.Popen(argv, cwd=ROOT, env=_env(),
+                                stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
         runs.append(time.perf_counter() - start)
+        peaks.append(usage.ru_maxrss / 1024)
+        proc.returncode = os.waitstatus_to_exitcode(status)
         if proc.returncode != 0:
             msg = f"{' '.join(args)} exited with {proc.returncode}"
             raise RuntimeError(msg)
     return {"argv": " ".join(args), "median_s": statistics.median(runs),
-            "runs_s": runs}
+            "runs_s": runs, "peak_rss_mib": statistics.median(peaks),
+            "runs_peak_rss_mib": peaks}
 
 
 def main(argv=None) -> int:
