@@ -31,10 +31,10 @@ compiled once.  Exhaustive scans judge frames a chunk at a time like
 sampled draws, one (frame, valuation) pair per lane, frame by frame and
 valuation by valuation, so the first failing lane is the first failing
 frame's first failing valuation; a frame whose valuations fill more
-than one block is swept on a plain frame.  Announcements run on lanes
-like any connective, relativized (see `semantics`).  Scans judge only
-the frames that can be the canonical minimum, with the verdict
-unchanged:
+than one block is swept on its own, block by block, on lanes of one
+block's valuations.  Announcements run on lanes like any connective,
+relativized (see `semantics`).  Scans judge only the frames that can be
+the canonical minimum, with the verdict unchanged:
 
 * a local formula (Program.local: its modal operators read
   valuation-only arguments, inside announcements of valuation-only
@@ -70,9 +70,8 @@ from .model import (MAX_STATES, PREFIX_ORDER, PROPERTY_IDS,
                     NeighborhoodModel, PointedModel, StateSet, _members,
                     code_has_property, frame_from_codes, model_to_json)
 from .semantics import (Program, _block_atoms, _blocks, _Closure,
-                        _failing_lanes, _failing_states, _Frame, _lane_ints,
-                        _Lanes, _run, _sweep, _sweep_lanes, _valuation_masks,
-                        compile_formula, evaluate)
+                        _failing_lanes, _failing_states, _lane_ints, _Lanes,
+                        _sweep, _valuation_masks, compile_formula, evaluate)
 
 __all__ = [
     "SplitMix64", "ClassSpec", "Countermodel", "NoCounterexampleUpTo",
@@ -445,8 +444,7 @@ def _local_codes(n: int, properties: frozenset) -> tuple[int, ...]:
                                else codes))
 
 
-def _local_frames(prog: Program, n: int, properties: frozenset, per: int,
-                  blocks, A):
+def _local_frames(prog: Program, n: int, properties: frozenset, per: int, A):
     """The frames a scan of a local program (see Program) must sweep.
 
     First the class minimum; if the scan goes on, that frame has no
@@ -464,7 +462,7 @@ def _local_frames(prog: Program, n: int, properties: frozenset, per: int,
     uniform = len(set(least)) == 1
     if not uniform:
         yield least
-    judged = _code_failures(prog, n, properties, per, blocks, A)
+    judged = _code_failures(prog, n, properties, per, A)
     failing: dict[int, int] = {}
 
     def fails(code: int) -> int:
@@ -483,24 +481,27 @@ def _local_frames(prog: Program, n: int, properties: frozenset, per: int,
                 return
 
 
-def _code_failures(prog: Program, n: int, properties: frozenset, per: int,
-                   blocks, A):
+def _code_failures(prog: Program, n: int, properties: frozenset, per: int, A):
     """(code, mask of the states where it fails under some valuation) per
     code of _local_codes, in order, on the frame giving every state that
     code.
 
     When those frames fill at most _MEMO_LANES lanes, every code is
     judged in one pass of the kernel, on a lane frame kept for later
-    scans (_lane_chunks); more are judged in lane chunks (_chunk_sizes),
-    and a frame whose valuations fill more than one block (per == 0) is
-    swept on its own.  Code i of a lane frame under valuation j sits in
-    lane i * per + j.
+    scans (_lane_chunks); more are judged in lane chunks (_chunk_sizes).
+    Code i of a lane frame under valuation j sits in lane i * per + j.
+    When a frame's valuations fill more than one block (per == 0), each
+    code's frame is swept on its own, block by block, on lanes of one
+    block's valuations.
     """
     codes = _local_codes(n, properties)
     if not per:
+        k = len(prog.atoms)
+        V = _block_atoms(n, k)[0]
+        monotone = "m" in properties or None
         for code in codes:
-            yield code, _failing_states(
-                prog, _Frame(n, (code,) * n, eager=True), blocks)
+            lanes = _Lanes(n, bytes((code,) * n) * V, monotone)
+            yield code, _failing_states(prog, lanes, _blocks(n, k))
         return
     chunks = _lane_chunks(("local", n, properties, per),
                           lambda: [(code,) * n for code in codes], A,
@@ -521,19 +522,19 @@ def _scan(prog: Program, n: int, properties: frozenset):
     failing state, as frame by frame sweeps find it.  The chunks are the
     kept ones as far as they go (_lane_chunks), and the failing frame is
     read back from its lanes' codes.  A local program sweeps the one
-    frame its per-code judgement leaves on a plain frame, as is every
-    frame whose valuations fill more than one block.  Announcements are
-    only scanned over classes requiring (m), and the frames are told so.
+    frame its per-code judgement leaves on its own, as is every frame
+    whose valuations fill more than one block: block by block, valuation
+    j of a block in lane j.  Announcements are only scanned over classes
+    requiring (m), and the frames are told so.
     """
     k = len(prog.atoms)
     V, A = _block_atoms(n, k)
     per = V if V == 1 << n * k else 0  # valuations per frame in one block
-    blocks = None if per else tuple(_blocks(prog, n))
     if per and not prog.local:
         for lanes, atoms in _lane_chunks(
                 ("orbit", n, properties, per),
                 lambda: _orbit_least_frames(n, properties), A):
-            hit = _sweep_lanes(prog, lanes, atoms)
+            hit = _sweep(prog, lanes, ((0, lanes.V, lanes.ALL, atoms),))
             if hit:
                 lane, state = hit
                 i, j = divmod(lane, per)
@@ -541,14 +542,13 @@ def _scan(prog: Program, n: int, properties: frozenset):
                         _valuation_masks(j, n, k), state)
         return None
     if prog.local:
-        frames = _local_frames(prog, n, properties, per, blocks, A)
+        frames = _local_frames(prog, n, properties, per, A)
     else:
         frames = _orbit_least_frames(n, properties)
     monotone = "m" in properties or None
     for codes in frames:
-        blocks = blocks or tuple(_blocks(prog, n))
-        hit = _sweep(prog, _Frame(n, codes, eager=k > 0, monotone=monotone),
-                     blocks)
+        hit = _sweep(prog, _Lanes(n, bytes(codes) * V, monotone),
+                     _blocks(n, k))
         if hit:
             j, state = hit
             return codes, _valuation_masks(j, n, k), state
@@ -620,9 +620,9 @@ def _sampled_search(f: Formula, prog: Program, cls: ClassSpec, seed: int,
     Draws are judged a chunk at a time on a lane frame, draw j of the
     chunk in lane j; the chunk's part of the stream is computed at once
     (_splitmix_block) and read exactly as SplitMix64.below would read it.
-    The first chunk is one draw, judged on a plain frame, so a failure
-    at draw 0 builds no lane tables; from there the chunks double, so a
-    failure at draw k judges fewer than 2k + 2 draws.
+    The first chunk is one draw, on one lane, which reads its K entries
+    on demand as a single model does; from there the chunks double, so
+    a failure at draw k judges fewer than 2k + 2 draws.
     """
     n = cls.max_states
     if n > SAMPLED_MAX_STATES:
@@ -646,14 +646,10 @@ def _sampled_search(f: Formula, prog: Program, cls: ClassSpec, seed: int,
         for s, options in enumerate(allowed):
             m = len(options)
             codes[s::n] = [options[x % m] for x in out[s::per]]
-        if V == 1:  # one draw: a plain frame, no lane tables
-            miss = full ^ _run(prog, _Frame(n, codes, monotone=monotone),
-                               [x & full for x in out[n:]])
-            hit = miss and (0, (miss & -miss).bit_length() - 1)
-        else:
-            low = out.tobytes()[_LOW_BYTE::8]  # x % 2^n reads the low byte
-            A = [_lane_ints(low[n + i::per], n) for i in range(len(atoms))]
-            hit = _sweep_lanes(prog, _Lanes(n, codes, monotone), A)
+        low = out.tobytes()[_LOW_BYTE::8]  # x % 2^n reads the low byte
+        A = [_lane_ints(low[n + i::per], n) for i in range(len(atoms))]
+        lanes = _Lanes(n, codes, monotone)
+        hit = _sweep(prog, lanes, ((0, V, lanes.ALL, A),))
         if hit:
             j, state = hit
             draw = out[j * per:(j + 1) * per]

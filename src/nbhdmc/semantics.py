@@ -36,10 +36,12 @@ context are never read.
 A lane frame (_Lanes) runs V models side by side instead, lane j with
 its own family codes and valuation at bits [j*n, (j+1)*n): sampled
 search judges a chunk of draws, and exhaustive search a chunk of
-frames under all their valuations, with one pass of the same
-interpreter.  Its modal nodes pick every lane's K entry at once with
-2^n - 1 big-int multiplexers.  Verdicts are those of evaluating the
-lanes one at a time.
+frames under all their valuations, or one frame under a block of its
+valuations, with one pass of the same interpreter.  Its modal nodes
+pick every lane's K entry at once with 2^n - 1 big-int multiplexers.
+Verdicts are those of evaluating the lanes one at a time.  Only
+frame_valid sweeps valuations over one frame's K table, for frames of
+up to 16 states.
 """
 
 from __future__ import annotations
@@ -75,20 +77,18 @@ _OPS = {Atom: _ATOM, Top: _TOP, Bot: _BOT, Announce: _ANN, **_UNARY, **_BINARY}
 class Program(NamedTuple):
     """A compiled formula: instructions (slot, op, a, b) in dependency order.
 
-    `static` fills the slots that depend on the valuation only, `dynamic`
-    the rest, so a scan computes the static slots once per valuation
-    block instead of once per frame.  Atom instructions read index a of
-    `atoms`; atoms not listed there are empty.  A modal instruction's b
-    is its context slot, None outside every announcement, and an
-    announcement's (pa, body) are (a, b).  `local` says every modal
-    instruction reads a static argument in a static context, so the
-    formula's truth at a state reads only that state's family code and
-    the valuation; `announces` says it has an announcement.
+    Atom instructions read index a of `atoms`; atoms not listed there are
+    empty.  A modal instruction's b is its context slot, None outside
+    every announcement, and an announcement's (pa, body) are (a, b).
+    `local` says every modal instruction reads a static argument in a
+    static context, a static slot being one that depends on the valuation
+    only, so the formula's truth at a state reads only that state's
+    family code and the valuation; `announces` says it has an
+    announcement.
     """
 
     atoms: tuple[str, ...]
-    static: tuple
-    dynamic: tuple
+    code: tuple
     size: int
     root: int
     local: bool
@@ -154,21 +154,17 @@ class _Builder:
 
     def program(self, root: int) -> Program:
         is_static: list[bool] = []
-        static, dynamic = [], []
         local, announces = True, False
-        for ins in self.code:
-            _, op, a, b = ins
-            flag = op <= _BOT or (op <= _IFF and is_static[a] and
-                                  (op == _NOT or is_static[b]))
-            is_static.append(flag)
-            (static if flag else dynamic).append(ins)
+        for _, op, a, b in self.code:
+            is_static.append(op <= _BOT or (op <= _IFF and is_static[a] and
+                                            (op == _NOT or is_static[b])))
             if op == _ANN:
                 announces = True
             elif op >= _BOX and not (is_static[a] and
                                      (b is None or is_static[b])):
                 local = False
-        return Program(tuple(self.index), tuple(static), tuple(dynamic),
-                       len(self.code), root, local, announces)
+        return Program(tuple(self.index), tuple(self.code), len(self.code),
+                       root, local, announces)
 
 
 def compile_formula(f: Formula, atoms=None) -> Program:
@@ -200,8 +196,9 @@ def _k_table(n: int, codes) -> list[int]:
 class _Frame:
     """A frame as the kernel reads it: family codes and the K table.
 
-    K is a full list when sweeping V > 1 valuations, a dict filled on
-    demand at V = 1, and None on a lane frame of V > 1 lanes (_Lanes).
+    K is a full list when frame_valid sweeps V > 1 valuations, a dict
+    filled on demand at V = 1, and None on a lane frame of V > 1 lanes
+    (_Lanes).
     `blocked` is the first valuation (in the current run) whose
     announcement met a non-monotone frame without force.  A caller that
     knows the frame is closed under supersets says so with monotone=True;
@@ -392,8 +389,7 @@ def _exec(code, vals: list, A, fr: _Frame, V: int, ALL: int) -> None:
 def _run(prog: Program, fr: _Frame, atom_masks) -> int:
     """Extension of the program's formula in one model (V = 1)."""
     vals = [0] * prog.size
-    _exec(prog.static, vals, atom_masks, fr, 1, fr.full)
-    _exec(prog.dynamic, vals, atom_masks, fr, 1, fr.full)
+    _exec(prog.code, vals, atom_masks, fr, 1, fr.full)
     if fr.blocked is not None:
         raise NonMonotoneError(_NON_MONOTONE)
     return vals[prog.root]
@@ -449,39 +445,38 @@ def _block_atoms(n: int, k: int) -> tuple[int, list[int]]:
     return V, [_low_pattern(n, V, n * (k - 1 - i)) for i in range(k)]
 
 
-def _blocks(prog: Program, n: int):
-    """(first valuation, V, ALL, atom ints, static slot values) per block.
+def _blocks(n: int, k: int):
+    """(first valuation, V, ALL, atom ints) per block of the valuations of
+    k atoms over n states.
 
-    Valuations run in the order of product(range(2^n), repeat=atoms),
-    first atom most significant.  Blocks hold V = 2^b valuations and
-    start at multiples of V, so atom i's ints are its high digit
-    repeated plus its ints in the first block (_block_atoms).
+    Valuations run in the order of product(range(2^n), repeat=k), first
+    atom most significant.  Blocks hold V = 2^b valuations and start at
+    multiples of V, so atom i's ints are its high digit repeated plus its
+    ints in the first block (_block_atoms).
     """
-    k = len(prog.atoms)
     full = (1 << n) - 1
     V, lows = _block_atoms(n, k)
     ALL = (1 << V * n) - 1
     rep = ALL // full  # bit 0 of every valuation
     shifts = [n * (k - 1 - i) for i in range(k)]
-    no_frame = _Frame(n, ())  # static instructions read no family code
     for start in range(0, 1 << n * k, V):
-        A = [(start >> lo & full) * rep | low for lo, low in zip(shifts, lows)]
-        base = [0] * prog.size
-        _exec(prog.static, base, A, no_frame, V, ALL)
-        yield start, V, ALL, A, base
+        yield start, V, ALL, [(start >> lo & full) * rep | low
+                              for lo, low in zip(shifts, lows)]
 
 
 def _sweep(prog: Program, fr: _Frame, blocks):
     """First (valuation, state) where the formula fails, in canonical order.
 
-    Raises NonMonotoneError when an announcement is blocked at or before
-    the first failing valuation, as a valuation-by-valuation loop would.
+    Each block's V valuations are read on a frame's K table, or on a
+    lane frame of V lanes, lane j under the block's valuation j.  Raises
+    NonMonotoneError when an announcement is blocked at or before the
+    first failing valuation, as a valuation-by-valuation loop would.
     """
     n = fr.n
-    for start, V, ALL, A, base in blocks:
-        vals = base.copy()
+    for start, V, ALL, A in blocks:
+        vals = [0] * prog.size
         fr.blocked = None
-        _exec(prog.dynamic, vals, A, fr, V, ALL)
+        _exec(prog.code, vals, A, fr, V, ALL)
         miss = ALL ^ vals[prog.root]
         first = (miss & -miss).bit_length() - 1
         if fr.blocked is not None and (not miss or first // n >= fr.blocked):
@@ -492,14 +487,6 @@ def _sweep(prog: Program, fr: _Frame, blocks):
     return None
 
 
-def _sweep_lanes(prog: Program, fr: _Lanes, A):
-    """First (lane, state) where the formula fails, lane j read under
-    the valuation at lane j of the atom ints A, or None."""
-    base = [0] * prog.size
-    _exec(prog.static, base, A, fr, fr.V, fr.ALL)
-    return _sweep(prog, fr, ((0, fr.V, fr.ALL, A, base),))
-
-
 def _failing_states(prog: Program, fr: _Frame, blocks) -> int:
     """Mask of the states where the formula fails under some valuation.
 
@@ -508,9 +495,9 @@ def _failing_states(prog: Program, fr: _Frame, blocks) -> int:
     """
     n = fr.n
     out = 0
-    for _, V, ALL, A, base in blocks:
-        vals = base.copy()
-        _exec(prog.dynamic, vals, A, fr, V, ALL)
+    for _, V, ALL, A in blocks:
+        vals = [0] * prog.size
+        _exec(prog.code, vals, A, fr, V, ALL)
         miss = ALL ^ vals[prog.root]
         width = V * n
         while width > n:  # fold the V valuations' n-bit groups together
@@ -528,8 +515,7 @@ def _failing_lanes(prog: Program, fr: _Lanes, A, per: int) -> list[int]:
     of the atom ints A."""
     n = fr.n
     vals = [0] * prog.size
-    _exec(prog.static, vals, A, fr, fr.V, fr.ALL)
-    _exec(prog.dynamic, vals, A, fr, fr.V, fr.ALL)
+    _exec(prog.code, vals, A, fr, fr.V, fr.ALL)
     miss = fr.ALL ^ vals[prog.root]
     run = width = per * n
     rep = fr.ALL // ((1 << run) - 1)  # bit 0 of every run
@@ -576,7 +562,7 @@ def _first_failure(frame: NeighborhoodFrame, f: Formula, force: bool = False):
         raise ValueError(msg)
     prog = compile_formula(f, atoms)
     fr = _Frame(n, frame.family_codes(), force, eager=bool(atoms))
-    return _sweep(prog, fr, _blocks(prog, n))
+    return _sweep(prog, fr, _blocks(n, len(atoms)))
 
 
 def frame_valid(frame: NeighborhoodFrame, f: Formula,

@@ -148,17 +148,22 @@ def test_chunk_sizes_do_not_change_verdicts(monkeypatch, first_chunk, cap):
     assert _sampled(f, ("c",), 2, 11, 50) == referee(f, ("c",), 2, 11, 50)[0]
 
 
-def test_a_failure_at_the_first_draw_builds_no_lane_frame(monkeypatch):
-    # the first chunk is one draw on a plain frame, so a formula that
-    # fails at once builds no lane tables
-    def no_lanes(*args):
-        raise AssertionError("lane frame built")
+def test_a_failure_at_the_first_draw_builds_one_lane(monkeypatch):
+    # the first chunk is one draw, so a formula that fails at once is
+    # judged on one lane frame of one lane
+    built = []
+    lane_frame = search._Lanes
+
+    def lanes(n, codes, monotone=None):
+        built.append(len(codes) // n)
+        return lane_frame(n, codes, monotone)
 
     f = parse("[(true | q) & (true | q)] q")
     want, index = referee(f, ("m",), 4, 383, 1000)
     assert index == 0
-    monkeypatch.setattr(search, "_Lanes", no_lanes)
+    monkeypatch.setattr(search, "_Lanes", lanes)
     assert _sampled(f, ("m",), 4, 383, 1000) == want
+    assert built == [1]
 
 # --- the bulk stream -------------------------------------------------------
 

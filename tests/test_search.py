@@ -504,6 +504,7 @@ def test_orbit_masks_match_the_per_code_check(props):
 # --- chunked scans ----------------------------------------------------------------------
 
 M = frozenset(("m",))
+NEG_SUPPL = frozenset(("neg-suppl",))
 
 # Invalid formulas over (m) whose canonical countermodels have three
 # states.  Their depth is 2, so the n = 3 scan runs over the orbit-least
@@ -585,13 +586,49 @@ def test_a_witness_at_the_first_frame_on_a_lane_frame(monkeypatch):
 
 def test_scans_past_the_valuation_block_sweep_frame_by_frame(monkeypatch):
     # four atoms over three states fill more than one valuation block, so
-    # each three-state frame is swept alone; atoms f does not read stay
-    # empty
-    states = _counting_lanes(monkeypatch)
+    # each three-state frame up to the witness is swept alone, on lanes of
+    # one block's valuations; atoms f does not read stay empty
     text = LATE_N3[0]
+    frame = find_countermodel(parse(text), M3).pointed.model.frame
+    w = list(search._orbit_least_frames(3, M)).index(
+        tuple(frame.family_codes()))
+    states = _counting_lanes(monkeypatch)
     cls = ClassSpec(M, 3, ("p", "q", "r", "s"))
     assert _scan_json(parse(text), cls) == _expected_json(_late_minimum(text))
-    assert 2 in states and 3 not in states
+    assert 2 in states and states.count(3) == w + 1
+
+
+@lru_cache(maxsize=None)
+def _multi_block_cases(props):
+    """Random full-language formulas over the class at n <= 2, with
+    announcements over (m) only, a quarter of them valid, and their
+    brute-force verdicts."""
+    rng = SplitMix64(74)
+    cases = []
+    for i in range(12):
+        g = random_full_formula(rng, 2 + i % 3, 1 if "m" in props else 0)
+        f = Or(g, Not(g)) if i % 4 == 0 else g
+        found = _brute_minimum(f, 2, props,
+                               lambda n: _oracle_class_frames(n, props))
+        cases.append((f, _expected_json(found) if found else verdict_to_json(
+            NoCounterexampleUpTo(2, "exhaustive"))))
+    return cases
+
+
+@pytest.mark.parametrize("block_bits", [1, 2, 3])
+@pytest.mark.parametrize("props", [M, NEG_SUPPL, frozenset(("c",)),
+                                   frozenset()])
+def test_multi_block_scans_match_brute_force(monkeypatch, props, block_bits):
+    # blocks of 2 to 8 valuations: the local, witness and orbit-least
+    # sweeps of frames whose valuations fill several blocks
+    import nbhdmc.semantics as semantics
+    monkeypatch.setattr(semantics, "_BLOCK_BITS", block_bits)
+    split = set()
+    for f, expected in _multi_block_cases(props):
+        assert _scan_json(f, ClassSpec(props, 2)) == expected, f
+        if 2 * len(atoms_of(f)) > block_bits:
+            split.add(compile_formula(f).local)
+    assert split == {True, False}
 
 
 def test_announcement_scans_match_brute_force(monkeypatch):
@@ -633,12 +670,11 @@ def test_lane_failing_masks_match_the_per_code_sweep(monkeypatch, props):
             prog = compile_formula(parse(text))
             for n in (1, 2, 3):
                 per, A = _block_atoms(n, len(prog.atoms))
-                on_lanes = dict(search._code_failures(prog, n, props, per,
-                                                      None, A))
+                on_lanes = dict(search._code_failures(prog, n, props, per, A))
                 codes = sorted(set().union(*(allowed_family_codes(n, props, s)
                                              for s in range(n))))
                 assert sorted(on_lanes) == codes
-                blocks = tuple(_blocks(prog, n))
+                blocks = tuple(_blocks(n, len(prog.atoms)))
                 for code in codes:
                     frame = _Frame(n, (code,) * n, eager=bool(prog.atoms))
                     assert on_lanes[code] == \
@@ -649,7 +685,6 @@ def test_lane_failing_masks_match_the_per_code_sweep(monkeypatch, props):
 
 # --- kept lane chunks ----------------------------------------------------------------
 
-NEG_SUPPL = frozenset(("neg-suppl",))
 DISJOINT3 = "! (! K false & K (p & ! q) & K (q & ! p) & K (! p & ! q))"
 
 
@@ -771,6 +806,10 @@ def test_announcement_scans_check_no_frame_for_monotonicity(monkeypatch):
             for mode, verdict in none.items():
                 assert find_countermodel(f, ClassSpec(props, 3), mode,
                                          seed=4, samples=300) == verdict
+    # four class atoms over three states: the local per-code frames fill
+    # more than one valuation block
+    assert find_countermodel(valid[0], ClassSpec(M, 3, ("p", "q", "r", "s"))) \
+        == none["exhaustive"]
     assert calls == []
 
 

@@ -20,6 +20,9 @@ It writes, with the interpreter and machine it ran on:
 * `announce_probe`: likewise for `nbhdmc valid -f "[[W false] (p | K q)]
   [q] (U true -> true)" --class m,n`, an exhaustive three-state scan of
   a valid formula with nested announcements;
+* `multiblock_probe`: likewise for `nbhdmc valid -f "U (p & q & r & s)
+  -> U U (p & q & r & s)" --class m`, an exhaustive three-state scan
+  whose frames' 4096 valuations fill four valuation blocks;
 * `paper_suite`: likewise for `nbhdmc paper-suite --jobs J`, per J in
   SUITE_JOBS.
 
@@ -52,6 +55,8 @@ COLD_START = ("desugar", "-f", "p")
 VALID_PROBE = ("valid", "-f", "W p -> ! W W p", "--class", "c")
 ANNOUNCE_PROBE = ("valid", "-f", "[[W false] (p | K q)] [q] (U true -> true)",
                   "--class", "m,n")
+MULTIBLOCK_PROBE = ("valid", "-f", "U (p & q & r & s) -> U U (p & q & r & s)",
+                    "--class", "m")
 SUITE_JOBS = (1, 2, 4)
 
 # Times criteria 3 and 10 as the acceptance gate runs them; prints JSON.
@@ -183,6 +188,8 @@ def main(argv=None) -> int:
         "cold_start": {"repeats": REPEATS, **cli_wall(COLD_START)},
         "valid_probe": {"repeats": REPEATS, **cli_wall(VALID_PROBE)},
         "announce_probe": {"repeats": REPEATS, **cli_wall(ANNOUNCE_PROBE)},
+        "multiblock_probe": {"repeats": REPEATS,
+                             **cli_wall(MULTIBLOCK_PROBE)},
         "paper_suite": {"repeats": REPEATS,
                         **{f"jobs_{jobs}": cli_wall(("paper-suite", "--jobs",
                                                      str(jobs)))
