@@ -59,6 +59,8 @@ def _read_file(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise _ReadError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _ReadError(f"{path}: {exc}") from exc
 
 
 def _load_model(path: str) -> NeighborhoodModel:
@@ -245,7 +247,7 @@ def _cmd_transform(args) -> int:
         raw = _read_file(path)
         try:
             pmap = pmap_from_json(json.loads(raw), model.states)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             msg = f"{path}: not valid JSON: {exc}"
             raise ModelFormatError(msg) from exc
         except (ModelFormatError, PerturbationError) as exc:

@@ -597,7 +597,7 @@ def model_to_text(model: NeighborhoodModel) -> str:
 def model_from_text(text: str) -> NeighborhoodModel:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         msg = f"not valid JSON: {exc}"
         raise ModelFormatError(msg) from exc
     return model_from_json(data)

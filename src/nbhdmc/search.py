@@ -69,9 +69,9 @@ from .formula import And, Atom, Bullet, Formula, Not, Wrong, atoms_of
 from .model import (MAX_STATES, PREFIX_ORDER, PROPERTY_IDS,
                     NeighborhoodModel, PointedModel, StateSet, _members,
                     code_has_property, frame_from_codes, model_to_json)
-from .semantics import (Program, _block_atoms, _blocks, _Closure,
-                        _failing_lanes, _failing_states, _lane_ints, _Lanes,
-                        _sweep, _valuation_masks, compile_formula, evaluate)
+from .semantics import (Program, _block_atoms, _blocks, _Closure, _Frame,
+                        _failing_lanes, _failing_states, _lane_ints, _sweep,
+                        _valuation_masks, compile_formula, evaluate)
 
 __all__ = [
     "SplitMix64", "ClassSpec", "Countermodel", "NoCounterexampleUpTo",
@@ -411,8 +411,8 @@ def _lane_chunks(key, frames, A, whole: bool = False):
     monotone = "m" in properties or None
 
     def build(chunk):
-        lanes = _Lanes(n, b"".join([bytes(codes) * per for codes in chunk]),
-                       monotone)
+        lanes = _Frame(n, b"".join([bytes(codes) * per for codes in chunk]),
+                       monotone=monotone)
         rep = lanes.ALL // ((1 << per * n) - 1)  # bit 0 of every frame
         return lanes, [a * rep for a in A]
 
@@ -500,7 +500,7 @@ def _code_failures(prog: Program, n: int, properties: frozenset, per: int, A):
         V = _block_atoms(n, k)[0]
         monotone = "m" in properties or None
         for code in codes:
-            lanes = _Lanes(n, bytes((code,) * n) * V, monotone)
+            lanes = _Frame(n, bytes((code,) * n) * V, monotone=monotone)
             yield code, _failing_states(prog, lanes, _blocks(n, k))
         return
     chunks = _lane_chunks(("local", n, properties, per),
@@ -547,7 +547,7 @@ def _scan(prog: Program, n: int, properties: frozenset):
         frames = _orbit_least_frames(n, properties)
     monotone = "m" in properties or None
     for codes in frames:
-        hit = _sweep(prog, _Lanes(n, bytes(codes) * V, monotone),
+        hit = _sweep(prog, _Frame(n, bytes(codes) * V, monotone=monotone),
                      _blocks(n, k))
         if hit:
             j, state = hit
@@ -648,7 +648,7 @@ def _sampled_search(f: Formula, prog: Program, cls: ClassSpec, seed: int,
             codes[s::n] = [options[x % m] for x in out[s::per]]
         low = out.tobytes()[_LOW_BYTE::8]  # x % 2^n reads the low byte
         A = [_lane_ints(low[n + i::per], n) for i in range(len(atoms))]
-        lanes = _Lanes(n, codes, monotone)
+        lanes = _Frame(n, codes, monotone=monotone)
         hit = _sweep(prog, lanes, ((0, V, lanes.ALL, A),))
         if hit:
             j, state = hit
@@ -688,6 +688,9 @@ def _representatives(models, atoms, operators, max_depth: int):
     that found them.  Representatives are only appended, and a formula
     once kept never changes, so what is yielded is final, and a consumer
     may stop at any point."""
+    if max_depth < 0:
+        msg = f"depth must be at least 0, got {max_depth}"
+        raise ValueError(msg)
     names = tuple(sorted(set(atoms)))
     closure = _Closure(models, names)
     reps: list[list] = []  # [formula, signature, best known depth, slot]

@@ -33,22 +33,26 @@ node under a context reads its argument v as v & pa | ~pa.  Nested
 announcements compose by intersection.  Slot values outside their
 context are never read.
 
-A lane frame (_Lanes) runs V models side by side instead, lane j with
-its own family codes and valuation at bits [j*n, (j+1)*n): sampled
-search judges a chunk of draws, and exhaustive search a chunk of
-frames under all their valuations, or one frame under a block of its
-valuations, with one pass of the same interpreter.  Its modal nodes
-pick every lane's K entry at once with 2^n - 1 big-int multiplexers.
-Verdicts are those of evaluating the lanes one at a time.  Only
-frame_valid sweeps valuations over one frame's K table, for frames of
-up to 16 states.
+A frame (_Frame) is V lanes side by side, lane j with its own family
+codes and valuation at bits [j*n, (j+1)*n); a model is one lane.
+Sampled search judges a chunk of draws, and exhaustive search a chunk
+of frames under all their valuations, or one frame under a block of its
+valuations, with one pass of the same interpreter; verdicts are those
+of evaluating the lanes one at a time.
+
+Every whole K table comes from one bit transpose of the family codes,
+built by the first sweep over several valuations or lanes.  A sweep of
+one lane over a block of valuations (frame_valid, up to 16 states)
+reads it once per valuation; a modal node over V lanes picks every
+lane's entry at once with 2^n - 1 big-int multiplexers.  A run of one
+valuation on one lane fills K entry by entry instead, as its modal
+nodes ask.
 """
 
 from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from operator import or_
 from typing import NamedTuple
 
 from .formula import (And, Announce, Atom, Bot, Box, Bullet, Circ, Formula,
@@ -177,48 +181,43 @@ def compile_formula(f: Formula, atoms=None) -> Program:
 # --- frames -------------------------------------------------------------------
 
 
-def _column(n: int, s: int, code: int) -> tuple[int, ...]:
-    """State s's share of K: bit s of K[x] for every subset mask x."""
-    return tuple((code >> x & 1) << s for x in range(1 << n))
-
-
-_small_column = lru_cache(maxsize=None)(_column)  # n <= 3: 3 * 256 codes
-
-
-def _k_table(n: int, codes) -> list[int]:
-    column = _small_column if n <= 3 else _column
-    acc = column(n, 0, codes[0])
-    for s in range(1, n):
-        acc = map(or_, acc, column(n, s, codes[s]))
-    return list(acc)
-
-
 class _Frame:
-    """A frame as the kernel reads it: family codes and the K table.
+    """V frames side by side, as the kernel reads them: lane j's family
+    codes are codes[j*n:(j+1)*n].  A model is one lane.
 
-    K is a full list when frame_valid sweeps V > 1 valuations, a dict
-    filled on demand at V = 1, and None on a lane frame of V > 1 lanes
-    (_Lanes).
-    `blocked` is the first valuation (in the current run) whose
-    announcement met a non-monotone frame without force.  A caller that
-    knows the frame is closed under supersets says so with monotone=True;
-    otherwise monotone() checks the codes on first use.
+    table()[x], built whole on its first sweep, has bit j*n+s set when
+    lane j's code at state s has bit x; the dict K holds the entries a
+    run of one valuation on one lane has read.  `blocked` is the first
+    valuation (in the current run) whose announcement met a non-monotone
+    frame without force.  A caller that knows the frame is closed under
+    supersets says so with monotone=True; otherwise monotone() checks the
+    codes on first use.
     """
 
-    __slots__ = ("n", "full", "codes", "K", "force", "blocked", "_monotone")
+    __slots__ = ("n", "full", "codes", "V", "ALL", "rep", "K", "_table",
+                 "force", "blocked", "_monotone")
 
     def __init__(self, n: int, codes, force: bool = False,
-                 eager: bool = False, monotone: bool | None = None):
+                 monotone: bool | None = None):
         self.n = n
         self.full = (1 << n) - 1
         self.codes = codes
-        self.K = _k_table(n, codes) if eager else {}
+        self.V = len(codes) // n
+        self.ALL = (1 << self.V * n) - 1
+        self.rep = self.ALL // self.full  # bit 0 of every lane
+        self.K: dict[int, int] = {}
+        self._table: list[int] | None = None
         self.force = force
         self.blocked: int | None = None
         self._monotone = monotone
 
     def k_at(self, x: int) -> int:
         return sum((c >> x & 1) << s for s, c in enumerate(self.codes))
+
+    def table(self) -> list[int]:
+        if self._table is None:
+            self._table = _k_columns(self.codes, self.n)
+        return self._table
 
     def monotone(self) -> bool:
         if self._monotone is None:
@@ -269,44 +268,36 @@ def _lane_ints(values: bytes, n: int) -> int:
     return int.from_bytes(_bit_columns(flags)[0::8], "little")
 
 
-def _byte_planes(codes, n: int) -> tuple:
-    """Byte q of every code, per q: one plane up to n = 3, two at n = 4."""
-    if n <= 3:
-        return (bytes(codes),)
-    raw = struct.pack(f"<{len(codes)}H", *codes)
-    return raw[0::2], raw[1::2]
+def _byte_planes(codes, n: int) -> bytes:
+    """Byte q of every code, plane after plane, each plane zero-padded to
+    8-byte groups: one plane up to n = 3, 2^(n-3) from there."""
+    width = max(1, 1 << n >> 3)  # bytes per code
+    if width == 1:
+        raw = bytes(codes)
+    elif width == 2:  # sampled scans' four-state lane frames, in bulk
+        raw = struct.pack(f"<{len(codes)}H", *codes)
+    else:
+        raw = b"".join([c.to_bytes(width, "little") for c in codes])
+    raw += bytes(-len(codes) % 8 * width)
+    return b"".join([raw[q::width] for q in range(width)])
 
 
-class _Lanes(_Frame):
-    """V frames side by side, one per lane: lane j's family codes are
-    codes[j*n:(j+1)*n], and its states sit at bits [j*n, (j+1)*n) of
-    every slot, as valuations do over a shared frame.
-
-    Kl[x] has bit j*n+s set when lane j's code at state s has bit x, so
-    a modal node picks each lane's K entry with 2^n - 1 multiplexers
-    (_mux) instead of a loop over the lanes.  A lane frame's lanes come
-    from one class, so monotone() reads them all at once.
-    """
-
-    __slots__ = ("V", "ALL", "rep", "Kl")
-
-    def __init__(self, n: int, codes, monotone: bool | None = None):
-        super().__init__(n, codes, monotone=monotone)
-        self.V = len(codes) // n
-        if self.V > 1:
-            self.K = None  # read Kl instead
-        self.ALL = (1 << self.V * n) - 1
-        self.rep = self.ALL // self.full  # bit 0 of every lane
-        columns = [_bit_columns(plane) for plane in _byte_planes(codes, n)]
-        self.Kl = [int.from_bytes(columns[x >> 3][x & 7::8], "little")
-                   for x in range(1 << n)]
+def _k_columns(codes, n: int) -> list[int]:
+    """The whole K table of a frame with these codes: entry x has bit i
+    set when codes[i] has bit x.  Byte q of the codes, transposed, holds
+    entries 8q to 8q + 7."""
+    columns = _bit_columns(_byte_planes(codes, n))
+    size = -(-len(codes) // 8) * 8  # bytes per plane
+    bits = range(min(8, 1 << n))
+    return [int.from_bytes(columns[q + b:q + size:8], "little")
+            for q in range(0, len(columns), size) for b in bits]
 
 
-def _mux(Kl: list, v: int, rep: int, full: int, n: int) -> int:
-    """Per lane j, Kl[x] at lane j where x is v's value at lane j: bit i
-    of each lane's x, spread over the lane, selects between the halves
+def _mux(table: list, v: int, rep: int, full: int, n: int) -> int:
+    """Per lane j, table[x] at lane j where x is v's value at lane j: bit
+    i of each lane's x, spread over the lane, selects between the halves
     of the table, so 2^n - 1 selections cover every lane at once."""
-    level = Kl
+    level = table
     for i in range(n):
         sel = (v >> i & rep) * full
         level = [lo ^ (lo ^ hi) & sel
@@ -333,7 +324,8 @@ def _k_forced(fr: _Frame, v: int, pa: int, V: int) -> int:
 
 def _exec(code, vals: list, A, fr: _Frame, V: int, ALL: int) -> None:
     """Run instructions over V valuations; A holds the atoms' ints."""
-    n, full, K = fr.n, fr.full, fr.K
+    n, full, K, lanes = fr.n, fr.full, fr.K, fr.V > 1
+    table = fr.table() if V > 1 else None
     for dst, op, a, b in code:
         if op == _AND:
             vals[dst] = vals[a] & vals[b]
@@ -351,12 +343,12 @@ def _exec(code, vals: list, A, fr: _Frame, V: int, ALL: int) -> None:
                     k = K[v]
                 except KeyError:
                     k = K[v] = fr.k_at(v)
-            elif K is None:
-                k = _mux(fr.Kl, v, fr.rep, full, n)
+            elif lanes:
+                k = _mux(table, v, fr.rep, full, n)
             else:
                 k = 0
                 for sh in range(0, V * n, n):
-                    k |= K[v >> sh & full] << sh
+                    k |= table[v >> sh & full] << sh
             if op == _BOX:
                 vals[dst] = k
             elif op == _BULLET:
@@ -509,7 +501,7 @@ def _failing_states(prog: Program, fr: _Frame, blocks) -> int:
     return out
 
 
-def _failing_lanes(prog: Program, fr: _Lanes, A, per: int) -> list[int]:
+def _failing_lanes(prog: Program, fr: _Frame, A, per: int) -> list[int]:
     """_failing_states per run of `per` lanes: run i's mask of the states
     failing in some lane of it, lane j read under the valuation at lane j
     of the atom ints A."""
@@ -561,7 +553,7 @@ def _first_failure(frame: NeighborhoodFrame, f: Formula, force: bool = False):
                f"2^{VALUATION_SPACE_CAP} valuation cap; use sampled search")
         raise ValueError(msg)
     prog = compile_formula(f, atoms)
-    fr = _Frame(n, frame.family_codes(), force, eager=bool(atoms))
+    fr = _Frame(n, frame.family_codes(), force)
     return _sweep(prog, fr, _blocks(n, len(atoms)))
 
 

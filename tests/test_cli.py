@@ -418,6 +418,16 @@ def test_distinguish_none(capsys):
     assert (code, out) == (1, "none up to depth 2\n")
 
 
+@pytest.mark.parametrize("depth", ["-1", "-3"])
+def test_distinguish_negative_depth(capsys, depth):
+    code, out, err = run(capsys, "distinguish", "--m1", W_BASE, "--s1", "s",
+                         "--m2", W_EXT, "--s2", "s", "--fragment", "w",
+                         "--depth", depth)
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid-argument: depth must be at least 0, " \
+        f"got {depth}\n"
+
+
 def test_frame_valid(capsys):
     code, out, _ = run(capsys, "frame-valid", "-m", MOORE, "-f", "U p -> p")
     assert (code, out) == (0, "true\n")
@@ -468,6 +478,28 @@ def test_non_string_state_name_is_model_format(capsys, tmp_path, argv, doc):
     code, out, err = run(capsys, *(arg.replace("{}", str(path)) for arg in argv))
     assert (code, out) == (2, "")
     assert err.startswith("error: model-format:") and "unknown state name" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("props", "-m", "{}"),
+    ("transform", "-m", W_BASE, "--op", "perturb:{}"),
+])
+def test_deeply_nested_json_is_model_format(capsys, tmp_path, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 3000 + "]" * 3000)
+    code, out, err = run(capsys, *(arg.replace("{}", str(path)) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: model-format: {path}: not valid JSON:")
+    assert err.count("\n") == 1
+
+
+def test_non_utf8_file_is_io(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"states": ["\u00e9"]}'.encode("latin-1"))
+    code, out, err = run(capsys, "props", "-m", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: io: {path}: 'utf-8' codec can't decode")
     assert err.count("\n") == 1
 
 

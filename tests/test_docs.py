@@ -6,6 +6,7 @@ from pathlib import Path
 from nbhdmc import cli
 from nbhdmc.formula import MAX_NESTING, Atom, children, parse
 from nbhdmc.model import MAX_STATES
+from nbhdmc.semantics import VALUATION_SPACE_CAP
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -29,6 +30,11 @@ def test_readme_desugar_cap_is_max_desugared_nodes():
 def test_readme_reduce_cap_is_max_desugared_nodes():
     caps = re.findall(r"to the same cap of (\d+)\s+nodes", README)
     assert caps == [str(cli.MAX_DESUGARED_NODES)]
+
+
+def test_readme_frame_valid_cap_is_valuation_space_cap():
+    caps = re.findall(r"when atoms ×\s+states exceeds (\d+)", README)
+    assert caps == [str(VALUATION_SPACE_CAP)]
 
 
 def test_readme_lists_every_error_channel():

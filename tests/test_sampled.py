@@ -152,16 +152,16 @@ def test_a_failure_at_the_first_draw_builds_one_lane(monkeypatch):
     # the first chunk is one draw, so a formula that fails at once is
     # judged on one lane frame of one lane
     built = []
-    lane_frame = search._Lanes
+    lane_frame = search._Frame
 
-    def lanes(n, codes, monotone=None):
+    def lanes(n, codes, force=False, monotone=None):
         built.append(len(codes) // n)
-        return lane_frame(n, codes, monotone)
+        return lane_frame(n, codes, force, monotone)
 
     f = parse("[(true | q) & (true | q)] q")
     want, index = referee(f, ("m",), 4, 383, 1000)
     assert index == 0
-    monkeypatch.setattr(search, "_Lanes", lanes)
+    monkeypatch.setattr(search, "_Frame", lanes)
     assert _sampled(f, ("m",), 4, 383, 1000) == want
     assert built == [1]
 

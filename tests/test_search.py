@@ -536,13 +536,13 @@ def _counting_lanes(monkeypatch):
     """Patch the scans' lane frames to record the state count of each
     one built; returns that list."""
     built = []
-    lane_frame = search._Lanes
+    lane_frame = search._Frame
 
-    def lanes(n, codes, monotone=None):
+    def lanes(n, codes, force=False, monotone=None):
         built.append(n)
-        return lane_frame(n, codes, monotone)
+        return lane_frame(n, codes, force, monotone)
 
-    monkeypatch.setattr(search, "_Lanes", lanes)
+    monkeypatch.setattr(search, "_Frame", lanes)
     return built
 
 
@@ -676,7 +676,7 @@ def test_lane_failing_masks_match_the_per_code_sweep(monkeypatch, props):
                 assert sorted(on_lanes) == codes
                 blocks = tuple(_blocks(n, len(prog.atoms)))
                 for code in codes:
-                    frame = _Frame(n, (code,) * n, eager=bool(prog.atoms))
+                    frame = _Frame(n, (code,) * n)
                     assert on_lanes[code] == \
                         _failing_states(prog, frame, blocks), (text, n, code)
                 held = search._memo.get(("local", n, props, per))
@@ -854,6 +854,14 @@ def test_distinguish_uses_atoms_from_both_models():
 def test_distinguish_rejects_unknown_fragment():
     with pytest.raises(ValueError, match="fragment"):
         distinguish(PointedModel(W_BASE, 0), PointedModel(W_EXT, 0), "box", 1)
+
+
+def test_negative_depth_is_refused():
+    with pytest.raises(ValueError, match="depth must be at least 0, got -1"):
+        distinguish(PointedModel(W_BASE, 0), PointedModel(W_EXT, 0), "full",
+                    -1)
+    with pytest.raises(ValueError, match="depth must be at least 0, got -3"):
+        fragment_representatives((W_BASE, W_EXT), ("p",), (Wrong,), -3)
 
 
 def test_fragment_representatives_signatures_are_unique():

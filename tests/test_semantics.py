@@ -1,5 +1,6 @@
 """Evaluation clauses, extensions, announcements, frame validity."""
 
+import random
 from itertools import product
 
 import pytest
@@ -211,6 +212,80 @@ def test_frame_valid_matches_pointwise_sweep():
                 if extension(model, f) != StateSet.full(2):
                     expected = False
         assert frame_valid(frame, f) == expected
+
+
+def _k_entry(codes, x: int) -> int:
+    """K[x] by definition: bit i set when codes[i] has bit x."""
+    return sum((codes[s] >> x & 1) << s for s in range(len(codes)))
+
+
+def _random_codes(rng: random.Random, n: int, count: int) -> list[int]:
+    """count random n-state family codes, dense or sparse."""
+    return [rng.getrandbits(1 << n) & (rng.getrandbits(1 << n)
+                                       if rng.random() < 0.5 else -1)
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), 16])
+def test_k_tables_match_the_definition(n):
+    """Every read of K equals the definition: the whole table of one lane
+    and of several, a multiplexed pick of every lane at once, and the
+    entries a single model fills on demand.  Every entry is checked up
+    to n = 8, a sample of them at n = 16."""
+    rng = random.Random(414 + n)
+    full = (1 << n) - 1
+    xs = range(1 << n) if n <= 8 else \
+        [0, full, *rng.sample(range(1 << n), 200)]
+    prog = semantics.compile_formula(parse("K p"))
+    for lanes in (1, 3):
+        codes = _random_codes(rng, n, lanes * n)
+        fr = semantics._Frame(n, codes)
+        table = fr.table()
+        assert len(table) == 1 << n
+        for x in xs:
+            assert table[x] == _k_entry(codes, x), (n, lanes, x)
+        if lanes > 1:
+            for _ in range(20):
+                picks = [rng.choice(xs) for _ in range(lanes)]
+                v = sum(x << j * n for j, x in enumerate(picks))
+                assert semantics._mux(table, v, fr.rep, full, n) == sum(
+                    _k_entry(codes[j * n:(j + 1) * n], x) << j * n
+                    for j, x in enumerate(picks))
+        else:
+            on_demand = semantics._Frame(n, codes)
+            for x in xs:
+                assert semantics._run(prog, on_demand, [x]) == \
+                    _k_entry(codes, x)
+            assert on_demand.K == {x: _k_entry(codes, x) for x in xs}
+            assert on_demand._table is None
+
+
+def test_sixteen_state_frame_validity_matches_oracle():
+    """A sparse 16-state frame fails K p -> p first where the oracle says,
+    many valuation blocks in, and holds everywhere one valuation before."""
+    rng = random.Random(416)
+    names = [f"w{i}" for i in range(16)]
+
+    def subset(mask: int) -> list[str]:
+        return [names[i] for i in range(16) if mask >> i & 1]
+
+    # three random neighborhoods holding the next state, and W
+    doc = {"states": names, "neighborhoods": {
+        name: [subset(rng.getrandbits(16) | 1 << (i + 1) % 16)
+               for _ in range(3)] + [names]
+        for i, name in enumerate(names)}}
+    frame = model_from_json(doc).frame
+    f = parse("K p -> p")
+    found = _first_failure(frame, f)
+    assert found is not None and found[0] > 1 << 10, found
+    j, state = found
+    fails = {**doc, "valuation": {"p": subset(j)}}
+    assert _oracle.ext(fails, f) != set(names)
+    assert min(names.index(s) for s in set(names) - _oracle.ext(fails, f)) \
+        == state
+    before = {**doc, "valuation": {"p": subset(j - 1)}}
+    assert _oracle.ext(before, f) == set(names)
+    assert not frame_valid(frame, f)
 
 
 # --- kernel against the oracle --------------------------------------------------------

@@ -23,6 +23,10 @@ It writes, with the interpreter and machine it ran on:
 * `multiblock_probe`: likewise for `nbhdmc valid -f "U (p & q & r & s)
   -> U U (p & q & r & s)" --class m`, an exhaustive three-state scan
   whose frames' 4096 valuations fill four valuation blocks;
+* `bigframe_probe`: likewise for `nbhdmc frame-valid -f "K p | ! K p"`
+  on a 16-state model written to a temporary file, state w_i's
+  neighborhoods being the full set and {w_i}: one frame's whole K table
+  of 2^16 entries, read under 2^16 valuations;
 * `paper_suite`: likewise for `nbhdmc paper-suite --jobs J`, per J in
   SUITE_JOBS.
 
@@ -41,6 +45,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -57,6 +62,8 @@ ANNOUNCE_PROBE = ("valid", "-f", "[[W false] (p | K q)] [q] (U true -> true)",
                   "--class", "m,n")
 MULTIBLOCK_PROBE = ("valid", "-f", "U (p & q & r & s) -> U U (p & q & r & s)",
                     "--class", "m")
+BIGFRAME_PROBE = ("frame-valid", "-f", "K p | ! K p")
+BIGFRAME_STATES = 16
 SUITE_JOBS = (1, 2, 4)
 
 # Times criteria 3 and 10 as the acceptance gate runs them; prints JSON.
@@ -173,6 +180,20 @@ def cli_wall(args) -> dict:
             "runs_peak_rss_mib": peaks}
 
 
+def bigframe_probe() -> dict:
+    """cli_wall of BIGFRAME_PROBE on the BIGFRAME_STATES-state model, with
+    the temporary file's path shown as its name."""
+    names = [f"w{i}" for i in range(BIGFRAME_STATES)]
+    doc = {"states": names,
+           "neighborhoods": {name: [names, [name]] for name in names}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bigframe.json"
+        path.write_text(json.dumps(doc))
+        probe = cli_wall((*BIGFRAME_PROBE, "-m", str(path)))
+    probe["argv"] = probe["argv"].replace(str(path), path.name)
+    return probe
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", required=True, type=Path)
@@ -190,6 +211,7 @@ def main(argv=None) -> int:
         "announce_probe": {"repeats": REPEATS, **cli_wall(ANNOUNCE_PROBE)},
         "multiblock_probe": {"repeats": REPEATS,
                              **cli_wall(MULTIBLOCK_PROBE)},
+        "bigframe_probe": {"repeats": REPEATS, **bigframe_probe()},
         "paper_suite": {"repeats": REPEATS,
                         **{f"jobs_{jobs}": cli_wall(("paper-suite", "--jobs",
                                                      str(jobs)))
