@@ -17,7 +17,7 @@ the recursion of the parser and of every walk over a parsed formula.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 __all__ = [
@@ -117,10 +117,14 @@ class Announce(Formula):
     body: Formula
 
 
+# The names of each node class's formula fields, in field order.
+_KIDS = {cls: tuple(fld.name for fld in fields(cls) if fld.type == "Formula")
+         for cls in Formula.__subclasses__()}
+
+
 def children(f: Formula) -> tuple[Formula, ...]:
     """Formula children of a node, in field order."""
-    return tuple(v for fld in fields(f)
-                 if isinstance(v := getattr(f, fld.name), Formula))
+    return tuple([getattr(f, name) for name in _KIDS[type(f)]])
 
 
 def subformula_at(f: Formula, path: tuple[int, ...]) -> Formula:
@@ -133,11 +137,10 @@ def replace_at(f: Formula, path: tuple[int, ...], new: Formula) -> Formula:
     """Copy of f with the subformula at path replaced by new."""
     if not path:
         return new
-    kids = children(f)
-    names = [fld.name for fld in fields(f)
-             if isinstance(getattr(f, fld.name), Formula)]
+    kids = list(children(f))
     i = path[0]
-    return replace(f, **{names[i]: replace_at(kids[i], path[1:], new)})
+    kids[i] = replace_at(kids[i], path[1:], new)
+    return type(f)(*kids)
 
 
 # --- parsing ---------------------------------------------------------------

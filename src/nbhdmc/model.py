@@ -500,9 +500,9 @@ def intersection_submodel(model: NeighborhoodModel, X: StateSet,
 # --- JSON wire format ---------------------------------------------------------
 
 
-def _names_to_set(frame_states: tuple[str, ...], names, where: str) -> StateSet:
-    n = len(frame_states)
-    index = {s: i for i, s in enumerate(frame_states)}
+def _names_to_set(index: dict[str, int], names, where: str) -> StateSet:
+    """The set of the named states; index maps each state name to its
+    position."""
     bits = 0
     if not isinstance(names, list):
         msg = f"{where}: expected an array of state names"
@@ -512,27 +512,27 @@ def _names_to_set(frame_states: tuple[str, ...], names, where: str) -> StateSet:
             msg = f"{where}: unknown state name {name!r}"
             raise ModelFormatError(msg)
         bits |= 1 << index[name]
-    return StateSet(n, bits)
+    return StateSet(len(index), bits)
 
 
-def _families_from_json(data: dict, key: str, states: tuple[str, ...]):
+def _families_from_json(data: dict, key: str, index: dict[str, int]):
     """Yield (state, family) for data[key], one state at a time in state
-    order, so a caller's per-state check fires before the next state's
-    entries are decoded."""
+    order (index maps each state name to its position), so a caller's
+    per-state check fires before the next state's entries are decoded."""
     fam_data = data.get(key, {})
     if not isinstance(fam_data, dict):
         msg = f"'{key}' must be an object"
         raise ModelFormatError(msg)
     for name in fam_data:
-        if name not in states:
+        if name not in index:
             msg = f"{key}: unknown state name {name!r}"
             raise ModelFormatError(msg)
-    for s in states:
+    for s in index:
         entries = fam_data.get(s, [])
         if not isinstance(entries, list):
             msg = f"{key} of {s!r} must be an array of arrays"
             raise ModelFormatError(msg)
-        yield s, tuple(_names_to_set(states, e, f"{key} of {s!r}") for e in entries)
+        yield s, tuple(_names_to_set(index, e, f"{key} of {s!r}") for e in entries)
 
 
 def model_from_json(data) -> NeighborhoodModel:
@@ -553,8 +553,9 @@ def model_from_json(data) -> NeighborhoodModel:
         msg = f"at most {MAX_STATES} states supported, got {len(states)}"
         raise ModelFormatError(msg)
     states = tuple(states)
+    index = {s: i for i, s in enumerate(states)}
     fams = []
-    for s, fam in _families_from_json(data, "neighborhoods", states):
+    for s, fam in _families_from_json(data, "neighborhoods", index):
         if len({ss.bits for ss in fam}) != len(fam):
             msg = f"duplicate neighborhood set at state {s!r}"
             raise ModelFormatError(msg)
@@ -567,7 +568,7 @@ def model_from_json(data) -> NeighborhoodModel:
         if not isinstance(atom, str) or not _NAME_RE.fullmatch(atom):
             msg = f"bad atom name in valuation: {atom!r}"
             raise ModelFormatError(msg)
-        valuation[atom] = _names_to_set(states, names, f"valuation of {atom!r}")
+        valuation[atom] = _names_to_set(index, names, f"valuation of {atom!r}")
     try:
         frame = NeighborhoodFrame(states, tuple(fams))
         return NeighborhoodModel(frame, valuation)
@@ -611,7 +612,8 @@ def pmap_from_json(data, states: tuple[str, ...]) -> PerturbationMap:
     if extra:
         msg = f"unknown perturbation keys: {sorted(extra)}"
         raise ModelFormatError(msg)
-    fams = tuple(fam for _, fam in _families_from_json(data, "families", states))
+    index = {s: i for i, s in enumerate(states)}
+    fams = tuple(fam for _, fam in _families_from_json(data, "families", index))
     try:
         return PerturbationMap(data.get("kind", ""), data.get("sign", ""), fams)
     except PerturbationError:

@@ -22,9 +22,12 @@ in order, one value per state to index the class-allowed family list
 (by modulo) and one value per atom (sorted) for its valuation mask.
 Sequences and verdicts are fixed byte for byte by the seed.  Draws are
 judged in chunks (one draw, doubling up to 4096): the chunk's part of
-the stream is computed at once, and the kernel evaluates every draw of
-the chunk together, one draw per lane.  The stream and the verdict bytes
-are those of drawing and judging one sample at a time.
+the stream is computed at once, as bytes, and the kernel evaluates every
+draw of the chunk together, one draw per lane.  A table holding every
+code (the unrestricted class) is indexed by an output's low 2^n bits,
+which are the code itself, so its codes are read straight off the
+stream's bytes; other tables are indexed by below(m).  The stream and
+the verdict bytes are those of drawing and judging one sample at a time.
 
 Scans go through the evaluation kernel in `semantics`: the formula is
 compiled once.  Exhaustive scans judge frames a chunk at a time like
@@ -57,8 +60,6 @@ budget are built and dropped, so memory stays bounded.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -70,8 +71,8 @@ from .model import (MAX_STATES, PREFIX_ORDER, PROPERTY_IDS,
                     NeighborhoodModel, PointedModel, StateSet, _members,
                     code_has_property, frame_from_codes, model_to_json)
 from .semantics import (Program, _block_atoms, _blocks, _Closure, _Frame,
-                        _failing_lanes, _failing_states, _lane_ints, _sweep,
-                        _valuation_masks, compile_formula, evaluate)
+                        _failing_lanes, _failing_states, _lane_ints, _le_ints,
+                        _sweep, _valuation_masks, compile_formula, evaluate)
 
 __all__ = [
     "SplitMix64", "ClassSpec", "Countermodel", "NoCounterexampleUpTo",
@@ -108,41 +109,6 @@ class SplitMix64:
 
     def below(self, k: int) -> int:
         return self.next() % k
-
-
-@lru_cache(maxsize=16)  # a call uses at most 8 chunk sizes
-def _stream_lanes(count: int) -> tuple[int, int, int]:
-    """(steps, rep, mask) for `count` 128-bit lanes in one int: lane i of
-    steps holds (i + 1) * gamma mod 2^64, rep has bit 0 of every lane and
-    mask the low 64 bits of every lane."""
-    ones = array("Q", bytes(16 * count))
-    ones[0::2] = array("Q", range(1, count + 1))
-    if sys.byteorder == "big":
-        ones.byteswap()
-    rep = ((1 << 128 * count) - 1) // ((1 << 128) - 1)
-    mask = rep * _MASK64
-    return int.from_bytes(ones.tobytes(), "little") * _GAMMA & mask, rep, mask
-
-
-def _splitmix_block(seed: int, start: int, count: int) -> array:
-    """Outputs start .. start + count - 1 (from 0) of SplitMix64(seed).
-
-    Output i is mix(seed + (i + 1) * gamma mod 2^64), so a block of the
-    stream is computed at once: one int holds each output's state in a
-    128-bit lane, where the xor-shifts (masked back to the low 64 bits)
-    and the products with the 64-bit constants never cross lanes.
-    """
-    steps, rep, mask = _stream_lanes(count)
-    z = (steps + (seed + start * _GAMMA & _MASK64) * rep) & mask
-    z = (z ^ z >> 30) & mask
-    z = z * 0xBF58476D1CE4E5B9 & mask
-    z = (z ^ z >> 27) & mask
-    z = z * 0x94D049BB133111EB & mask
-    z = (z ^ z >> 31) & mask
-    out = array("Q", z.to_bytes(16 * count, "little"))
-    if sys.byteorder == "big":
-        out.byteswap()
-    return out[0::2]
 
 
 CLASS_PROPERTY_IDS = frozenset(PROPERTY_IDS) - {"filter"}
@@ -609,7 +575,45 @@ def find_countermodel(f: Formula, cls: ClassSpec, mode: str = "exhaustive",
     return NoCounterexampleUpTo(cls.max_states, "exhaustive")
 
 
-_LOW_BYTE = 0 if sys.byteorder == "little" else 7  # of a 64-bit output
+# A sampled call judges chunks of _chunk_sizes(1): every power of two up
+# to _CHUNK_CAP and a last partial chunk, each its own stream length.
+_STREAM_LENGTHS = 2 * (_CHUNK_CAP.bit_length() + 1)  # two calls' lengths
+
+
+@lru_cache(maxsize=_STREAM_LENGTHS)
+def _stream_lanes(count: int) -> tuple[int, int, int]:
+    """(steps, rep, mask) for `count` 128-bit lanes in one int: lane i of
+    steps holds (i + 1) * gamma mod 2^64, rep has bit 0 of every lane and
+    mask the low 64 bits of every lane."""
+    lane = (1 << 128) - 1
+    rep = ((1 << 128 * count) - 1) // lane
+    ramp = ((count << 128 * count) - rep) // lane  # lane i holds i + 1
+    mask = rep * _MASK64
+    return ramp * _GAMMA & mask, rep, mask
+
+
+def _splitmix_block(seed: int, start: int, count: int) -> bytes:
+    """Outputs start .. start + count - 1 (from 0) of SplitMix64(seed), 16
+    bytes each: output i is bytes [16i, 16i + 8), little-endian, so its
+    low byte is byte 16i; the other 8 bytes of each are not read.
+
+    Output i is mix(seed + (i + 1) * gamma mod 2^64), so a block of the
+    stream is computed at once: one int holds each output's state in a
+    128-bit lane, where the xor-shifts (masked back to the low 64 bits)
+    and the products with the 64-bit constants never cross lanes.
+    """
+    steps, rep, mask = _stream_lanes(count)
+    z = (steps + (seed + start * _GAMMA & _MASK64) * rep) & mask
+    z = (z ^ z >> 30) & mask
+    z = z * 0xBF58476D1CE4E5B9 & mask
+    z = (z ^ z >> 27) & mask
+    z = z * 0x94D049BB133111EB & mask
+    return (z ^ z >> 31).to_bytes(16 * count, "little")
+
+
+# byte x to x % 2^(2^n), the low 2^n bits of x, at n <= 3
+_LOW_BITS = tuple(bytes(x & (1 << (1 << n)) - 1 for x in range(256))
+                  for n in range(4))
 
 
 def _sampled_search(f: Formula, prog: Program, cls: ClassSpec, seed: int,
@@ -620,9 +624,14 @@ def _sampled_search(f: Formula, prog: Program, cls: ClassSpec, seed: int,
     Draws are judged a chunk at a time on a lane frame, draw j of the
     chunk in lane j; the chunk's part of the stream is computed at once
     (_splitmix_block) and read exactly as SplitMix64.below would read it.
-    The first chunk is one draw, on one lane, which reads its K entries
-    on demand as a single model does; from there the chunks double, so
-    a failure at draw k judges fewer than 2k + 2 draws.
+    Where the class table holds every code (the unrestricted class),
+    below(m) is the output's low 2^n bits, so the codes are the stream's
+    low bytes (low two bytes at n = 4) as they are; other tables are
+    indexed by below(m).  Atom masks are the low n bits of their outputs'
+    low bytes, all transposed at once (_lane_ints).  The first chunk is
+    one draw, on one lane, which reads its K entries on demand as a
+    single model does; from there the chunks double, so a failure at
+    draw k judges fewer than 2k + 2 draws.
     """
     n = cls.max_states
     if n > SAMPLED_MAX_STATES:
@@ -634,28 +643,39 @@ def _sampled_search(f: Formula, prog: Program, cls: ClassSpec, seed: int,
         raise ValueError(msg)
     atoms = prog.atoms
     allowed = _allowed_lists(n, cls.properties)
+    whole = all(len(options) == 1 << (1 << n) for options in allowed)
+    width = max(1, 1 << n >> 3)  # bytes per code
     full = (1 << n) - 1
     per = n + len(atoms)  # stream outputs per draw
+    step = 16 * per  # stream bytes per draw
     sizes = _chunk_sizes(1)
     monotone = "m" in cls.properties or None
     done = 0
     while done < samples:
         V = min(next(sizes), samples - done)
-        out = _splitmix_block(seed, done * per, V * per)
-        codes = [0] * (V * n)
-        for s, options in enumerate(allowed):
-            m = len(options)
-            codes[s::n] = [options[x % m] for x in out[s::per]]
-        low = out.tobytes()[_LOW_BYTE::8]  # x % 2^n reads the low byte
-        A = [_lane_ints(low[n + i::per], n) for i in range(len(atoms))]
+        raw = _splitmix_block(seed, done * per, V * per)
+        if whole:
+            codes = bytearray(width * V * n)
+            for s in range(n):
+                for q in range(width):
+                    codes[width * s + q::width * n] = raw[16 * s + q::step]
+            codes = (codes.translate(_LOW_BITS[n]) if width == 1
+                     else _le_ints(codes, "H"))
+        else:
+            words = _le_ints(raw, "Q")  # output i is word 2i
+            codes = [0] * (V * n)
+            for s, options in enumerate(allowed):
+                m = len(options)
+                codes[s::n] = [options[x % m] for x in words[2 * s::2 * per]]
+        A = _lane_ints([raw[16 * i::step] for i in range(n, per)], n)
         lanes = _Frame(n, codes, monotone=monotone)
         hit = _sweep(prog, lanes, ((0, V, lanes.ALL, A),))
         if hit:
             j, state = hit
-            draw = out[j * per:(j + 1) * per]
             return _witness_to_countermodel(
                 f, n, tuple(codes[j * n:(j + 1) * n]), atoms,
-                tuple(x & full for x in draw[n:]), state)
+                tuple(raw[16 * (j * per + i)] & full for i in range(n, per)),
+                state)
         done += V
     return NoCounterexampleUpTo(n, "sampled", samples, seed)
 

@@ -52,6 +52,7 @@ nodes ask.
 from __future__ import annotations
 
 import struct
+import sys
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -260,21 +261,40 @@ def _bit_columns(data) -> bytes:
     return x.to_bytes(8 * words, "little")
 
 
-def _lane_ints(values: bytes, n: int) -> int:
-    """One int holding values[j] (below 2^n) at bits [j*n, (j+1)*n)."""
-    flags = bytearray(len(values) * n)  # byte j*n+s: bit s of values[j]
-    for s in range(n):
-        flags[s::n] = values.translate(_BIT[s])
-    return int.from_bytes(_bit_columns(flags)[0::8], "little")
+def _lane_ints(columns, n: int) -> list[int]:
+    """Per bytes of columns (all of one length), one int holding its
+    values' low n bits, value j at bits [j*n, (j+1)*n).  One transpose
+    serves every column: column i's flags fill its own 8-byte groups."""
+    if not columns:
+        return []
+    used = len(columns[0]) * n
+    size = -(-used // 8) * 8  # flag bytes per column
+    flags = bytearray(len(columns) * size)  # byte j*n+s: bit s of values[j]
+    for at, values in zip(range(0, len(flags), size), columns):
+        for s in range(n):
+            flags[at + s:at + used:n] = values.translate(_BIT[s])
+    bits = _bit_columns(flags)[0::8]
+    return [int.from_bytes(bits[at:at + size // 8], "little")
+            for at in range(0, len(bits), size // 8)]
+
+
+def _le_ints(data, fmt: str):
+    """data's little-endian words of struct format fmt ("H" or "Q"), as a
+    sequence of ints: on a little-endian host a view of data, whose
+    bytes _byte_planes then reads as they are."""
+    if sys.byteorder == "little":
+        return memoryview(data).cast(fmt)
+    return struct.unpack(f"<{len(data) // struct.calcsize(fmt)}{fmt}", data)
 
 
 def _byte_planes(codes, n: int) -> bytes:
     """Byte q of every code, plane after plane, each plane zero-padded to
-    8-byte groups: one plane up to n = 3, 2^(n-3) from there."""
+    8-byte groups: one plane up to n = 3, 2^(n-3) from there.  Codes
+    viewed from little-endian bytes (_le_ints) are read as those bytes."""
     width = max(1, 1 << n >> 3)  # bytes per code
-    if width == 1:
+    if width == 1 or isinstance(codes, memoryview):
         raw = bytes(codes)
-    elif width == 2:  # sampled scans' four-state lane frames, in bulk
+    elif width == 2:  # four-state lane frames of indexed sampled draws
         raw = struct.pack(f"<{len(codes)}H", *codes)
     else:
         raw = b"".join([c.to_bytes(width, "little") for c in codes])

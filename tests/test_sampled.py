@@ -124,6 +124,13 @@ LATE = [
     ("K (K [q] q | ! [q] false)", ("m",), 4, 109, 120),
     ("[W (true & false & ! p)] ! p", ("m", "n"), 4, 93, 171),
     ("[q] ([true <-> true] K q & K K q)", ("m",), 4, 970, 283),
+    # every code allowed: 4, 16, 256 and 65536 codes, read off the stream's
+    # low bytes; then a table per state
+    ("p & q & x & y & z -> W ! p | K (q & x)", (), 1, 18, 487),
+    ("K p & K q -> K (p | q)", (), 2, 5, 157),
+    ("O p & O q -> O (p & q)", (), 3, 34, 509),
+    ("U (p & q) & x -> U p | U q", (), 4, 13, 289),
+    ("U p & U q -> U (p & q)", ("neg-suppl",), 4, 31, 152),
 ]
 
 
@@ -165,6 +172,21 @@ def test_a_failure_at_the_first_draw_builds_one_lane(monkeypatch):
     assert _sampled(f, ("m",), 4, 383, 1000) == want
     assert built == [1]
 
+
+def test_stream_lanes_of_two_calls_stay_cached():
+    # a call reads one stream length per chunk size; two calls with
+    # different outputs per draw, repeated, build none of them again
+    search._stream_lanes.cache_clear()
+    one, two = parse("K p -> K p"), parse("K (p & q) -> K (p & q)")
+    for f in (one, two):
+        assert _sampled(f, (), 3, 7, 10000) == verdict_to_text(
+            NoCounterexampleUpTo(3, "sampled", 10000, 7))
+    built = search._stream_lanes.cache_info().misses
+    assert built == 2 * (search._CHUNK_CAP.bit_length() + 1)
+    for f in (one, two):
+        _sampled(f, (), 3, 7, 10000)
+    assert search._stream_lanes.cache_info().misses == built
+
 # --- the bulk stream -------------------------------------------------------
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1, 1 << 64, -1, 3 << 130,
@@ -177,4 +199,7 @@ def test_bulk_stream_is_the_splitmix_stream(seed):
     for start, count in [(0, 1), (0, 6), (5, 2), (6, 12), (377, 2),
                          (378, 384), (761, 439), (1, 1199), (1151, 49)]:
         got = search._splitmix_block(seed, start, count)
-        assert list(got) == stream[start:start + count], (start, count)
+        assert len(got) == 16 * count
+        outputs = [int.from_bytes(got[i:i + 8], "little")
+                   for i in range(0, len(got), 16)]
+        assert outputs == stream[start:start + count], (start, count)

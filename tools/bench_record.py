@@ -27,6 +27,9 @@ It writes, with the interpreter and machine it ran on:
   on a 16-state model written to a temporary file, state w_i's
   neighborhoods being the full set and {w_i}: one frame's whole K table
   of 2^16 entries, read under 2^16 valuations;
+* `sampled_probe`: likewise for `nbhdmc valid -f "W p -> ! p"
+  --max-states 4 --samples 200000`, a sampled four-state scan of the
+  unrestricted class, whose family codes are read off the stream;
 * `paper_suite`: likewise for `nbhdmc paper-suite --jobs J`, per J in
   SUITE_JOBS.
 
@@ -62,6 +65,8 @@ ANNOUNCE_PROBE = ("valid", "-f", "[[W false] (p | K q)] [q] (U true -> true)",
                   "--class", "m,n")
 MULTIBLOCK_PROBE = ("valid", "-f", "U (p & q & r & s) -> U U (p & q & r & s)",
                     "--class", "m")
+SAMPLED_PROBE = ("valid", "-f", "W p -> ! p", "--max-states", "4",
+                 "--samples", "200000")
 BIGFRAME_PROBE = ("frame-valid", "-f", "K p | ! K p")
 BIGFRAME_STATES = 16
 SUITE_JOBS = (1, 2, 4)
@@ -212,6 +217,7 @@ def main(argv=None) -> int:
         "multiblock_probe": {"repeats": REPEATS,
                              **cli_wall(MULTIBLOCK_PROBE)},
         "bigframe_probe": {"repeats": REPEATS, **bigframe_probe()},
+        "sampled_probe": {"repeats": REPEATS, **cli_wall(SAMPLED_PROBE)},
         "paper_suite": {"repeats": REPEATS,
                         **{f"jobs_{jobs}": cli_wall(("paper-suite", "--jobs",
                                                      str(jobs)))
