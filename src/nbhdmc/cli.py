@@ -293,10 +293,8 @@ def _cmd_paper_suite(args) -> int:
     width = max(len(r) for r in ROWS)
     failures = 0
     for row_id, _description, ok, detail in run_suite():
-        mark = "PASS" if ok else "FAIL"
-        if not ok:
-            failures += 1
-        print(f"{row_id:<{width}}  {mark}  {detail}")
+        failures += not ok
+        print(f"{row_id:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}")
     total = len(ROWS)
     print(f"{total - failures}/{total} rows pass")
     return 0 if failures == 0 else 1

@@ -9,10 +9,10 @@ package targets needs at most 3, and 16 keeps full-powerset scans
 A family is stored as one int, its family code: bit x is set when the
 set with mask x is a member.  A frame computes its codes once, at
 construction, and every family operation reads them: the frame
-properties (`code_has_property`), submodel restriction
-(`restrict_codes`), the transformers, the morphism checks, the search's
-class tables and the evaluation kernel.  StateSet families appear only
-at the API and JSON boundary.
+properties (`code_has_property`), the transformers, the morphism
+checks, the search's class tables and the evaluation kernel; `project`
+alone defines submodel restriction, for `restrict_codes` and forced
+announcements.  StateSet families appear only at the API and JSON edge.
 """
 
 from __future__ import annotations
@@ -128,11 +128,8 @@ def _canonical_family(n: int, family) -> tuple[StateSet, ...]:
 
 
 def _code(family) -> int:
-    """Family code of a family of StateSets."""
-    code = 0
-    for ss in family:
-        code |= 1 << ss.bits
-    return code
+    """Family code of a duplicate-free family of StateSets."""
+    return sum(1 << ss.bits for ss in family)
 
 
 @dataclass(frozen=True)
@@ -389,6 +386,18 @@ def frame_from_codes(states, codes) -> NeighborhoodFrame:
         tuple(tuple(StateSet(n, x) for x in _members(code)) for code in codes))
 
 
+def project(n: int, code: int, over: int) -> int:
+    """code projected over the states in the mask over: bit y is set when
+    code has bit y | z for some z within over.  The submodel on the other
+    states keeps a mask y within them exactly when bit y is set.  One
+    shift per state of over: the existential step of the fast zeta
+    transform (Bjorklund, Husfeldt, Kaski & Koivisto, STOC 2007)."""
+    for w, lack in enumerate(_lacking(n)):
+        if over >> w & 1:
+            code |= code >> (1 << w) & lack
+    return code
+
+
 def _compress(mask: int, kept) -> int:
     """mask read at the kept states, renumbered 0.. in their order."""
     return sum((mask >> old & 1) << new for new, old in enumerate(kept))
@@ -397,17 +406,16 @@ def _compress(mask: int, kept) -> int:
 def restrict_codes(codes, kept: int) -> tuple[int, ...]:
     """Family codes of the submodel on the states in the mask kept.
 
-    Each kept state's family P becomes {Y & kept | Y in P}, renumbered
-    by _compress; the other states go.
+    Each kept state's family P becomes {Y & kept | Y in P}: P's members
+    projected over the other states that lie within kept, renumbered by
+    _compress; the other states go.
     """
-    states = tuple(_members(kept))
-    out = []
-    for old in states:
-        code = 0
-        for y in _members(codes[old]):
-            code |= 1 << _compress(y, states)
-        out.append(code)
-    return tuple(out)
+    n, states = len(codes), tuple(_members(kept))
+    within = project(n, 1 << kept, kept)  # the subsets of kept
+    projected = (project(n, codes[old], (1 << n) - 1 ^ kept) & within
+                 for old in states)
+    return tuple(sum(1 << _compress(y, states) for y in _members(code))
+                 for code in projected)
 
 
 # --- transformers -------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formula import Formula
-from .model import NeighborhoodModel, StateSet
+from .model import NeighborhoodModel, StateSet, _members
 from .semantics import extension
 
 __all__ = ["StateMap", "check_bullet_morphism", "check_w_morphism",
@@ -62,11 +62,7 @@ class StateMap:
         return cls(source, target, tuple(mapping))
 
     def image_mask(self, mask: int) -> int:
-        out = 0
-        for s, t in enumerate(self.mapping):
-            if mask >> s & 1:
-                out |= 1 << t
-        return out
+        return sum({1 << self.mapping[s] for s in _members(mask)})
 
 
 def _atom_names(sm: StateMap) -> tuple[str, ...]:

@@ -741,18 +741,12 @@ def _representatives(models, atoms, operators, max_depth: int):
     changed = True
     while changed:
         changed = False
-        i = 0
-        while i < len(reps):
-            f, _, d, a = reps[i]
+        for f, _, d, a in reps:  # the loops reach rows appended in them
             if offer(closure.node(Not, a), d, Not, f):
                 changed = True
-            j = 0
-            while j < len(reps):
-                g, _, dg, b = reps[j]
+            for g, _, dg, b in reps:
                 if offer(closure.node(And, a, b), max(d, dg), And, f, g):
                     changed = True
-                j += 1
-            i += 1
             yield from fresh()
         for pos in range(len(reps)):
             f, _, d, a = reps[pos]

@@ -22,16 +22,16 @@ per valuation, the frame's table K[x]: the states whose family code
 (bit x set when the set with mask x is a neighborhood) has bit x.
 
 Announcements never build a submodel; they relativize.  The submodel
-on the states P keeps X & P of every neighborhood X (Ma & Sano, "How to
-update neighbourhood models", J. Logic Comput. 2018), so for s in P
-and Y within P, Y is a neighborhood of s there exactly when K[Y | Z]
-has bit s for some Z outside P, and on a frame closed under supersets
-when K[Y | ~P] has.  So [a] b compiles inline as pa -> b, with the
-announced set pa = ctx & a, where ctx is the set announced around it
-(everything at the top), and b compiled under the context pa: a modal
-node under a context reads its argument v as v & pa | ~pa.  Nested
-announcements compose by intersection.  Slot values outside their
-context are never read.
+on the states P keeps X & P of every neighborhood X (Ma & Sano, J. Logic
+Comput. 2018): for s in P, Y within P is a neighborhood of s there when
+s's code projected over ~P (model.project) has bit Y.  So [a] b compiles
+inline as pa -> b, with the announced set pa = ctx & a, where ctx is the
+set announced around it (everything at the top), and b compiled under
+the context pa: a modal node under a context reads its argument v as
+v & pa | ~pa, and K there is the projection's bit on a frame closed
+under supersets; a forced run on another frame projects once per
+announced set (_k_forced).  Nested announcements compose by
+intersection.  Slot values outside their context are never read.
 
 A frame (_Frame) is V lanes side by side, lane j with its own family
 codes and valuation at bits [j*n, (j+1)*n); a model is one lane.
@@ -59,12 +59,13 @@ from typing import NamedTuple
 from .formula import (And, Announce, Atom, Bot, Box, Bullet, Circ, Formula,
                       Iff, Imp, Not, Or, Top, Wrong, atoms_of)
 from .model import (NeighborhoodFrame, NeighborhoodModel, NonMonotoneError,
-                    PointedModel, StateSet, code_has_property)
+                    PointedModel, StateSet, code_has_property, project)
 
 __all__ = ["evaluate", "extension", "frame_valid"]
 
 VALUATION_SPACE_CAP = 24  # frame_valid refuses when atoms * states exceeds this
 _BLOCK_BITS = 10  # a sweep evaluates at most 2^10 valuations at once
+_FORCED_BITS = 1 << 24  # code bits a forced run keeps projected
 
 _NON_MONOTONE = ("announcement on a model not closed under supersets; "
                  "pass force to apply the submodel formula anyway")
@@ -196,7 +197,7 @@ class _Frame:
     """
 
     __slots__ = ("n", "full", "codes", "V", "ALL", "rep", "K", "_table",
-                 "force", "blocked", "_monotone")
+                 "force", "blocked", "_monotone", "subs")
 
     def __init__(self, n: int, codes, force: bool = False,
                  monotone: bool | None = None):
@@ -211,6 +212,7 @@ class _Frame:
         self.force = force
         self.blocked: int | None = None
         self._monotone = monotone
+        self.subs: dict[int, _Frame] = {}  # forced runs: see _k_forced
 
     def k_at(self, x: int) -> int:
         return sum((c >> x & 1) << s for s, c in enumerate(self.codes))
@@ -327,18 +329,20 @@ def _mux(table: list, v: int, rep: int, full: int, n: int) -> int:
 
 def _k_forced(fr: _Frame, v: int, pa: int, V: int) -> int:
     """Per valuation, the states s where v within pa is a neighborhood of
-    s in the submodel on pa, on a frame not closed under supersets: where
-    K[v & pa | z] has s for some z outside pa."""
-    n, full = fr.n, fr.full
+    s in the submodel on pa, on one lane not closed under supersets: bit
+    v & pa of s's code projected over ~pa, kept in fr.subs for the last
+    announced sets, up to _FORCED_BITS code bits."""
+    n, full, subs = fr.n, fr.full, fr.subs
     k = 0
     for sh in range(0, V * n, n):
         keep = pa >> sh & full
-        y, out = v >> sh & keep, full ^ keep
-        acc, z = fr.k_at(y), out
-        while z:  # every nonempty z within out
-            acc |= fr.k_at(y | z)
-            z = z - 1 & out
-        k |= acc << sh
+        sub = subs.get(keep)
+        if sub is None:
+            if len(subs) >= _FORCED_BITS // (n << n):  # the oldest goes
+                del subs[next(iter(subs))]
+            sub = subs[keep] = _Frame(n, [project(n, c, full ^ keep)
+                                          for c in fr.codes])
+        k |= sub.k_at(v >> sh & keep) << sh
     return k
 
 

@@ -11,7 +11,7 @@ from nbhdmc.formula import (Announce, And, Box, Bullet, Circ, Iff, Imp, Not,
 from nbhdmc.model import NeighborhoodModel, model_from_json, supplementation
 from nbhdmc.search import SplitMix64
 
-STATE_NAMES = ("s", "t", "u", "v")
+STATE_NAMES = ("s", "t", "u", "v", "w", "x")
 
 
 def random_model_doc(rng: SplitMix64, n: int, atoms=("p", "q")) -> dict:

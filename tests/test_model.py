@@ -401,7 +401,7 @@ def _atoms_as_sets(doc) -> dict:
 def test_intersection_submodel_matches_set_oracle():
     rng = SplitMix64(6262)
     for _ in range(300):
-        n = 1 + rng.below(4)
+        n = 1 + rng.below(6)
         doc = random_model_doc(rng, n)
         model = model_from_json(doc)
         bits = 1 + rng.below((1 << n) - 1)

@@ -13,8 +13,9 @@ from nbhdmc.formula import (And, Announce, Atom, Imp, Not, Or, atoms_of,
                             children, parse)
 from nbhdmc.model import (NeighborhoodFrame, NeighborhoodModel,
                           NonMonotoneError, PointedModel, StateSet,
+                          check_property, frame_from_codes,
                           intersection_submodel, model_from_json,
-                          model_to_json, supplementation)
+                          model_to_json, project, supplementation)
 from nbhdmc.search import ClassSpec, SplitMix64, enumerate_frames
 from nbhdmc.semantics import (_first_failure, evaluate, extension,
                               frame_valid)
@@ -111,22 +112,29 @@ def test_announcement_requires_monotone_unless_forced():
 
 
 def test_announcement_matches_submodel_restriction():
+    """[a] b at s is b at s in the submodel on a's extension: on
+    supplemented models, and forced on models that are mostly not
+    monotone."""
     rng = SplitMix64(31)
-    for _ in range(60):
-        model = supplementation(random_model(rng, 3))
+    for i in range(180):
+        force = i >= 60
+        model = random_model(rng, 3 if i < 60 else 1 + i % 6)
+        if not force:
+            model = supplementation(model)
         a = random_formula(rng, 2)
-        b = random_formula(rng, 2)
-        pa = extension(model, a)
+        b = random_formula(rng, 2, 1 if force else 0)
+        pa = extension(model, a, force)
         sub = None
         if not pa.is_empty():
-            sub = intersection_submodel(model, pa)
+            sub = intersection_submodel(model, pa, force)
         for s in range(model.size):
-            got = evaluate(PointedModel(model, s), Announce(a, b))
+            got = evaluate(PointedModel(model, s), Announce(a, b), force)
             if not pa.contains(s):
                 assert got
             else:
                 new_point = sub.frame.index(model.states[s])
-                assert got == evaluate(PointedModel(sub, new_point), b)
+                assert got == evaluate(PointedModel(sub, new_point), b,
+                                       force)
 
 
 # --- oracle sweeps ---------------------------------------------------------------
@@ -148,7 +156,7 @@ def test_extension_matches_set_oracle():
 def test_forced_announcement_matches_set_oracle():
     rng = SplitMix64(405)
     for _ in range(150):
-        doc = random_model_doc(rng, 1 + rng.below(3))
+        doc = random_model_doc(rng, 1 + rng.below(6))
         model = model_from_json(doc)
         f = random_announcement_formula(rng)
         assert _names(model, extension(model, f, force=True)) == \
@@ -226,12 +234,31 @@ def _random_codes(rng: random.Random, n: int, count: int) -> list[int]:
             for _ in range(count)]
 
 
+def _k_by_subsets(fr, v: int, pa: int, V: int) -> int:
+    """The referee of semantics._k_forced, by the submodel's definition:
+    per valuation, the states s where K[v & pa | z] has s for some z
+    outside pa, every such z read on its own."""
+    n, full = fr.n, fr.full
+    k = 0
+    for sh in range(0, V * n, n):
+        keep = pa >> sh & full
+        y, out = v >> sh & keep, full ^ keep
+        acc, z = fr.k_at(y), out
+        while z:  # every nonempty z within out
+            acc |= fr.k_at(y | z)
+            z = z - 1 & out
+        k |= acc << sh
+    return k
+
+
 @pytest.mark.parametrize("n", [*range(1, 9), 16])
 def test_k_tables_match_the_definition(n):
     """Every read of K equals the definition: the whole table of one lane
-    and of several, a multiplexed pick of every lane at once, and the
-    entries a single model fills on demand.  Every entry is checked up
-    to n = 8, a sample of them at n = 16."""
+    and of several, a multiplexed pick of every lane at once, the
+    entries a single model fills on demand, and a forced read in the
+    submodel on an announced set, against the subset loop.  Every entry
+    is checked up to n = 8, under every announced set, a sample of them
+    at n = 16, under the sets missing at most the four lowest states."""
     rng = random.Random(414 + n)
     full = (1 << n) - 1
     xs = range(1 << n) if n <= 8 else \
@@ -258,6 +285,16 @@ def test_k_tables_match_the_definition(n):
                     _k_entry(codes, x)
             assert on_demand.K == {x: _k_entry(codes, x) for x in xs}
             assert on_demand._table is None
+            forced = semantics._Frame(n, codes, force=True)
+            for pa in range(1 << n) if n <= 8 else [full ^ z
+                                                    for z in range(16)]:
+                # every y within pa, one valuation each, read as _exec
+                # reads them: v & pa | ~pa
+                ys = sorted({x & pa for x in xs[:20 if n > 8 else None]})
+                rep = ((1 << len(ys) * n) - 1) // full
+                v = sum((y | full ^ pa) << j * n for j, y in enumerate(ys))
+                assert semantics._k_forced(forced, v, pa * rep, len(ys)) \
+                    == _k_by_subsets(forced, v, pa * rep, len(ys)), (n, pa)
 
 
 def test_sixteen_state_frame_validity_matches_oracle():
@@ -286,6 +323,63 @@ def test_sixteen_state_frame_validity_matches_oracle():
     before = {**doc, "valuation": {"p": subset(j - 1)}}
     assert _oracle.ext(before, f) == set(names)
     assert not frame_valid(frame, f)
+
+
+def _counted_projections(monkeypatch) -> list[int]:
+    """The kernel's projections from now on, as the masks projected over,
+    one entry per code projected."""
+    overs: list[int] = []
+
+    def counted(n: int, code: int, over: int) -> int:
+        overs.append(over)
+        return project(n, code, over)
+
+    monkeypatch.setattr(semantics, "project", counted)
+    return overs
+
+
+def test_forced_sweep_projects_each_announced_set_once(monkeypatch):
+    """A forced sweep of a non-monotone 8-state frame under all 2^16
+    valuations of two atoms projects the frame's codes once per distinct
+    announced set: the kept projections hold every set of 8 states."""
+    rng = random.Random(417)
+    n = 8
+    frame = frame_from_codes([f"w{i}" for i in range(n)], [
+        rng.getrandbits(1 << n) & rng.getrandbits(1 << n) for _ in range(n)])
+    assert not check_property(frame, "m")
+    overs = _counted_projections(monkeypatch)
+    assert frame_valid(frame, parse("[W p] (K q | ! K q)"), force=True)
+    assert len(overs) == n * len(set(overs))
+    assert len(set(overs)) > 16
+
+
+def test_forced_projections_stay_within_their_budget(monkeypatch):
+    """A forced one-atom sweep of a non-monotone 16-state frame keeps at
+    most _FORCED_BITS code bits of projections, dropping the oldest: its
+    first block announces 1024 sets, the budget holds 16 of them."""
+    rng = random.Random(418)
+    n = 16
+    # state 0's only neighborhood is the empty set, so [p] K p fails
+    # first at p = {w0}, valuation 1, found by the first block of 1024
+    # valuations, each announcing its own set
+    codes = [1] + [sum({1 << rng.getrandbits(n) for _ in range(4)})
+                   for _ in range(n - 1)]
+    frame = frame_from_codes([f"w{i}" for i in range(n)], codes)
+    assert not check_property(frame, "m")
+    held = []
+    k_forced = semantics._k_forced
+
+    def checked(fr, v, pa, V):
+        k = k_forced(fr, v, pa, V)
+        held.append(len(fr.subs))
+        return k
+
+    monkeypatch.setattr(semantics, "_k_forced", checked)
+    overs = _counted_projections(monkeypatch)
+    assert _first_failure(frame, parse("[p] K p"), force=True) == (1, 0)
+    budget = semantics._FORCED_BITS // (n << n)
+    assert budget == 16 and max(held) == budget
+    assert len(overs) == n * len(set(overs)) == n << 10
 
 
 # --- kernel against the oracle --------------------------------------------------------

@@ -27,11 +27,20 @@ It writes, with the interpreter and machine it ran on:
   on a 16-state model written to a temporary file, state w_i's
   neighborhoods being the full set and {w_i}: one frame's whole K table
   of 2^16 entries, read under 2^16 valuations;
+* `forced_probe`: likewise for `nbhdmc frame-valid -f "[W p] (K q | !
+  K q)" --force` on a seeded random 8-state model written to a
+  temporary file, each subset a neighborhood of each state with
+  probability 1/3, so the frame is not closed under supersets: a forced
+  sweep of 2^16 valuations whose announced sets take up to 2^8 values;
 * `sampled_probe`: likewise for `nbhdmc valid -f "W p -> ! p"
   --max-states 4 --samples 200000`, a sampled four-state scan of the
   unrestricted class, whose family codes are read off the stream;
 * `paper_suite`: likewise for `nbhdmc paper-suite --jobs J`, per J in
   SUITE_JOBS.
+
+Every `cli_wall` probe also records the child's CPU time (user plus
+system, from os.wait4).  Wall times carry the host's load of the moment;
+compare two files in CPU terms first.
 
 The seeds, run length and repeats are fixed, so every BENCH_<n>.json is
 recorded the same way and the files compare from one change to the next.
@@ -45,6 +54,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -69,6 +79,9 @@ SAMPLED_PROBE = ("valid", "-f", "W p -> ! p", "--max-states", "4",
                  "--samples", "200000")
 BIGFRAME_PROBE = ("frame-valid", "-f", "K p | ! K p")
 BIGFRAME_STATES = 16
+FORCED_PROBE = ("frame-valid", "-f", "[W p] (K q | ! K q)", "--force")
+FORCED_STATES = 8
+FORCED_SEED = 16
 SUITE_JOBS = (1, 2, 4)
 
 # Times criteria 3 and 10 as the acceptance gate runs them; prints JSON.
@@ -162,12 +175,13 @@ def class_tables() -> dict:
 
 
 def cli_wall(args) -> dict:
-    """Wall time and peak RSS of `nbhdmc <args>` as a new process,
-    REPEATS times; the command must exit 0.  The peak is the child's own
-    (ru_maxrss from os.wait4, KiB on Linux), not this process's."""
+    """Wall time, CPU time and peak RSS of `nbhdmc <args>` as a new
+    process, REPEATS times; the command must exit 0.  The CPU time and
+    the peak are the child's own (ru_utime + ru_stime and ru_maxrss, KiB
+    on Linux, from os.wait4), not this process's."""
     print(f"nbhdmc {' '.join(args)}", file=sys.stderr)
     argv = [sys.executable, "-m", "nbhdmc.cli", *args]
-    runs, peaks = [], []
+    runs, cpus, peaks = [], [], []
     for _ in range(REPEATS):
         start = time.perf_counter()
         proc = subprocess.Popen(argv, cwd=ROOT, env=_env(),
@@ -175,28 +189,49 @@ def cli_wall(args) -> dict:
                                 stderr=subprocess.DEVNULL)
         _, status, usage = os.wait4(proc.pid, 0)
         runs.append(time.perf_counter() - start)
+        cpus.append(usage.ru_utime + usage.ru_stime)
         peaks.append(usage.ru_maxrss / 1024)
         proc.returncode = os.waitstatus_to_exitcode(status)
         if proc.returncode != 0:
             msg = f"{' '.join(args)} exited with {proc.returncode}"
             raise RuntimeError(msg)
     return {"argv": " ".join(args), "median_s": statistics.median(runs),
-            "runs_s": runs, "peak_rss_mib": statistics.median(peaks),
+            "runs_s": runs, "cpu_s": statistics.median(cpus),
+            "runs_cpu_s": cpus, "peak_rss_mib": statistics.median(peaks),
             "runs_peak_rss_mib": peaks}
 
 
+def _model_probe(args, doc: dict, name: str) -> dict:
+    """cli_wall of args on the model doc, written to a temporary file
+    called name, with the file's path shown as that name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(json.dumps(doc))
+        probe = cli_wall((*args, "-m", str(path)))
+    probe["argv"] = probe["argv"].replace(str(path), path.name)
+    return probe
+
+
 def bigframe_probe() -> dict:
-    """cli_wall of BIGFRAME_PROBE on the BIGFRAME_STATES-state model, with
-    the temporary file's path shown as its name."""
+    """cli_wall of BIGFRAME_PROBE on the BIGFRAME_STATES-state model."""
     names = [f"w{i}" for i in range(BIGFRAME_STATES)]
     doc = {"states": names,
            "neighborhoods": {name: [names, [name]] for name in names}}
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "bigframe.json"
-        path.write_text(json.dumps(doc))
-        probe = cli_wall((*BIGFRAME_PROBE, "-m", str(path)))
-    probe["argv"] = probe["argv"].replace(str(path), path.name)
-    return probe
+    return _model_probe(BIGFRAME_PROBE, doc, "bigframe.json")
+
+
+def forced_probe() -> dict:
+    """cli_wall of FORCED_PROBE on a random FORCED_STATES-state model,
+    every subset a neighborhood of each state with probability 1/3 under
+    random.Random(FORCED_SEED)."""
+    rng = random.Random(FORCED_SEED)
+    names = [f"w{i}" for i in range(FORCED_STATES)]
+    subsets = [[names[i] for i in range(FORCED_STATES) if x >> i & 1]
+               for x in range(1 << FORCED_STATES)]
+    doc = {"states": names,
+           "neighborhoods": {name: [x for x in subsets if rng.random() < 1 / 3]
+                             for name in names}}
+    return _model_probe(FORCED_PROBE, doc, "forced.json")
 
 
 def main(argv=None) -> int:
@@ -217,6 +252,7 @@ def main(argv=None) -> int:
         "multiblock_probe": {"repeats": REPEATS,
                              **cli_wall(MULTIBLOCK_PROBE)},
         "bigframe_probe": {"repeats": REPEATS, **bigframe_probe()},
+        "forced_probe": {"repeats": REPEATS, **forced_probe()},
         "sampled_probe": {"repeats": REPEATS, **cli_wall(SAMPLED_PROBE)},
         "paper_suite": {"repeats": REPEATS,
                         **{f"jobs_{jobs}": cli_wall(("paper-suite", "--jobs",
