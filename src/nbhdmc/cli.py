@@ -270,8 +270,9 @@ def _cmd_props(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     props = _parse_class(args.cls)
+    # a bound below 1 is passed on as the first n, which count_frames refuses
     counts = {str(n): count_frames(n, ClassSpec(props, max(n, 1)))
-              for n in range(1, args.max_states + 1)}
+              for n in range(min(args.max_states, 1), args.max_states + 1)}
     print(json.dumps(counts, separators=_JSON_SEPARATORS))
     return 0
 

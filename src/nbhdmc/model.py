@@ -7,12 +7,12 @@ package targets needs at most 3, and 16 keeps full-powerset scans
 (2^n subsets) cheap.
 
 A family is stored as one int, its family code: bit x is set when the
-set with mask x is a member.  A frame computes its codes once, at
-construction, and every family operation reads them: the frame
-properties (`code_has_property`), the transformers, the morphism
-checks, the search's class tables and the evaluation kernel; `project`
-alone defines submodel restriction, for `restrict_codes` and forced
-announcements.  StateSet families appear only at the API and JSON edge.
+set with mask x is a member.  A frame is its codes, from JSON in to JSON
+out, and every family operation reads them: the frame properties
+(`code_has_property`), the transformers, the morphism checks, the
+search's class tables and the evaluation kernel; `project` alone defines
+submodel restriction.  StateSet families exist only where a caller passes
+them in or reads a frame's `neighborhoods` or `family`.
 """
 
 from __future__ import annotations
@@ -113,9 +113,9 @@ class StateSet:
                         self.bits ^ ((1 << self.universe_size) - 1))
 
 
-def _canonical_family(n: int, family) -> tuple[StateSet, ...]:
-    """Sorted, duplicate-free family of universe-n StateSets."""
-    out: dict[int, StateSet] = {}
+def _family_code(n: int, family) -> int:
+    """Family code of universe-n StateSets; a repeated member counts once."""
+    code = 0
     for ss in family:
         if not isinstance(ss, StateSet):
             msg = f"family member is not a StateSet: {ss!r}"
@@ -123,30 +123,22 @@ def _canonical_family(n: int, family) -> tuple[StateSet, ...]:
         if ss.universe_size != n:
             msg = f"family member has universe {ss.universe_size}, frame has {n}"
             raise ValueError(msg)
-        out[ss.bits] = ss
-    return tuple(out[b] for b in sorted(out))
+        code |= 1 << ss.bits
+    return code
 
 
-def _code(family) -> int:
-    """Family code of a duplicate-free family of StateSets."""
-    return sum(1 << ss.bits for ss in family)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NeighborhoodFrame:
-    """States plus one finite family of state sets per state.
-
-    codes holds each state's family code, computed from neighborhoods
-    at construction; equality and hashing read states and neighborhoods
-    only.
-    """
+    """States plus one finite family of state sets per state, stored as
+    one family code per state; `neighborhoods` and `family` build
+    StateSets, sorted by mask, when read.  Equality and hashing read
+    states and codes."""
 
     states: tuple[str, ...]
-    neighborhoods: tuple[tuple[StateSet, ...], ...]
-    codes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    codes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        states = tuple(self.states)
+    def __init__(self, states, neighborhoods) -> None:
+        states = tuple(states)
         if not 1 <= len(states) <= MAX_STATES:
             msg = f"frame needs 1..{MAX_STATES} states, got {len(states)}"
             raise ValueError(msg)
@@ -157,14 +149,13 @@ class NeighborhoodFrame:
             msg = "state names must be nonempty strings"
             raise ValueError(msg)
         n = len(states)
-        fams = tuple(self.neighborhoods)
+        fams = tuple(neighborhoods)
         if len(fams) != n:
             msg = f"{len(fams)} neighborhood families for {n} states"
             raise ValueError(msg)
-        fams = tuple(_canonical_family(n, fam) for fam in fams)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "neighborhoods", fams)
-        object.__setattr__(self, "codes", tuple(_code(fam) for fam in fams))
+        object.__setattr__(self, "codes",
+                           tuple(_family_code(n, fam) for fam in fams))
 
     @property
     def size(self) -> int:
@@ -177,17 +168,19 @@ class NeighborhoodFrame:
             msg = f"unknown state name: {name!r}"
             raise ValueError(msg) from None
 
+    @property
+    def neighborhoods(self) -> tuple[tuple[StateSet, ...], ...]:
+        return tuple(self.family(i) for i in range(self.size))
+
     def family(self, i: int) -> tuple[StateSet, ...]:
-        return self.neighborhoods[i]
+        return tuple(StateSet(self.size, x) for x in _members(self.codes[i]))
 
     def family_masks(self) -> tuple[frozenset[int], ...]:
-        """Per-state families as frozensets of bit masks, read off the
-        stored codes."""
+        """Per-state families as frozensets of bit masks."""
         return tuple(frozenset(_members(code)) for code in self.codes)
 
     def family_codes(self) -> tuple[int, ...]:
-        """The stored per-state family codes: bit x is set when the set
-        with mask x is a neighborhood."""
+        """The stored per-state family codes."""
         return self.codes
 
 
@@ -282,17 +275,15 @@ class PerturbationMap:
             raise PerturbationError(msg)
         norm = []
         for w, fam in enumerate(fams):
-            fam = _canonical_family(n, fam)
-            for ss in fam:
-                if self.kind == "bullet" and ss.contains(w):
-                    msg = (f"bullet perturbation at state {w} contains a set "
-                           f"with {w}: {sorted(ss.indices())}")
-                    raise PerturbationError(msg)
-                if self.kind == "wrong" and not ss.contains(w):
-                    msg = (f"wrong perturbation at state {w} contains a set "
-                           f"without {w}: {sorted(ss.indices())}")
-                    raise PerturbationError(msg)
-            norm.append(fam)
+            code, lack = _family_code(n, fam), _lacking(n)[w]
+            bad = code & ~lack if self.kind == "bullet" else code & lack
+            if bad:  # name the first offending set, in mask order
+                side = "with" if self.kind == "bullet" else "without"
+                first = list(_members((bad & -bad).bit_length() - 1))
+                msg = (f"{self.kind} perturbation at state {w} contains a set "
+                       f"{side} {w}: {first}")
+                raise PerturbationError(msg)
+            norm.append(tuple(StateSet(n, x) for x in _members(code)))
         object.__setattr__(self, "families", tuple(norm))
 
     @property
@@ -301,9 +292,6 @@ class PerturbationMap:
 
 
 # --- family codes -------------------------------------------------------------
-#
-# Frame properties and submodel restriction are defined here once, on
-# family codes.
 
 
 def _members(code: int):
@@ -379,11 +367,15 @@ def check_property(frame: NeighborhoodFrame, prop: str) -> bool:
 
 
 def frame_from_codes(states, codes) -> NeighborhoodFrame:
-    """The frame on these state names with one family code per state."""
-    n = len(states)
-    return NeighborhoodFrame(
-        tuple(states),
-        tuple(tuple(StateSet(n, x) for x in _members(code)) for code in codes))
+    """The frame on these state names with one family code per state, in
+    O(n): the constructor checks the names on empty families."""
+    codes = tuple(codes)
+    frame = NeighborhoodFrame(states, ((),) * len(codes))
+    if any(code >> (1 << frame.size) for code in codes):
+        msg = f"family code out of range for {frame.size} states"
+        raise ValueError(msg)
+    object.__setattr__(frame, "codes", codes)
+    return frame
 
 
 def project(n: int, code: int, over: int) -> int:
@@ -407,15 +399,20 @@ def restrict_codes(codes, kept: int) -> tuple[int, ...]:
     """Family codes of the submodel on the states in the mask kept.
 
     Each kept state's family P becomes {Y & kept | Y in P}: P's members
-    projected over the other states that lie within kept, renumbered by
-    _compress; the other states go.
-    """
+    projected over the other states that lie within kept.  Then each kept
+    state's index bit moves down to its new place, lowest first: that
+    place is clear in every member by then, so the delta swap is a move.
+    The other states go."""
     n, states = len(codes), tuple(_members(kept))
     within = project(n, 1 << kept, kept)  # the subsets of kept
-    projected = (project(n, codes[old], (1 << n) - 1 ^ kept) & within
-                 for old in states)
-    return tuple(sum(1 << _compress(y, states) for y in _members(code))
-                 for code in projected)
+    out = []
+    for old in states:
+        code = project(n, codes[old], (1 << n) - 1 ^ kept) & within
+        for new, w in enumerate(states):
+            moved = code & ~_lacking(n)[w]  # the members with state w
+            code ^= moved ^ moved >> (1 << w) - (1 << new)
+        out.append(code)
+    return tuple(out)
 
 
 # --- transformers -------------------------------------------------------------
@@ -443,8 +440,9 @@ def perturb(model: NeighborhoodModel, pmap: PerturbationMap) -> NeighborhoodMode
                f"with {frame.size}")
         raise PerturbationError(msg)
     add = pmap.sign == "add"
-    codes = [code | _code(delta) if add else code & ~_code(delta)
-             for code, delta in zip(frame.family_codes(), pmap.families)]
+    deltas = (_family_code(frame.size, fam) for fam in pmap.families)
+    codes = [code | delta if add else code & ~delta
+             for code, delta in zip(frame.family_codes(), deltas)]
     return NeighborhoodModel(frame_from_codes(frame.states, codes),
                              model.valuation)
 
@@ -508,8 +506,8 @@ def intersection_submodel(model: NeighborhoodModel, X: StateSet,
 # --- JSON wire format ---------------------------------------------------------
 
 
-def _names_to_set(index: dict[str, int], names, where: str) -> StateSet:
-    """The set of the named states; index maps each state name to its
+def _names_to_mask(index: dict[str, int], names, where: str) -> int:
+    """The mask of the named states; index maps each state name to its
     position."""
     bits = 0
     if not isinstance(names, list):
@@ -520,13 +518,13 @@ def _names_to_set(index: dict[str, int], names, where: str) -> StateSet:
             msg = f"{where}: unknown state name {name!r}"
             raise ModelFormatError(msg)
         bits |= 1 << index[name]
-    return StateSet(len(index), bits)
+    return bits
 
 
 def _families_from_json(data: dict, key: str, index: dict[str, int]):
-    """Yield (state, family) for data[key], one state at a time in state
-    order (index maps each state name to its position), so a caller's
-    per-state check fires before the next state's entries are decoded."""
+    """Yield (state, member masks) for data[key], state by state (index
+    maps each state name to its position), so a caller's per-state check
+    fires before the next state's entries are decoded."""
     fam_data = data.get(key, {})
     if not isinstance(fam_data, dict):
         msg = f"'{key}' must be an object"
@@ -540,7 +538,7 @@ def _families_from_json(data: dict, key: str, index: dict[str, int]):
         if not isinstance(entries, list):
             msg = f"{key} of {s!r} must be an array of arrays"
             raise ModelFormatError(msg)
-        yield s, tuple(_names_to_set(index, e, f"{key} of {s!r}") for e in entries)
+        yield s, [_names_to_mask(index, e, f"{key} of {s!r}") for e in entries]
 
 
 def model_from_json(data) -> NeighborhoodModel:
@@ -562,12 +560,12 @@ def model_from_json(data) -> NeighborhoodModel:
         raise ModelFormatError(msg)
     states = tuple(states)
     index = {s: i for i, s in enumerate(states)}
-    fams = []
-    for s, fam in _families_from_json(data, "neighborhoods", index):
-        if len({ss.bits for ss in fam}) != len(fam):
+    codes = []
+    for s, masks in _families_from_json(data, "neighborhoods", index):
+        if len(set(masks)) != len(masks):
             msg = f"duplicate neighborhood set at state {s!r}"
             raise ModelFormatError(msg)
-        fams.append(fam)
+        codes.append(sum(1 << x for x in masks))
     val_data = data.get("valuation", {})
     if not isinstance(val_data, dict):
         raise ModelFormatError("'valuation' must be an object")
@@ -576,10 +574,10 @@ def model_from_json(data) -> NeighborhoodModel:
         if not isinstance(atom, str) or not _NAME_RE.fullmatch(atom):
             msg = f"bad atom name in valuation: {atom!r}"
             raise ModelFormatError(msg)
-        valuation[atom] = _names_to_set(index, names, f"valuation of {atom!r}")
+        valuation[atom] = StateSet(
+            len(index), _names_to_mask(index, names, f"valuation of {atom!r}"))
     try:
-        frame = NeighborhoodFrame(states, tuple(fams))
-        return NeighborhoodModel(frame, valuation)
+        return NeighborhoodModel(frame_from_codes(states, codes), valuation)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc
 
@@ -588,14 +586,14 @@ def model_to_json(model: NeighborhoodModel) -> dict:
     """Canonical wire form: families sorted by bit value, atoms sorted."""
     states = model.states
 
-    def names(ss: StateSet) -> list[str]:
-        return [states[i] for i in ss.indices()]
+    def names(mask: int) -> list[str]:
+        return [states[i] for i in _members(mask)]
 
     return {
         "states": list(states),
-        "neighborhoods": {s: [names(ss) for ss in fam]
-                          for s, fam in zip(states, model.frame.neighborhoods)},
-        "valuation": {atom: names(ss) for atom, ss in model.valuation},
+        "neighborhoods": {s: [names(x) for x in _members(code)]
+                          for s, code in zip(states, model.frame.codes)},
+        "valuation": {atom: names(ss.bits) for atom, ss in model.valuation},
     }
 
 
@@ -621,7 +619,8 @@ def pmap_from_json(data, states: tuple[str, ...]) -> PerturbationMap:
         msg = f"unknown perturbation keys: {sorted(extra)}"
         raise ModelFormatError(msg)
     index = {s: i for i, s in enumerate(states)}
-    fams = tuple(fam for _, fam in _families_from_json(data, "families", index))
+    fams = tuple(tuple(StateSet(len(index), x) for x in masks)
+                 for _, masks in _families_from_json(data, "families", index))
     try:
         return PerturbationMap(data.get("kind", ""), data.get("sign", ""), fams)
     except PerturbationError:

@@ -405,6 +405,14 @@ def test_enumerate_all(capsys):
     assert (code, out) == (0, '{"1": 4, "2": 256}\n')
 
 
+@pytest.mark.parametrize("bound", ["0", "-2"])
+def test_enumerate_bound_below_one_rejected(capsys, bound):
+    code, out, err = run(capsys, "enumerate", "--max-states", bound)
+    assert (code, out) == (2, "")
+    assert err == (f"error: invalid-argument: exhaustive enumeration supports "
+                   f"1..3 states, got {bound}; use sampled mode\n")
+
+
 def test_distinguish(capsys):
     code, out, _ = run(capsys, "distinguish", "--m1", W_BASE, "--s1", "s",
                        "--m2", W_EXT, "--s2", "s", "--fragment", "w")

@@ -1,6 +1,8 @@
 """State sets, frames, models, frame properties, transformers, wire format."""
 
 import json
+import random
+import time
 from pathlib import Path
 
 import pytest
@@ -10,11 +12,12 @@ from _gen import STATE_NAMES, random_model_doc
 from nbhdmc.model import (MAX_STATES, PROPERTY_IDS, ModelFormatError,
                           NeighborhoodFrame, NeighborhoodModel,
                           NonMonotoneError, PerturbationError, PerturbationMap,
-                          PointedModel, StateSet, check_property,
+                          PointedModel, StateSet, _compress, _members,
+                          check_property, frame_from_codes,
                           intersection_submodel, model_from_json,
                           model_from_text, model_to_json, model_to_text,
-                          perturb, pmap_from_json, supplementation,
-                          transitive_closure)
+                          perturb, pmap_from_json, project, restrict_codes,
+                          supplementation, transitive_closure)
 from nbhdmc.search import ClassSpec, SplitMix64, enumerate_frames
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -96,6 +99,16 @@ def test_frame_index():
 def test_frame_rejects_bad_shapes(states, families):
     with pytest.raises(ValueError):
         NeighborhoodFrame(states, families)
+
+
+def test_frame_from_codes_checks_names_and_codes():
+    assert frame_from_codes(("s", "t"), (6, 0)) == _frame(("s", "t"),
+                                                          ((1, 2), ()))
+    for states, codes in ((("s", "s"), (0, 0)), (("s", "t"), (0,)),
+                          (("s", ""), (0, 0)), (("s", "t"), (16, 0)),
+                          (("s",), (-1,))):
+        with pytest.raises(ValueError):
+            frame_from_codes(states, codes)
 
 
 def test_model_valuation_canonicalization():
@@ -249,6 +262,11 @@ def test_perturbation_legality():
     with pytest.raises(PerturbationError):  # wrong set missing its state
         PerturbationMap("wrong", "add", ((), (StateSet(2, 1),)))
     PerturbationMap("wrong", "add", ((), (StateSet(2, 2),)))  # fine
+    with pytest.raises(PerturbationError, match=r"^wrong perturbation at "
+                       r"state 1 contains a set without 1: \[2\]$"):
+        PerturbationMap("wrong", "add",  # the offender with the least mask
+                        ((), (StateSet(3, 5), StateSet(3, 7), StateSet(3, 4)),
+                         ()))
     with pytest.raises(PerturbationError):
         PerturbationMap("both", "add", ((),))
     with pytest.raises(PerturbationError):
@@ -422,6 +440,46 @@ def test_intersection_submodel_matches_set_oracle():
             assert _atoms_as_sets(got) == _atoms_as_sets(want), doc
 
 
+def _restrict_by_compress(codes, kept: int) -> tuple[int, ...]:
+    """restrict_codes as it was first written, the referee: project each
+    kept state's code over the other states, keep the members within
+    kept, and renumber them one at a time with _compress."""
+    n, states = len(codes), tuple(_members(kept))
+    within = project(n, 1 << kept, kept)
+    projected = (project(n, codes[old], (1 << n) - 1 ^ kept) & within
+                 for old in states)
+    return tuple(sum(1 << _compress(y, states) for y in _members(code))
+                 for code in projected)
+
+
+def test_restrict_codes_matches_the_member_gather():
+    rng = random.Random(1818)
+    for _ in range(2000):
+        n, k = rng.randint(1, 8), rng.randint(0, 3)
+        codes = []
+        for _ in range(n):  # each subset a member with probability 2^-k
+            code = (1 << (1 << n)) - 1
+            for _ in range(k):
+                code &= rng.getrandbits(1 << n)
+            codes.append(code)
+        kept = rng.randint(1, (1 << n) - 1)
+        assert restrict_codes(codes, kept) == \
+            _restrict_by_compress(codes, kept), (codes, kept)
+
+
+def test_dense_restriction_keeping_most_states_is_fast():
+    """13 of 14 states, each subset a neighborhood with probability 1/2:
+    the member gather took about 0.4 s on such a case."""
+    rng = random.Random(14)
+    n = 14
+    codes = [rng.getrandbits(1 << n) for _ in range(n)]
+    kept = (1 << n) - 1 ^ 1 << 5
+    start = time.perf_counter()
+    got = restrict_codes(codes, kept)
+    assert time.perf_counter() - start < 0.1
+    assert got == _restrict_by_compress(codes, kept)
+
+
 # --- JSON wire format ---------------------------------------------------------------
 
 def test_model_json_round_trip():
@@ -525,3 +583,50 @@ def test_shipped_model_files_are_canonical():
             m = model_from_text(text)
             assert model_to_text(m) == text, path.name
     assert "moore.json" in seen and pmap_files <= seen
+
+
+# --- StateSets only where read -----------------------------------------------------
+
+def _counted_statesets(monkeypatch) -> list:
+    """The StateSets built from now on, one entry each."""
+    built = []
+    post_init = StateSet.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(StateSet, "__post_init__", counted)
+    return built
+
+
+def test_family_operations_build_statesets_for_valuations_only(monkeypatch):
+    """A frame is its codes: building, transforming, encoding and decoding
+    frames builds no StateSet per family member, only one per valuation
+    atom, also at MAX_STATES where w0's family {{w0}} closed under
+    supersets has 32768 members."""
+    states = [f"w{i}" for i in range(MAX_STATES)]
+    seed = model_from_json({"states": states,
+                            "neighborhoods": {"w0": [["w0"]]},
+                            "valuation": {"p": ["w1", "w2"]}})
+    ring = model_from_json(_ring_doc(lambda i: ({i + 1}, {i, i + 2})))
+    pmap = PerturbationMap("bullet", "add",
+                           ((StateSet(MAX_STATES, 2),),) + ((),) * 15)
+    most = StateSet(MAX_STATES, (1 << MAX_STATES) - 2)
+    w0 = StateSet(MAX_STATES, 1)
+    built = _counted_statesets(monkeypatch)
+    dense = supplementation(seed)
+    assert len(dense.frame.family_masks()[0]) == 1 << (MAX_STATES - 1)
+    assert frame_from_codes(states, dense.frame.codes) == dense.frame
+    perturb(dense, pmap)
+    transitive_closure(ring.frame)
+    text = model_to_text(dense)
+    assert built == []
+    intersection_submodel(dense, most)  # the valuation of p
+    assert len(built) == 1
+    assert model_from_text(text) == dense  # p again
+    assert len(built) == 2
+    assert dense.frame.family(1) == ()
+    assert len(built) == 2
+    assert dense.frame.neighborhoods[0][0] == w0
+    assert len(built) == 2 + (1 << (MAX_STATES - 1))

@@ -7,12 +7,13 @@ It writes, with the interpreter and machine it ran on:
 * `perfbench`: per workload, the median and the per-seed values of every
   end-to-end metric that `perfbench/run.py` prints, one run of SECONDS
   per seed in SEEDS;
-* `criteria`: the wall time of acceptance criteria 3 and 10, each run
-  REPEATS times in a fresh interpreter, in the order the acceptance
-  gate runs them (criteria 1, 3 and 6 first, since 10 reruns those);
-* `class_tables`: per class in TABLE_CLASSES, the time to build its
-  n = 4 family-code tables for every state, REPEATS times, each in a
-  fresh interpreter;
+* `criteria`: the wall and CPU time of acceptance criteria 3 and 10,
+  each run REPEATS times in a fresh interpreter, in the order the
+  acceptance gate runs them (criteria 1, 3 and 6 first, since 10 reruns
+  those);
+* `class_tables`: per class in TABLE_CLASSES, the wall and CPU time to
+  build its n = 4 family-code tables for every state, REPEATS times,
+  each in a fresh interpreter;
 * `cold_start`: the wall time and peak RSS of `nbhdmc desugar -f p` as
   a new process, REPEATS times;
 * `valid_probe`: likewise for `nbhdmc valid -f "W p -> ! W W p" --class
@@ -39,8 +40,10 @@ It writes, with the interpreter and machine it ran on:
   SUITE_JOBS.
 
 Every `cli_wall` probe also records the child's CPU time (user plus
-system, from os.wait4).  Wall times carry the host's load of the moment;
-compare two files in CPU terms first.
+system, from os.wait4); the criteria and class tables record the CPU
+time of the process that ran them (time.process_time), as `cpu_s` and
+`cpu_ms`.  Wall times carry the host's load of the moment; compare two
+files in CPU terms first.
 
 The seeds, run length and repeats are fixed, so every BENCH_<n>.json is
 recorded the same way and the files compare from one change to the next.
@@ -84,7 +87,8 @@ FORCED_STATES = 8
 FORCED_SEED = 16
 SUITE_JOBS = (1, 2, 4)
 
-# Times criteria 3 and 10 as the acceptance gate runs them; prints JSON.
+# Times criteria 3 and 10 as the acceptance gate runs them; prints JSON,
+# [wall, cpu] seconds per criterion.
 _CRITERIA_PROBE = """
 import json, time
 import test_acceptance as gate
@@ -94,22 +98,23 @@ for num, test in (
         ("3", gate.test_criterion_03_axiom_soundness_over_frame_classes),
         ("6", gate.test_criterion_06_unknowability_target_and_reductions),
         ("10", gate.test_criterion_10_determinism_across_runs_and_jobs)):
-    start = time.perf_counter()
+    start, cpu = time.perf_counter(), time.process_time()
     test()
-    took[num] = time.perf_counter() - start
+    took[num] = [time.perf_counter() - start, time.process_time() - cpu]
 print(json.dumps({num: took[num] for num in ("3", "10")}))
 """
 
 
-# Times the n = 4 tables of the class named by the arguments; prints JSON.
+# Times the n = 4 tables of the class named by the arguments; prints JSON,
+# [wall, cpu] seconds.
 _TABLE_PROBE = """
 import json, sys, time
 from nbhdmc.search import allowed_family_codes
 props = frozenset(sys.argv[1:])
-start = time.perf_counter()
+start, cpu = time.perf_counter(), time.process_time()
 for state in range(4):
     allowed_family_codes(4, props, state)
-print(json.dumps(time.perf_counter() - start))
+print(json.dumps([time.perf_counter() - start, time.process_time() - cpu]))
 """
 
 
@@ -157,9 +162,13 @@ def criteria() -> dict:
         print(f"criteria 3 and 10, run {i + 1}", file=sys.stderr)
         runs.append(_last_json_line(
             [sys.executable, "-c", _CRITERIA_PROBE]))
-    return {num: {"median_s": statistics.median(run[num] for run in runs),
-                  "runs_s": [run[num] for run in runs]}
-            for num in ("3", "10")}
+    out = {}
+    for num in ("3", "10"):
+        walls, cpus = zip(*(run[num] for run in runs))
+        out[num] = {"median_s": statistics.median(walls),
+                    "runs_s": list(walls), "cpu_s": statistics.median(cpus),
+                    "runs_cpu_s": list(cpus)}
+    return out
 
 
 def class_tables() -> dict:
@@ -167,10 +176,14 @@ def class_tables() -> dict:
     for props in TABLE_CLASSES:
         name = f"({','.join(props)})"
         print(f"class tables {name}", file=sys.stderr)
-        runs = [1e3 * _last_json_line([sys.executable, "-c", _TABLE_PROBE,
-                                       *props])
-                for _ in range(REPEATS)]
-        out[name] = {"median_ms": statistics.median(runs), "runs_ms": runs}
+        runs, cpus = [], []
+        for _ in range(REPEATS):
+            wall, cpu = _last_json_line([sys.executable, "-c", _TABLE_PROBE,
+                                         *props])
+            runs.append(1e3 * wall)
+            cpus.append(1e3 * cpu)
+        out[name] = {"median_ms": statistics.median(runs), "runs_ms": runs,
+                     "cpu_ms": statistics.median(cpus), "runs_cpu_ms": cpus}
     return out
 
 
