@@ -23,11 +23,13 @@ in order, one value per state to index the class-allowed family list
 Sequences and verdicts are fixed byte for byte by the seed.  Draws are
 judged in chunks (one draw, doubling up to 4096): the chunk's part of
 the stream is computed at once, as bytes, and the kernel evaluates every
-draw of the chunk together, one draw per lane.  A table holding every
-code (the unrestricted class) is indexed by an output's low 2^n bits,
-which are the code itself, so its codes are read straight off the
-stream's bytes; other tables are indexed by below(m).  The stream and
-the verdict bytes are those of drawing and judging one sample at a time.
+draw of the chunk together, one draw per lane.  The stream and the
+verdict bytes are those of drawing and judging one sample at a time.
+A local formula's truth at s reads the valuation and the bits "X_i is a
+neighbourhood of s" of its modal arguments only, so whether an allowed
+code fails at its state is a one-step question (Schröder & Pattinson,
+J. Logic Comput. 2010).  If none does, no draw fails, and none is drawn;
+else the draws are judged.  Either way the verdict bytes are the draws'.
 
 Scans go through the evaluation kernel in `semantics`: the formula is
 compiled once.  Exhaustive scans judge frames a chunk at a time like
@@ -70,9 +72,10 @@ from .formula import And, Atom, Bullet, Formula, Not, Wrong, atoms_of
 from .model import (MAX_STATES, PREFIX_ORDER, PROPERTY_IDS,
                     NeighborhoodModel, PointedModel, StateSet, _members,
                     code_has_property, frame_from_codes, model_to_json)
-from .semantics import (Program, _block_atoms, _blocks, _Closure, _Frame,
-                        _failing_lanes, _failing_states, _lane_ints, _le_ints,
-                        _sweep, _valuation_masks, compile_formula, evaluate)
+from .semantics import (_BOX, Program, _block_atoms, _blocks, _Closure, _exec,
+                        _failing_lanes, _failing_states, _Frame, _k_columns,
+                        _lane_ints, _le_ints, _sweep, _valuation_masks,
+                        compile_formula, evaluate)
 
 __all__ = [
     "SplitMix64", "ClassSpec", "Countermodel", "NoCounterexampleUpTo",
@@ -234,7 +237,7 @@ def _enumerable(n: int, cls: ClassSpec | None) -> list[tuple[int, ...]]:
     space grows as 2^(n*2^n) and exhaustion stops being meaningful."""
     if not 1 <= n <= EXHAUSTIVE_MAX_STATES:
         msg = (f"exhaustive enumeration supports 1..{EXHAUSTIVE_MAX_STATES} "
-               f"states, got {n}; use sampled mode")
+               f"states, got {n}")
         raise ValueError(msg)
     return _allowed_lists(n, cls.properties if cls else frozenset())
 
@@ -320,6 +323,8 @@ _FIRST_CHUNK = 1       # items judged at once, first; each later chunk doubles
 _CHUNK_CAP = 4096      # up to this many lanes
 _MEMO_LANES = 1 << 14  # lanes of lane chunks kept per scan key (_lane_chunks)
 _MEMO_KEYS = 32        # scan keys kept, the least recently used dropped
+_ONE_STEP_LANES = 4    # pattern lanes _some_code_fails runs per sample
+_ONE_STEP_TESTS = 1024  # its realizability tests before the draws decide
 _memo: OrderedDict = OrderedDict()  # key -> _Memo, least recently used first
 
 
@@ -611,6 +616,52 @@ def _splitmix_block(seed: int, start: int, count: int) -> bytes:
     return (z ^ z >> 31).to_bytes(16 * count, "little")
 
 
+@lru_cache(maxsize=None)
+def _class_columns(n: int, properties: frozenset, state: int):
+    """Per mask x, the state's allowed codes lacking and having bit x."""
+    allowed = allowed_family_codes(n, properties, state)
+    having = _k_columns(allowed, n)
+    return [(1 << len(allowed)) - 1 ^ c for c in having], having
+
+
+def _some_code_fails(prog: Program, n: int, properties: frozenset,
+                     whole: bool, samples: int) -> bool:
+    """Whether some allowed code fails at its state under some valuation,
+    for a local program (see the module docstring); True for others, or
+    where the check costs more than the draws or _ONE_STEP_TESTS tests."""
+    k, reads = len(prog.atoms), list(dict.fromkeys(
+        (a, b) for _, op, a, b in prog.code if op >= _BOX))  # modal reads
+    m, (V, A) = len(reads), _block_atoms(n, k)
+    if not prog.local or V < 1 << n * k or V << m > _ONE_STEP_LANES * samples:
+        return True
+    width, ALL, vals = V * n, (1 << (V * n << m)) - 1, [0] * prog.size
+    starts = [1 << p * width for p in range(1 << m)]  # lanes p*V+j, j < V
+    _exec(prog.code, vals, [a * sum(starts) for a in A],  # valuation j there
+          _Frame(n, (), monotone=True), V << m, ALL,  # read i: bit i of p
+          {read: sum(starts[p] for p in range(1 << m) if p >> i & 1)
+           * ((1 << width) - 1) for i, read in enumerate(reads)})
+    args = [(vals[a] if b is None else vals[a] & vals[b] | ALL ^ vals[b])
+            & (1 << width) - 1 for a, b in reads]  # alike in every pattern
+    miss = bin(ALL ^ vals[prog.root])[:1:-1]  # character i is bit i
+    per_state, at = "neg-suppl" in properties, miss.find("1")
+    for _ in range(_ONE_STEP_TESTS):
+        if at < 0:
+            return False
+        (p, j), s = divmod(at // n, V), at % n * per_state  # s: its table
+        at = miss.find("1", at + 1 if per_state else at - at % n + n)
+        asked = [(x >> j * n & (1 << n) - 1, p >> i & 1)
+                 for i, x in enumerate(args)]
+        if whole:  # realized unless some mask is asked both bits
+            realized = len(set(asked)) == len(dict(asked))
+        else:  # by an allowed code having every bit
+            realized, columns = -1, _class_columns(n, properties, s)
+            for x, on in asked:
+                realized &= columns[on][x]
+        if realized:
+            return True
+    return True
+
+
 # byte x to x % 2^(2^n), the low 2^n bits of x, at n <= 3
 _LOW_BITS = tuple(bytes(x & (1 << (1 << n)) - 1 for x in range(256))
                   for n in range(4))
@@ -620,6 +671,10 @@ def _sampled_search(f: Formula, prog: Program, cls: ClassSpec, seed: int,
                     samples: int):
     """The first of `samples` draws of the stream that falsifies f, as a
     countermodel at its lowest failing state, or NoCounterexampleUpTo.
+    If no allowed code fails at its state under any valuation of a local
+    program (_some_code_fails), no draw fails, and none is drawn; else, or
+    where that check costs more, the draws decide.  Either way the verdict
+    bytes are the draws'.
 
     Draws are judged a chunk at a time on a lane frame, draw j of the
     chunk in lane j; the chunk's part of the stream is computed at once
@@ -644,6 +699,8 @@ def _sampled_search(f: Formula, prog: Program, cls: ClassSpec, seed: int,
     atoms = prog.atoms
     allowed = _allowed_lists(n, cls.properties)
     whole = all(len(options) == 1 << (1 << n) for options in allowed)
+    if not _some_code_fails(prog, n, cls.properties, whole, samples):
+        return NoCounterexampleUpTo(n, "sampled", samples, seed)
     width = max(1, 1 << n >> 3)  # bytes per code
     full = (1 << n) - 1
     per = n + len(atoms)  # stream outputs per draw

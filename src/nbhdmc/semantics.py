@@ -346,10 +346,11 @@ def _k_forced(fr: _Frame, v: int, pa: int, V: int) -> int:
     return k
 
 
-def _exec(code, vals: list, A, fr: _Frame, V: int, ALL: int) -> None:
+def _exec(code, vals: list, A, fr: _Frame, V: int, ALL: int,
+          reads: dict | None = None) -> None:
     """Run instructions over V valuations; A holds the atoms' ints."""
     n, full, K, lanes = fr.n, fr.full, fr.K, fr.V > 1
-    table = fr.table() if V > 1 else None
+    table = fr.table() if V > 1 and reads is None else None
     for dst, op, a, b in code:
         if op == _AND:
             vals[dst] = vals[a] & vals[b]
@@ -360,7 +361,9 @@ def _exec(code, vals: list, A, fr: _Frame, V: int, ALL: int) -> None:
             if b is not None:  # in the submodel on the context pa
                 pa = vals[b]
                 v = v & pa | ALL ^ pa
-            if b is not None and fr.force and not fr.monotone():
+            if reads is not None:  # a K int per (argument, context) slots
+                k = reads[a, b]
+            elif b is not None and fr.force and not fr.monotone():
                 k = _k_forced(fr, v, pa, V)
             elif V == 1:
                 try:

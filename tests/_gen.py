@@ -97,3 +97,34 @@ def random_full_formula(rng: SplitMix64, depth: int, announce_budget: int = 0):
                   random_full_formula(rng, depth - 1, announce_budget))
     return Announce(random_full_formula(rng, depth - 1, announce_budget - 1),
                     random_full_formula(rng, depth - 1, announce_budget - 1))
+
+
+def _random_static_formula(rng: SplitMix64, depth: int):
+    """Random formula of atoms, constants and Boolean connectives."""
+    if depth <= 0 or rng.below(3) == 0:
+        return parse(_FULL_LEAVES[rng.below(len(_FULL_LEAVES))])
+    if rng.below(3) == 0:
+        return Not(_random_static_formula(rng, depth - 1))
+    op = _FULL_BINARY[rng.below(len(_FULL_BINARY))]
+    return op(_random_static_formula(rng, depth - 1),
+              _random_static_formula(rng, depth - 1))
+
+
+def random_local_formula(rng: SplitMix64, depth: int, announce: bool = False):
+    """Random depth-1 formula: Boolean combinations of atoms, constants and
+    U, O, W, K over modal-free arguments, and, when announce is set,
+    announcements of modal-free formulas around such combinations."""
+    pick = rng.below(6) if depth > 0 else 0
+    if pick == 0:
+        return parse(_FULL_LEAVES[rng.below(len(_FULL_LEAVES))])
+    if pick <= 2:
+        op = _FULL_UNARY[1 + rng.below(len(_FULL_UNARY) - 1)]
+        return op(_random_static_formula(rng, 2))
+    if pick == 3:
+        return Not(random_local_formula(rng, depth - 1, announce))
+    if pick == 4 and announce:
+        return Announce(_random_static_formula(rng, 1),
+                        random_local_formula(rng, depth - 1, announce))
+    op = _FULL_BINARY[rng.below(len(_FULL_BINARY))]
+    return op(random_local_formula(rng, depth - 1, announce),
+              random_local_formula(rng, depth - 1, announce))

@@ -410,7 +410,15 @@ def test_enumerate_bound_below_one_rejected(capsys, bound):
     code, out, err = run(capsys, "enumerate", "--max-states", bound)
     assert (code, out) == (2, "")
     assert err == (f"error: invalid-argument: exhaustive enumeration supports "
-                   f"1..3 states, got {bound}; use sampled mode\n")
+                   f"1..3 states, got {bound}\n")
+
+
+def test_enumerate_bound_above_three_rejected(capsys):
+    # enumerate has no sampled mode, so its refusal points to none
+    code, out, err = run(capsys, "enumerate", "--max-states", "4")
+    assert (code, out) == (2, "")
+    assert err == ("error: invalid-argument: exhaustive enumeration supports "
+                   "1..3 states, got 4\n")
 
 
 def test_distinguish(capsys):

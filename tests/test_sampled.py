@@ -11,12 +11,13 @@ import pytest
 
 import _oracle
 import nbhdmc.search as search
-from _gen import STATE_NAMES, random_full_formula
+from _gen import STATE_NAMES, random_full_formula, random_local_formula
 from nbhdmc.formula import Announce, atoms_of, parse
 from nbhdmc.model import PointedModel, model_from_json
 from nbhdmc.search import (ClassSpec, Countermodel, NoCounterexampleUpTo,
                            SplitMix64, allowed_family_codes, find_countermodel,
                            verdict_to_text)
+from nbhdmc.semantics import _blocks, _failing_states, _Frame, compile_formula
 
 CLASSES = ((), ("m",), ("c",), ("n",), ("r",), ("neg-suppl",), ("m", "c"),
            ("m", "n"), ("c", "n", "r"))
@@ -99,10 +100,16 @@ def test_random_announcements_over_m_match_the_referee():
         assert _sampled(f, props, n, seed, 200) == want, (case, f)
 
 
+def _draws_decide(monkeypatch):
+    """Turn off the one-step check, so valid local formulas are drawn."""
+    monkeypatch.setattr(search, "_some_code_fails", lambda *args: True)
+
+
 @pytest.mark.parametrize("samples", [1, 2, 3, 4, 63, 64, 127, 128, 3000,
                                      4095, 4096, 4097])
-def test_sample_counts_around_chunk_boundaries(samples):
+def test_sample_counts_around_chunk_boundaries(monkeypatch, samples):
     # valid over (c), so every draw is judged
+    _draws_decide(monkeypatch)
     f = parse("U p & U q -> U (p | q) | U (p & q)")
     want, index = referee(f, ("c",), 2, 11, samples)
     assert index is None
@@ -134,12 +141,28 @@ LATE = [
 ]
 
 
+def _count_blocks(monkeypatch) -> list:
+    """The stream blocks sampled search computes, as they are asked for."""
+    asked = []
+    block = search._splitmix_block
+
+    def counted(seed, start, count):
+        asked.append(count)
+        return block(seed, start, count)
+
+    monkeypatch.setattr(search, "_splitmix_block", counted)
+    return asked
+
+
 @pytest.mark.parametrize("text,props,n,seed,first", LATE)
-def test_first_failure_past_the_first_chunk(text, props, n, seed, first):
+def test_first_failure_past_the_first_chunk(monkeypatch, text, props, n, seed,
+                                            first):
     f = parse(text)
     want, index = referee(f, props, n, seed, 1000)
     assert index == first
+    asked = _count_blocks(monkeypatch)
     assert _sampled(f, props, n, seed, 1000) == want
+    assert sum(asked) > first * (n + len(atoms_of(f)))  # drawn to the failure
 
 
 @pytest.mark.parametrize("first_chunk,cap", [(1, 1), (1, 4), (3, 7),
@@ -151,6 +174,7 @@ def test_chunk_sizes_do_not_change_verdicts(monkeypatch, first_chunk, cap):
         f = parse(text)
         assert _sampled(f, props, n, seed, 1000) == referee(
             f, props, n, seed, 1000)[0]
+    _draws_decide(monkeypatch)
     f = parse("U p & U q -> U (p | q) | U (p & q)")
     assert _sampled(f, ("c",), 2, 11, 50) == referee(f, ("c",), 2, 11, 50)[0]
 
@@ -168,14 +192,16 @@ def test_a_failure_at_the_first_draw_builds_one_lane(monkeypatch):
     f = parse("[(true | q) & (true | q)] q")
     want, index = referee(f, ("m",), 4, 383, 1000)
     assert index == 0
+    _draws_decide(monkeypatch)  # its check builds a pattern frame, no draw
     monkeypatch.setattr(search, "_Frame", lanes)
     assert _sampled(f, ("m",), 4, 383, 1000) == want
     assert built == [1]
 
 
-def test_stream_lanes_of_two_calls_stay_cached():
+def test_stream_lanes_of_two_calls_stay_cached(monkeypatch):
     # a call reads one stream length per chunk size; two calls with
     # different outputs per draw, repeated, build none of them again
+    _draws_decide(monkeypatch)
     search._stream_lanes.cache_clear()
     one, two = parse("K p -> K p"), parse("K (p & q) -> K (p & q)")
     for f in (one, two):
@@ -186,6 +212,105 @@ def test_stream_lanes_of_two_calls_stay_cached():
     for f in (one, two):
         _sampled(f, (), 3, 7, 10000)
     assert search._stream_lanes.cache_info().misses == built
+
+
+# --- the one-step check ----------------------------------------------------
+
+
+def _code_fails(prog, n: int, props) -> bool:
+    """Per code: whether some code allowed at a state s fails at s under
+    some valuation, on the frame giving every state that code."""
+    blocks = list(_blocks(n, len(prog.atoms)))
+    allowed = [set(allowed_family_codes(n, frozenset(props), s))
+               for s in range(n)]
+    for code in set().union(*allowed):
+        failing = _failing_states(prog, _Frame(n, [code] * n), blocks)
+        if any(failing >> s & 1 and code in allowed[s] for s in range(n)):
+            return True
+    return False
+
+
+def _one_step(prog, n: int, props) -> bool:
+    """search._some_code_fails, with the cost rule always met."""
+    fs = frozenset(props)
+    whole = all(len(allowed_family_codes(n, fs, s)) == 1 << (1 << n)
+                for s in range(n))
+    return search._some_code_fails(prog, n, fs, whole, 1 << 62)
+
+
+def test_one_step_check_matches_the_per_code_brute_force(monkeypatch):
+    # announcements over (m) classes; every class at one to three states
+    monkeypatch.setattr(search, "_ONE_STEP_TESTS", 1 << 62)
+    rng = SplitMix64(19)
+    valid = 0
+    for case in range(900):
+        props = CLASSES[case % len(CLASSES)]
+        n = 1 + case // len(CLASSES) % 3
+        f = random_local_formula(rng, 3, "m" in props)
+        prog = compile_formula(f, atoms_of(f))
+        assert prog.local, f
+        want = _code_fails(prog, n, props)
+        assert _one_step(prog, n, props) == want, (case, props, n, f)
+        valid += not want
+    assert 100 < valid < 800  # both answers are compared
+
+
+@pytest.mark.parametrize("props", [("m",), ("c",), ("neg-suppl",)])
+def test_one_step_check_matches_the_brute_force_at_four_states(monkeypatch,
+                                                               props):
+    monkeypatch.setattr(search, "_ONE_STEP_TESTS", 1 << 62)
+    rng = SplitMix64(20 + len(props[0]))
+    found = 0
+    for case in range(10):
+        f = random_local_formula(rng, 3, "m" in props)
+        prog = compile_formula(f, atoms_of(f))
+        want = _code_fails(prog, 4, props)
+        assert _one_step(prog, 4, props) == want, (case, f)
+        found += want
+    assert found  # a valid formula follows
+    valid = {("m",): "W p -> ! p", ("c",): "W p & W q -> W (p & q)",
+             ("neg-suppl",): "W (p & q) & ! q -> W q"}[props]
+    prog = compile_formula(parse(valid), ("p", "q"))
+    assert not _one_step(prog, 4, props) and not _code_fails(prog, 4, props)
+
+
+@pytest.mark.parametrize("text", ["p -> (K (q | ! p) -> [p] K q)",
+                                  "[p] (O q <-> O (q | ! p))"])
+def test_reads_in_an_announcement_take_its_context(text):
+    # valid over (m): inside [p], K q reads the set q | ! p, the same set as
+    # the read outside; read without its context, q would be another set
+    prog = compile_formula(parse(text), ("p", "q"))
+    for props in (("m",), ("m", "c")):
+        for n in (2, 3, 4):
+            assert not _code_fails(prog, n, props)
+            assert not _one_step(prog, n, props), (props, n)
+
+
+def test_valid_local_formula_draws_nothing(monkeypatch):
+    asked = _count_blocks(monkeypatch)
+    f = parse("O p & O q -> O (p & q)")  # oC, valid over (c)
+    assert _sampled(f, ("c",), 4, 9, 100000) == verdict_to_text(
+        NoCounterexampleUpTo(4, "sampled", 100000, 9))
+    assert asked == []
+
+
+# the perfbench sampled sentinels' shapes: oC and WC off (c), and the union
+# form of WC over (c)
+SENTINEL_SHAPES = [("O p & O q -> O (p & q)", (), 1),
+                   ("W p & W ! q -> W (p & ! q)", (), 2),
+                   ("W ! p & W q -> W (! p & q)", ("m",), 3),
+                   ("W p & W q -> W (p | q)", ("c",), 4)]
+
+
+@pytest.mark.parametrize("text,props,seed", SENTINEL_SHAPES)
+def test_invalid_local_formulas_are_drawn(monkeypatch, text, props, seed):
+    f = parse(text)
+    want, index = referee(f, props, 4, seed, 1000)
+    assert index is not None
+    asked = _count_blocks(monkeypatch)
+    assert _sampled(f, props, 4, seed, 1000) == want
+    assert asked
+
 
 # --- the bulk stream -------------------------------------------------------
 

@@ -35,7 +35,11 @@ It writes, with the interpreter and machine it ran on:
   sweep of 2^16 valuations whose announced sets take up to 2^8 values;
 * `sampled_probe`: likewise for `nbhdmc valid -f "W p -> ! p"
   --max-states 4 --samples 200000`, a sampled four-state scan of the
-  unrestricted class, whose family codes are read off the stream;
+  unrestricted class; the formula is valid and depth-1, so the one-step
+  check settles it without drawing;
+* `sampled_draw_probe`: likewise for `nbhdmc valid -f "W p -> ! W W p"
+  --max-states 4 --samples 200000`, a valid formula that is not depth-1,
+  so all 200000 draws are made, their family codes read off the stream;
 * `paper_suite`: likewise for `nbhdmc paper-suite --jobs J`, per J in
   SUITE_JOBS.
 
@@ -80,6 +84,8 @@ MULTIBLOCK_PROBE = ("valid", "-f", "U (p & q & r & s) -> U U (p & q & r & s)",
                     "--class", "m")
 SAMPLED_PROBE = ("valid", "-f", "W p -> ! p", "--max-states", "4",
                  "--samples", "200000")
+SAMPLED_DRAW_PROBE = ("valid", "-f", "W p -> ! W W p", "--max-states", "4",
+                      "--samples", "200000")
 BIGFRAME_PROBE = ("frame-valid", "-f", "K p | ! K p")
 BIGFRAME_STATES = 16
 FORCED_PROBE = ("frame-valid", "-f", "[W p] (K q | ! K q)", "--force")
@@ -267,6 +273,8 @@ def main(argv=None) -> int:
         "bigframe_probe": {"repeats": REPEATS, **bigframe_probe()},
         "forced_probe": {"repeats": REPEATS, **forced_probe()},
         "sampled_probe": {"repeats": REPEATS, **cli_wall(SAMPLED_PROBE)},
+        "sampled_draw_probe": {"repeats": REPEATS,
+                               **cli_wall(SAMPLED_DRAW_PROBE)},
         "paper_suite": {"repeats": REPEATS,
                         **{f"jobs_{jobs}": cli_wall(("paper-suite", "--jobs",
                                                      str(jobs)))
