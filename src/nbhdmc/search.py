@@ -44,10 +44,10 @@ the canonical minimum, with the verdict unchanged:
 * a local formula (Program.local: its modal operators read
   valuation-only arguments, inside announcements of valuation-only
   formulas only) is true at a state depending only on that state's
-  family code and the valuation, so one frame with every state given
-  code c tells at which states c fails (all codes are judged in one
-  pass on a lane frame); the least frame with a failing state follows
-  from that;
+  family code and the valuation, so the frame giving every state code
+  c tells at which states c fails.  One table of where each allowed
+  code fails (every code judged in one pass on a lane frame) gives the
+  least frame with a failing state, and only that frame is swept;
 * otherwise, the frames with a countermodel are closed under state
   permutation and every class is too, so the canonical minimum is the
   least frame of its orbit, and frames some permutation makes smaller
@@ -134,6 +134,8 @@ class ClassSpec:
         if not 1 <= self.max_states <= MAX_STATES:
             msg = f"max_states must be 1..{MAX_STATES}, got {self.max_states}"
             raise ValueError(msg)
+        for name in self.atoms:
+            Atom(name)  # raises on a name no formula can mention
         object.__setattr__(self, "properties", props)
         object.__setattr__(self, "atoms", tuple(sorted(set(self.atoms))))
 
@@ -403,59 +405,34 @@ def _lane_chunks(key, frames, A, whole: bool = False):
         yield built
 
 
-@lru_cache(maxsize=None)
-def _local_codes(n: int, properties: frozenset) -> tuple[int, ...]:
-    """The codes a local scan judges, in order of first need: the class
-    minimum's code when it gives every state one code, then each state's
-    other codes, the last state first."""
-    allowed = _allowed_lists(n, properties)
-    least = {options[0] for options in allowed}
-    codes = [code for s in reversed(range(n)) for code in allowed[s][1:]]
-    return tuple(dict.fromkeys([*least, *codes] if len(least) == 1
-                               else codes))
+def _local_frame(prog: Program, n: int, properties: frozenset, per: int, A):
+    """The least class frame with a failing state for a local program
+    (see Program), or None, read off where each code fails
+    (_code_failures).
 
-
-def _local_frames(prog: Program, n: int, properties: frozenset, per: int, A):
-    """The frames a scan of a local program (see Program) must sweep.
-
-    First the class minimum; if the scan goes on, that frame has no
-    countermodel, so no state fails with its minimum code.  Every frame
-    with a countermodel then has a state s whose code fails at s, and is
-    at least the minimum frame with state s's code raised to the least
-    one failing at s, for the largest such s: that frame comes next.
-    Where a code fails is read off the frame giving every state that
-    code (_code_failures).  A minimum giving every state one code is
-    such a frame, judged with the others and yielded only if it has a
-    countermodel, so the scan sweeps one frame on its own at most.
+    The class minimum is that frame if one of its states' codes fails
+    there.  Otherwise every frame with a countermodel has a state s
+    whose code, above s's least, fails at s, and is at least the minimum
+    with state s's code raised to the least one failing at s, for the
+    largest such s: that frame has a countermodel.
     """
     allowed = _allowed_lists(n, properties)
     least = tuple(options[0] for options in allowed)
-    uniform = len(set(least)) == 1
-    if not uniform:
-        yield least
-    judged = _code_failures(prog, n, properties, per, A)
-    failing: dict[int, int] = {}
-
-    def fails(code: int) -> int:
-        while code not in failing:
-            done, mask = next(judged)
-            failing[done] = mask
-        return failing[code]
-
-    if uniform and fails(least[0]):
-        yield least
-        return
+    failing = _code_failures(prog, n, properties, per, A)
+    if any(failing[code] >> s & 1 for s, code in enumerate(least)):
+        return least
     for s in reversed(range(n)):
         for code in allowed[s][1:]:
-            if fails(code) >> s & 1:
-                yield least[:s] + (code,) + least[s + 1:]
-                return
+            if failing[code] >> s & 1:
+                return least[:s] + (code,) + least[s + 1:]
+    return None
 
 
-def _code_failures(prog: Program, n: int, properties: frozenset, per: int, A):
-    """(code, mask of the states where it fails under some valuation) per
-    code of _local_codes, in order, on the frame giving every state that
-    code.
+def _code_failures(prog: Program, n: int, properties: frozenset, per: int,
+                   A) -> dict[int, int]:
+    """{code: mask of the states where it fails under some valuation} for
+    every code some state of the class allows, judged on the frame giving
+    every state that code.
 
     When those frames fill at most _MEMO_LANES lanes, every code is
     judged in one pass of the kernel, on a lane frame kept for later
@@ -465,21 +442,22 @@ def _code_failures(prog: Program, n: int, properties: frozenset, per: int, A):
     code's frame is swept on its own, block by block, on lanes of one
     block's valuations.
     """
-    codes = _local_codes(n, properties)
+    codes = sorted(set().union(*_allowed_lists(n, properties)))
     if not per:
         k = len(prog.atoms)
         V = _block_atoms(n, k)[0]
         monotone = "m" in properties or None
-        for code in codes:
-            lanes = _Frame(n, bytes((code,) * n) * V, monotone=monotone)
-            yield code, _failing_states(prog, lanes, _blocks(n, k))
-        return
-    chunks = _lane_chunks(("local", n, properties, per),
-                          lambda: [(code,) * n for code in codes], A,
-                          len(codes) * per <= _MEMO_LANES)
-    for lanes, atoms in chunks:
-        yield from zip(lanes.codes[::n * per],
-                       _failing_lanes(prog, lanes, atoms, per))
+        return {code: _failing_states(
+                    prog, _Frame(n, bytes((code,) * n) * V, monotone=monotone),
+                    _blocks(n, k))
+                for code in codes}
+    failing = {}
+    for lanes, atoms in _lane_chunks(("local", n, properties, per),
+                                     lambda: [(code,) * n for code in codes],
+                                     A, len(codes) * per <= _MEMO_LANES):
+        failing.update(zip(lanes.codes[::n * per],
+                           _failing_lanes(prog, lanes, atoms, per)))
+    return failing
 
 
 def _scan(prog: Program, n: int, properties: frozenset):
@@ -492,11 +470,11 @@ def _scan(prog: Program, n: int, properties: frozenset):
     the first failing frame's first failing valuation at its lowest
     failing state, as frame by frame sweeps find it.  The chunks are the
     kept ones as far as they go (_lane_chunks), and the failing frame is
-    read back from its lanes' codes.  A local program sweeps the one
-    frame its per-code judgement leaves on its own, as is every frame
-    whose valuations fill more than one block: block by block, valuation
-    j of a block in lane j.  Announcements are only scanned over classes
-    requiring (m), and the frames are told so.
+    read back from its lanes' codes.  A local program sweeps at most one
+    frame, the least with a failing state (_local_frame), on its own, as
+    is every frame whose valuations fill more than one block: block by
+    block, valuation j of a block in lane j.  Announcements are only
+    scanned over classes requiring (m), and the frames are told so.
     """
     k = len(prog.atoms)
     V, A = _block_atoms(n, k)
@@ -513,7 +491,8 @@ def _scan(prog: Program, n: int, properties: frozenset):
                         _valuation_masks(j, n, k), state)
         return None
     if prog.local:
-        frames = _local_frames(prog, n, properties, per, A)
+        frame = _local_frame(prog, n, properties, per, A)
+        frames = () if frame is None else (frame,)
     else:
         frames = _orbit_least_frames(n, properties)
     monotone = "m" in properties or None

@@ -9,7 +9,7 @@ import nbhdmc.search as search
 
 import _oracle
 from _gen import (random_announcement_formula, random_full_formula,
-                  random_model, random_model_doc)
+                  random_local_formula, random_model, random_model_doc)
 from nbhdmc.formula import Atom, Not, Or, Wrong, atoms_of, parse
 from nbhdmc.model import (NeighborhoodFrame, NeighborhoodModel, PointedModel,
                           StateSet, check_property, model_from_json)
@@ -187,6 +187,14 @@ def test_class_spec_validation():
         ClassSpec(frozenset(), 0)
     with pytest.raises(ValueError, match="max_states"):
         ClassSpec(frozenset(), 17)
+
+
+def test_class_spec_refuses_atom_names_no_formula_can_mention():
+    # such a name would reach the scan's models, or be refused only once
+    # a countermodel is built
+    for name in ("P", "true", "false", "1p", "p q", ""):
+        with pytest.raises(ValueError, match="bad atom name"):
+            ClassSpec(frozenset(), 2, ("p", name))
 
 
 # --- frozen countermodels ------------------------------------------------------------
@@ -664,14 +672,18 @@ def test_local_announcement_three_state_minimum_matches_brute_force():
 @pytest.mark.parametrize("props", [*EVERY_CLASS, frozenset(("c", "neg-suppl"))])
 def test_lane_failing_masks_match_the_per_code_sweep(monkeypatch, props):
     # every code in one pass on a kept lane frame, or, past a budget of
-    # one lane, in lane chunks that are not kept
+    # one lane, in lane chunks that are not kept; four atoms over three
+    # states fill more than one valuation block (per == 0), so each
+    # code's frame is swept on its own
     for memo_lanes in (search._MEMO_LANES, 1):
         monkeypatch.setattr(search, "_MEMO_LANES", memo_lanes)
         search._memo.clear()
-        for text in ("U p -> p", "W (p & q) -> W p", "O q | K ! p", "K true"):
+        for text in ("U p -> p", "W (p & q) -> W p", "O q | K ! p", "K true",
+                     "K (p & q) -> O (r | s)"):
             prog = compile_formula(parse(text))
             for n in (1, 2, 3):
-                per, A = _block_atoms(n, len(prog.atoms))
+                V, A = _block_atoms(n, len(prog.atoms))
+                per = V if V == 1 << n * len(prog.atoms) else 0
                 on_lanes = dict(search._code_failures(prog, n, props, per, A))
                 codes = sorted(set().union(*(allowed_family_codes(n, props, s)
                                              for s in range(n))))
@@ -683,6 +695,79 @@ def test_lane_failing_masks_match_the_per_code_sweep(monkeypatch, props):
                         _failing_states(prog, frame, blocks), (text, n, code)
                 held = search._memo.get(("local", n, props, per))
                 assert (held.lanes if held else 0) <= memo_lanes
+
+
+R_NEG_SUPPL = (frozenset(("r", "neg-suppl")),
+               frozenset(("c", "r", "neg-suppl")))
+
+# Local formulas whose minima over R_NEG_SUPPL have three states: at the
+# class's least frame for the first, at that frame with state u's code
+# raised for the others
+LOCAL_N3 = (
+    "! (K (q & ! p) & ! K ! p & U q & ! O true)",
+    "! (! O ! q & U (p | q) & K (p & ! q) & K q & ! q)",
+    "! (O (q -> p) & ! O (p | q) & U ! q & W ! p)",
+    "! (K true & ! O (p -> q) & U (p | q))",
+)
+
+
+def _local_cases(seed):
+    """LOCAL_N3, random local formulas, and a valid formula per each."""
+    rng = SplitMix64(seed)
+    cases = [*map(parse, LOCAL_N3),
+             *(random_local_formula(rng, 3) for _ in range(8))]
+    return cases + [Or(f, Not(f)) for f in cases]
+
+
+def _counting_sweeps(monkeypatch):
+    """Patch the scans' frame sweeps to record the state count of each
+    frame swept; returns that list."""
+    swept = []
+    sweep = search._sweep
+
+    def counted(prog, fr, blocks):
+        swept.append(fr.n)
+        return sweep(prog, fr, blocks)
+
+    monkeypatch.setattr(search, "_sweep", counted)
+    return swept
+
+
+@pytest.mark.parametrize("props", R_NEG_SUPPL)
+def test_local_scans_sweep_only_the_frame_with_the_minimum(monkeypatch, props):
+    # the class's least three-state frame gives its states three codes; it
+    # is swept only when one of them fails there, and a scan sweeps no
+    # frame but the one holding its countermodel
+    assert len({allowed_family_codes(3, props, s)[0] for s in range(3)}) == 3
+    swept = _counting_sweeps(monkeypatch)
+    for f in _local_cases(20):
+        assert compile_formula(f).local
+        swept.clear()
+        verdict = find_countermodel(f, ClassSpec(props, 3))
+        found = isinstance(verdict, Countermodel)
+        assert swept == ([verdict.pointed.model.size] if found else []), f
+    assert not found  # the last case, f | ! f, is valid
+
+
+@pytest.mark.parametrize("props", R_NEG_SUPPL)
+def test_local_scans_match_the_orbit_pruned_scan(monkeypatch, props):
+    # with the local flag off the same minima come from the orbit-least
+    # frames; where the oracle's minimum comes early, it agrees too
+    cls = ClassSpec(props, 3)
+    cases = _local_cases(21)
+    local = [_scan_json(f, cls) for f in cases]
+    compile_local = search.compile_formula
+    monkeypatch.setattr(search, "compile_formula", lambda f, atoms=None:
+                        compile_local(f, atoms)._replace(local=False))
+    assert [_scan_json(f, cls) for f in cases] == local
+    sizes = []
+    for f, verdict in zip(cases, local):
+        if verdict["verdict"] == "countermodel":
+            found = _brute_minimum(f, 3, props,
+                                   lambda n: _oracle_class_frames(n, props))
+            assert verdict == _expected_json(found), f
+            sizes.append(len(verdict["model"]["states"]))
+    assert sizes.count(3) == len(LOCAL_N3) and len(sizes) < len(cases)
 
 
 # --- kept lane chunks ----------------------------------------------------------------

@@ -24,6 +24,10 @@ It writes, with the interpreter and machine it ran on:
 * `multiblock_probe`: likewise for `nbhdmc valid -f "U (p & q & r & s)
   -> U U (p & q & r & s)" --class m`, an exhaustive three-state scan
   whose frames' 4096 valuations fill four valuation blocks;
+* `local_multiblock_probe`: likewise for `nbhdmc valid -f "K (p & q & r
+  & s) -> K (p & q & r & s)"`, a depth-1 formula over the unrestricted
+  class at three states, whose 256 codes' frames are each judged block
+  by block, since their 4096 valuations fill four valuation blocks;
 * `bigframe_probe`: likewise for `nbhdmc frame-valid -f "K p | ! K p"`
   on a 16-state model written to a temporary file, state w_i's
   neighborhoods being the full set and {w_i}: one frame's whole K table
@@ -41,7 +45,12 @@ It writes, with the interpreter and machine it ran on:
   --max-states 4 --samples 200000`, a valid formula that is not depth-1,
   so all 200000 draws are made, their family codes read off the stream;
 * `paper_suite`: likewise for `nbhdmc paper-suite --jobs J`, per J in
-  SUITE_JOBS.
+  SUITE_JOBS;
+* `calibration_start` and `calibration_end`: CALIBRATION_MARKS runs of
+  perfbench's calibration loop (`perfbench/clock.py`, calibration_ns) in
+  this process, at the start and at the end of the recording, with its
+  REFERENCE_NS.  The loop does not touch nbhdmc, so it tracks the host's
+  speed of the moment: read file-to-file deltas against it.
 
 Every `cli_wall` probe also records the child's CPU time (user plus
 system, from os.wait4); the criteria and class tables record the CPU
@@ -82,6 +91,8 @@ ANNOUNCE_PROBE = ("valid", "-f", "[[W false] (p | K q)] [q] (U true -> true)",
                   "--class", "m,n")
 MULTIBLOCK_PROBE = ("valid", "-f", "U (p & q & r & s) -> U U (p & q & r & s)",
                     "--class", "m")
+LOCAL_MULTIBLOCK_PROBE = ("valid", "-f",
+                          "K (p & q & r & s) -> K (p & q & r & s)")
 SAMPLED_PROBE = ("valid", "-f", "W p -> ! p", "--max-states", "4",
                  "--samples", "200000")
 SAMPLED_DRAW_PROBE = ("valid", "-f", "W p -> ! W W p", "--max-states", "4",
@@ -92,6 +103,10 @@ FORCED_PROBE = ("frame-valid", "-f", "[W p] (K q | ! K q)", "--force")
 FORCED_STATES = 8
 FORCED_SEED = 16
 SUITE_JOBS = (1, 2, 4)
+CALIBRATION_MARKS = 15
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+from clock import REFERENCE_NS, calibration_ns  # noqa: E402
 
 # Times criteria 3 and 10 as the acceptance gate runs them; prints JSON,
 # [wall, cpu] seconds per criterion.
@@ -193,6 +208,14 @@ def class_tables() -> dict:
     return out
 
 
+def calibration() -> dict:
+    """CALIBRATION_MARKS runs of perfbench's calibration loop in this
+    process (each the fastest of three loops), in ns."""
+    runs = [calibration_ns() for _ in range(CALIBRATION_MARKS)]
+    return {"median_ns": statistics.median(runs), "runs_ns": runs,
+            "reference_ns": REFERENCE_NS}
+
+
 def cli_wall(args) -> dict:
     """Wall time, CPU time and peak RSS of `nbhdmc <args>` as a new
     process, REPEATS times; the command must exit 0.  The CPU time and
@@ -258,6 +281,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
     record = {
+        "calibration_start": calibration(),
         "python": platform.python_version(),
         "machine": {"system": platform.system(), "arch": platform.machine(),
                     "cpus": os.cpu_count()},
@@ -270,6 +294,8 @@ def main(argv=None) -> int:
         "announce_probe": {"repeats": REPEATS, **cli_wall(ANNOUNCE_PROBE)},
         "multiblock_probe": {"repeats": REPEATS,
                              **cli_wall(MULTIBLOCK_PROBE)},
+        "local_multiblock_probe": {"repeats": REPEATS,
+                                   **cli_wall(LOCAL_MULTIBLOCK_PROBE)},
         "bigframe_probe": {"repeats": REPEATS, **bigframe_probe()},
         "forced_probe": {"repeats": REPEATS, **forced_probe()},
         "sampled_probe": {"repeats": REPEATS, **cli_wall(SAMPLED_PROBE)},
@@ -279,6 +305,7 @@ def main(argv=None) -> int:
                         **{f"jobs_{jobs}": cli_wall(("paper-suite", "--jobs",
                                                      str(jobs)))
                            for jobs in SUITE_JOBS}},
+        "calibration_end": calibration(),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
