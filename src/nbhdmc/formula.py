@@ -41,7 +41,8 @@ class Atom(Formula):
     name: str
 
     def __post_init__(self) -> None:
-        if not _ATOM_RE.fullmatch(self.name) or self.name in ("true", "false"):
+        if (not isinstance(self.name, str) or not _ATOM_RE.fullmatch(self.name)
+                or self.name in ("true", "false")):
             msg = f"bad atom name: {self.name!r}"
             raise ValueError(msg)
 

@@ -25,11 +25,6 @@ judged in chunks (one draw, doubling up to 4096): the chunk's part of
 the stream is computed at once, as bytes, and the kernel evaluates every
 draw of the chunk together, one draw per lane.  The stream and the
 verdict bytes are those of drawing and judging one sample at a time.
-A local formula's truth at s reads the valuation and the bits "X_i is a
-neighbourhood of s" of its modal arguments only, so whether an allowed
-code fails at its state is a one-step question (Schröder & Pattinson,
-J. Logic Comput. 2010).  If none does, no draw fails, and none is drawn;
-else the draws are judged.  Either way the verdict bytes are the draws'.
 
 Scans go through the evaluation kernel in `semantics`: the formula is
 compiled once.  Exhaustive scans judge frames a chunk at a time like
@@ -38,26 +33,26 @@ valuation by valuation, so the first failing lane is the first failing
 frame's first failing valuation; a frame whose valuations fill more
 than one block is swept on its own, block by block, on lanes of one
 block's valuations.  Announcements run on lanes like any connective,
-relativized (see `semantics`).  Scans judge only the frames that can be
-the canonical minimum, with the verdict unchanged:
+relativized (see `semantics`).
 
-* a local formula (Program.local: its modal operators read
-  valuation-only arguments, inside announcements of valuation-only
-  formulas only) is true at a state depending only on that state's
-  family code and the valuation, so the frame giving every state code
-  c tells at which states c fails.  One table of where each allowed
-  code fails (every code judged in one pass on a lane frame) gives the
-  least frame with a failing state, and only that frame is swept;
-* otherwise, the frames with a countermodel are closed under state
-  permutation and every class is too, so the canonical minimum is the
-  least frame of its orbit, and frames some permutation makes smaller
-  are skipped (McKay, "Isomorph-Free Exhaustive Generation", 1998).
+A local formula (Program.local: its modal operators read valuation-only
+arguments, inside announcements of valuation-only formulas only) is
+true at s depending only on the valuation and the bits "X_i is a
+neighbourhood of s" of its modal arguments X_i: whether a code fails at
+s is a one-step question (Schröder & Pattinson, J. Logic Comput. 2010).
+One table (_failure_masks) of the allowed codes failing at each state
+serves both modes: sampled mode draws nothing when it is empty, and
+exhaustive scans sweep only the least frame with a failing state.
+Other scans skip the frames some state permutation makes smaller: the
+frames with a countermodel and every class are closed under state
+permutation, so the canonical minimum is the least frame of its orbit
+(McKay, "Isomorph-Free Exhaustive Generation", 1998).
 
-The lane frames and atom ints of a scan depend on its kind, n, class
-and valuations per frame, not on the formula, so they are built once
-and replayed by later scans (_lane_chunks): the first _MEMO_LANES lanes
-of each of the _MEMO_KEYS keys used last are kept, and chunks past that
-budget are built and dropped, so memory stays bounded.
+The lane frames and atom ints of an orbit scan depend on n, the class
+and the valuations per frame, not on the formula, so they are built
+once and replayed by later scans (_lane_chunks): the first _MEMO_LANES
+lanes of each of the _MEMO_KEYS keys used last are kept, and chunks past
+that budget are built and dropped, so memory stays bounded.
 """
 
 from __future__ import annotations
@@ -70,11 +65,12 @@ from math import prod
 
 from .formula import And, Atom, Bullet, Formula, Not, Wrong, atoms_of
 from .model import (MAX_STATES, PREFIX_ORDER, PROPERTY_IDS,
-                    NeighborhoodModel, PointedModel, StateSet, _members,
-                    code_has_property, frame_from_codes, model_to_json)
+                    NeighborhoodModel, PointedModel, StateSet, _lacking,
+                    _members, code_has_property, frame_from_codes,
+                    model_to_json)
 from .semantics import (_BOX, Program, _block_atoms, _blocks, _Closure, _exec,
-                        _failing_lanes, _failing_states, _Frame, _k_columns,
-                        _lane_ints, _le_ints, _sweep, _valuation_masks,
+                        _failing_states, _Frame, _k_columns, _lane_ints,
+                        _le_ints, _low_pattern, _sweep, _valuation_masks,
                         compile_formula, evaluate)
 
 __all__ = [
@@ -325,8 +321,7 @@ _FIRST_CHUNK = 1       # items judged at once, first; each later chunk doubles
 _CHUNK_CAP = 4096      # up to this many lanes
 _MEMO_LANES = 1 << 14  # lanes of lane chunks kept per scan key (_lane_chunks)
 _MEMO_KEYS = 32        # scan keys kept, the least recently used dropped
-_ONE_STEP_LANES = 4    # pattern lanes _some_code_fails runs per sample
-_ONE_STEP_TESTS = 1024  # its realizability tests before the draws decide
+_TABLE_LANES = 1 << 12  # valuations x read patterns of a one-step table
 _memo: OrderedDict = OrderedDict()  # key -> _Memo, least recently used first
 
 
@@ -362,20 +357,19 @@ class _Memo:
         self.stream = stream
 
 
-def _lane_chunks(key, frames, A, whole: bool = False):
-    """(lane frame, atom ints) per chunk of frames(), the key's frames:
-    all of them when whole, else _chunks of them.  Frame i of a chunk
-    under valuation j sits in lane i * per + j, valuation j read off the
-    one block's atom ints A.
+def _lane_chunks(n: int, properties: frozenset, per: int, A):
+    """(lane frame, atom ints) per chunk (_chunks) of the class's
+    orbit-least frames, frame i of a chunk under valuation j in lane
+    i * per + j, valuation j read off the one block's atom ints A.
 
     The first chunks of a key, up to _MEMO_LANES lanes, are built once
     and replayed by every later scan of the key (_memo, an LRU of
     _MEMO_KEYS keys); later chunks are built and dropped.
     """
-    _, n, properties, per = key
+    key = (n, properties, per)
 
     def split():
-        return iter((list(frames()),)) if whole else _chunks(frames(), per)
+        return _chunks(_orbit_least_frames(n, properties), per)
 
     memo = _memo.pop(key, None) or _Memo(split())
     _memo[key] = memo
@@ -405,10 +399,100 @@ def _lane_chunks(key, frames, A, whole: bool = False):
         yield built
 
 
-def _local_frame(prog: Program, n: int, properties: frozenset, per: int, A):
+@lru_cache(maxsize=None)
+def _class_columns(n: int, properties: frozenset, state: int):
+    """Per mask x, the state's allowed codes lacking and having bit x.
+    Where the class allows every code, code c is its own index, so the
+    column of x is periodic in c, as model._lacking builds it."""
+    allowed = allowed_family_codes(n, properties, state)
+    every = (1 << len(allowed)) - 1
+    having = ([every ^ c for c in _lacking(1 << n)]
+              if len(allowed) == 1 << (1 << n) else _k_columns(allowed, n))
+    return [every ^ c for c in having], having
+
+
+@lru_cache(maxsize=32)
+def _pattern_lanes(n: int, k: int, m: int):
+    """(V, ALL, atom ints, read ints) of the lanes p * V + j, valuation j
+    of k atoms over n states under pattern p of m read bits: read i's
+    int holds every state of the lanes whose pattern has bit i."""
+    V = 1 << n * k
+    ALL = (1 << (V * n << m)) - 1
+    rep = ALL // ((1 << V * n) - 1)  # bit 0 of every pattern's lanes
+    atoms = [_low_pattern(n, V, n * (k - 1 - i)) * rep for i in range(k)]
+    reads = [ALL // ((1 << 2 * h) - 1) * (((1 << h) - 1) << h)
+             for h in (V * n << i for i in range(m))]
+    return V, ALL, atoms, reads
+
+
+def _failure_masks(prog: Program, n: int, properties: frozenset,
+                   first: bool = False):
+    """Per state s, the mask over allowed_family_codes(n, properties, s)
+    of the codes failing at s under some valuation, for a local program
+    (see the module docstring), or None past _TABLE_LANES lanes; with
+    first, only up to the first failing code found.
+
+    One kernel pass judges each valuation j under each pattern p of the
+    modal reads' bits (_pattern_lanes).  The codes realizing a failing
+    lane group (p, j) at s have the reads' argument masks at j exactly
+    where p has their bits: an AND of class columns (_class_columns),
+    computed once per class table and asked bits.
+    """
+    k, reads = len(prog.atoms), list(dict.fromkeys(
+        (a, b) for _, op, a, b in prog.code if op >= _BOX))  # modal reads
+    m = len(reads)
+    if 1 << n * k << m > _TABLE_LANES:
+        return None
+    V, ALL, A, K = _pattern_lanes(n, k, m)
+    vals = [0] * prog.size
+    _exec(prog.code, vals, A, _Frame(n, (), monotone=True), V << m, ALL,
+          dict(zip(reads, K)))
+    width, full = V * n, (1 << n) - 1
+    args = [(vals[a] if b is None else vals[a] & vals[b] | ALL ^ vals[b])
+            & (1 << width) - 1 for a, b in reads]  # alike in every pattern
+    miss = bin(ALL ^ vals[prog.root])[:1:-1]  # character i is bit i
+    per_state, masks, realized = "neg-suppl" in properties, [0] * n, {}
+    every = [(1 << len(codes)) - 1 for codes in _allowed_lists(n, properties)]
+    at = miss.find("1")
+    while at >= 0:
+        group, s = divmod(at, n)
+        p, j = divmod(group, V)
+        end = at + 1 if per_state else at - s + n  # the states of s's table
+        asked = (s * per_state, p, *[x >> j * n & full for x in args])
+        codes = realized.get(asked)
+        if codes is None:
+            lacking, having = _class_columns(n, properties, asked[0])
+            codes = every[asked[0]]
+            for i, x in enumerate(asked[2:]):
+                codes &= having[x] if p >> i & 1 else lacking[x]
+            realized[asked] = codes
+        if codes:
+            for t, bit in enumerate(miss[at:end], s):
+                if bit == "1":
+                    masks[t] |= codes
+            if first or masks == every:  # nothing left to add
+                return masks
+        at = miss.find("1", end)
+    return masks
+
+
+def _code_masks(prog: Program, n: int, properties: frozenset) -> list[int]:
+    """_failure_masks with each allowed code judged on the frame giving
+    every state that code, block by block."""
+    allowed = _allowed_lists(n, properties)
+    blocks = list(_blocks(n, len(prog.atoms)))
+    monotone = "m" in properties or None
+    failing = {code: _failing_states(prog, _Frame(
+                   n, bytes((code,) * n) * blocks[0][1], monotone=monotone),
+                   blocks) for code in set().union(*allowed)}
+    return [sum((failing[code] >> s & 1) << i for i, code in enumerate(codes))
+            for s, codes in enumerate(allowed)]
+
+
+def _local_frame(prog: Program, n: int, properties: frozenset):
     """The least class frame with a failing state for a local program
-    (see Program), or None, read off where each code fails
-    (_code_failures).
+    (see Program), or None, read off the codes failing at each state:
+    _failure_masks, or past its lane budget _code_masks.
 
     The class minimum is that frame if one of its states' codes fails
     there.  Otherwise every frame with a countermodel has a state s
@@ -416,73 +500,43 @@ def _local_frame(prog: Program, n: int, properties: frozenset, per: int, A):
     with state s's code raised to the least one failing at s, for the
     largest such s: that frame has a countermodel.
     """
+    masks = _failure_masks(prog, n, properties)
+    if masks is None:
+        masks = _code_masks(prog, n, properties)
     allowed = _allowed_lists(n, properties)
     least = tuple(options[0] for options in allowed)
-    failing = _code_failures(prog, n, properties, per, A)
-    if any(failing[code] >> s & 1 for s, code in enumerate(least)):
+    if any(mask & 1 for mask in masks):
         return least
     for s in reversed(range(n)):
-        for code in allowed[s][1:]:
-            if failing[code] >> s & 1:
-                return least[:s] + (code,) + least[s + 1:]
+        if masks[s]:
+            code = allowed[s][(masks[s] & -masks[s]).bit_length() - 1]
+            return least[:s] + (code,) + least[s + 1:]
     return None
-
-
-def _code_failures(prog: Program, n: int, properties: frozenset, per: int,
-                   A) -> dict[int, int]:
-    """{code: mask of the states where it fails under some valuation} for
-    every code some state of the class allows, judged on the frame giving
-    every state that code.
-
-    When those frames fill at most _MEMO_LANES lanes, every code is
-    judged in one pass of the kernel, on a lane frame kept for later
-    scans (_lane_chunks); more are judged in lane chunks (_chunk_sizes).
-    Code i of a lane frame under valuation j sits in lane i * per + j.
-    When a frame's valuations fill more than one block (per == 0), each
-    code's frame is swept on its own, block by block, on lanes of one
-    block's valuations.
-    """
-    codes = sorted(set().union(*_allowed_lists(n, properties)))
-    if not per:
-        k = len(prog.atoms)
-        V = _block_atoms(n, k)[0]
-        monotone = "m" in properties or None
-        return {code: _failing_states(
-                    prog, _Frame(n, bytes((code,) * n) * V, monotone=monotone),
-                    _blocks(n, k))
-                for code in codes}
-    failing = {}
-    for lanes, atoms in _lane_chunks(("local", n, properties, per),
-                                     lambda: [(code,) * n for code in codes],
-                                     A, len(codes) * per <= _MEMO_LANES):
-        failing.update(zip(lanes.codes[::n * per],
-                           _failing_lanes(prog, lanes, atoms, per)))
-    return failing
 
 
 def _scan(prog: Program, n: int, properties: frozenset):
     """First witness (family codes, valuation masks, state) among the
     class's n-state frames in canonical order, or None.
 
-    When a frame's `per` valuations fit one block, orbit-least frames
-    are judged a chunk at a time (_chunk_sizes), frame i of the chunk
+    A local program sweeps at most one frame (_local_frame).  Otherwise,
+    when a frame's `per` valuations fit one block, orbit-least frames
+    are judged a chunk at a time (_lane_chunks), frame i of the chunk
     under valuation j in lane i * per + j, so the first failing lane is
     the first failing frame's first failing valuation at its lowest
-    failing state, as frame by frame sweeps find it.  The chunks are the
-    kept ones as far as they go (_lane_chunks), and the failing frame is
-    read back from its lanes' codes.  A local program sweeps at most one
-    frame, the least with a failing state (_local_frame), on its own, as
-    is every frame whose valuations fill more than one block: block by
-    block, valuation j of a block in lane j.  Announcements are only
-    scanned over classes requiring (m), and the frames are told so.
+    failing state, as frame by frame sweeps find it; the failing frame
+    is read back from its lanes' codes.  Other frames are swept on their
+    own, block by block, valuation j of a block in lane j.
+    Announcements are only scanned over classes requiring (m), and the
+    frames are told so.
     """
     k = len(prog.atoms)
     V, A = _block_atoms(n, k)
     per = V if V == 1 << n * k else 0  # valuations per frame in one block
-    if per and not prog.local:
-        for lanes, atoms in _lane_chunks(
-                ("orbit", n, properties, per),
-                lambda: _orbit_least_frames(n, properties), A):
+    if prog.local:
+        frame = _local_frame(prog, n, properties)
+        frames = () if frame is None else (frame,)
+    elif per:
+        for lanes, atoms in _lane_chunks(n, properties, per, A):
             hit = _sweep(prog, lanes, ((0, lanes.V, lanes.ALL, atoms),))
             if hit:
                 lane, state = hit
@@ -490,9 +544,6 @@ def _scan(prog: Program, n: int, properties: frozenset):
                 return (tuple(lanes.codes[i * per * n:i * per * n + n]),
                         _valuation_masks(j, n, k), state)
         return None
-    if prog.local:
-        frame = _local_frame(prog, n, properties, per, A)
-        frames = () if frame is None else (frame,)
     else:
         frames = _orbit_least_frames(n, properties)
     monotone = "m" in properties or None
@@ -595,50 +646,12 @@ def _splitmix_block(seed: int, start: int, count: int) -> bytes:
     return (z ^ z >> 31).to_bytes(16 * count, "little")
 
 
-@lru_cache(maxsize=None)
-def _class_columns(n: int, properties: frozenset, state: int):
-    """Per mask x, the state's allowed codes lacking and having bit x."""
-    allowed = allowed_family_codes(n, properties, state)
-    having = _k_columns(allowed, n)
-    return [(1 << len(allowed)) - 1 ^ c for c in having], having
-
-
-def _some_code_fails(prog: Program, n: int, properties: frozenset,
-                     whole: bool, samples: int) -> bool:
+def _some_code_fails(prog: Program, n: int, properties: frozenset) -> bool:
     """Whether some allowed code fails at its state under some valuation,
-    for a local program (see the module docstring); True for others, or
-    where the check costs more than the draws or _ONE_STEP_TESTS tests."""
-    k, reads = len(prog.atoms), list(dict.fromkeys(
-        (a, b) for _, op, a, b in prog.code if op >= _BOX))  # modal reads
-    m, (V, A) = len(reads), _block_atoms(n, k)
-    if not prog.local or V < 1 << n * k or V << m > _ONE_STEP_LANES * samples:
-        return True
-    width, ALL, vals = V * n, (1 << (V * n << m)) - 1, [0] * prog.size
-    starts = [1 << p * width for p in range(1 << m)]  # lanes p*V+j, j < V
-    _exec(prog.code, vals, [a * sum(starts) for a in A],  # valuation j there
-          _Frame(n, (), monotone=True), V << m, ALL,  # read i: bit i of p
-          {read: sum(starts[p] for p in range(1 << m) if p >> i & 1)
-           * ((1 << width) - 1) for i, read in enumerate(reads)})
-    args = [(vals[a] if b is None else vals[a] & vals[b] | ALL ^ vals[b])
-            & (1 << width) - 1 for a, b in reads]  # alike in every pattern
-    miss = bin(ALL ^ vals[prog.root])[:1:-1]  # character i is bit i
-    per_state, at = "neg-suppl" in properties, miss.find("1")
-    for _ in range(_ONE_STEP_TESTS):
-        if at < 0:
-            return False
-        (p, j), s = divmod(at // n, V), at % n * per_state  # s: its table
-        at = miss.find("1", at + 1 if per_state else at - at % n + n)
-        asked = [(x >> j * n & (1 << n) - 1, p >> i & 1)
-                 for i, x in enumerate(args)]
-        if whole:  # realized unless some mask is asked both bits
-            realized = len(set(asked)) == len(dict(asked))
-        else:  # by an allowed code having every bit
-            realized, columns = -1, _class_columns(n, properties, s)
-            for x, on in asked:
-                realized &= columns[on][x]
-        if realized:
-            return True
-    return True
+    for a local program (_failure_masks); True for others, or past the
+    table's lane budget."""
+    masks = _failure_masks(prog, n, properties, True) if prog.local else None
+    return masks is None or any(masks)
 
 
 # byte x to x % 2^(2^n), the low 2^n bits of x, at n <= 3
@@ -650,10 +663,10 @@ def _sampled_search(f: Formula, prog: Program, cls: ClassSpec, seed: int,
                     samples: int):
     """The first of `samples` draws of the stream that falsifies f, as a
     countermodel at its lowest failing state, or NoCounterexampleUpTo.
-    If no allowed code fails at its state under any valuation of a local
-    program (_some_code_fails), no draw fails, and none is drawn; else, or
-    where that check costs more, the draws decide.  Either way the verdict
-    bytes are the draws'.
+    If the one-step table of a local program has no allowed code failing
+    at its state (_some_code_fails), no draw fails, and none is drawn;
+    else, or past the table's lane budget, the draws decide.  Either way
+    the verdict bytes are the draws'.
 
     Draws are judged a chunk at a time on a lane frame, draw j of the
     chunk in lane j; the chunk's part of the stream is computed at once
@@ -678,7 +691,7 @@ def _sampled_search(f: Formula, prog: Program, cls: ClassSpec, seed: int,
     atoms = prog.atoms
     allowed = _allowed_lists(n, cls.properties)
     whole = all(len(options) == 1 << (1 << n) for options in allowed)
-    if not _some_code_fails(prog, n, cls.properties, whole, samples):
+    if not _some_code_fails(prog, n, cls.properties):
         return NoCounterexampleUpTo(n, "sampled", samples, seed)
     width = max(1, 1 << n >> 3)  # bytes per code
     full = (1 << n) - 1

@@ -528,22 +528,6 @@ def _failing_states(prog: Program, fr: _Frame, blocks) -> int:
     return out
 
 
-def _failing_lanes(prog: Program, fr: _Frame, A, per: int) -> list[int]:
-    """_failing_states per run of `per` lanes: run i's mask of the states
-    failing in some lane of it, lane j read under the valuation at lane j
-    of the atom ints A."""
-    n = fr.n
-    vals = [0] * prog.size
-    _exec(prog.code, vals, A, fr, fr.V, fr.ALL)
-    miss = fr.ALL ^ vals[prog.root]
-    run = width = per * n
-    rep = fr.ALL // ((1 << run) - 1)  # bit 0 of every run
-    while width > n:  # fold each run's n-bit groups into its lowest
-        width >>= 1
-        miss = (miss | miss >> width) & rep * ((1 << width) - 1)
-    return [miss >> sh & fr.full for sh in range(0, fr.V * n, run)]
-
-
 def _valuation_masks(j: int, n: int, k: int) -> tuple[int, ...]:
     """The k atom masks of valuation index j over n states."""
     full = (1 << n) - 1

@@ -178,6 +178,14 @@ def test_atom_name_validation():
         Atom("")
 
 
+@pytest.mark.parametrize("name", [None, 5, b"p", ("p",)])
+def test_atom_refuses_names_that_are_not_strings(name):
+    # the same ValueError as a string no formula can mention, not the
+    # TypeError of matching a non-string
+    with pytest.raises(ValueError, match="bad atom name"):
+        Atom(name)
+
+
 # --- printing ---------------------------------------------------------------
 
 @pytest.mark.parametrize("ast, text", [

@@ -231,16 +231,13 @@ def _code_fails(prog, n: int, props) -> bool:
 
 
 def _one_step(prog, n: int, props) -> bool:
-    """search._some_code_fails, with the cost rule always met."""
-    fs = frozenset(props)
-    whole = all(len(allowed_family_codes(n, fs, s)) == 1 << (1 << n)
-                for s in range(n))
-    return search._some_code_fails(prog, n, fs, whole, 1 << 62)
+    """Whether search._failure_masks, up to its first failing code,
+    finds a failing code; every case here is within its lane budget."""
+    return any(search._failure_masks(prog, n, frozenset(props), True))
 
 
-def test_one_step_check_matches_the_per_code_brute_force(monkeypatch):
+def test_one_step_check_matches_the_per_code_brute_force():
     # announcements over (m) classes; every class at one to three states
-    monkeypatch.setattr(search, "_ONE_STEP_TESTS", 1 << 62)
     rng = SplitMix64(19)
     valid = 0
     for case in range(900):
@@ -256,9 +253,7 @@ def test_one_step_check_matches_the_per_code_brute_force(monkeypatch):
 
 
 @pytest.mark.parametrize("props", [("m",), ("c",), ("neg-suppl",)])
-def test_one_step_check_matches_the_brute_force_at_four_states(monkeypatch,
-                                                               props):
-    monkeypatch.setattr(search, "_ONE_STEP_TESTS", 1 << 62)
+def test_one_step_check_matches_the_brute_force_at_four_states(props):
     rng = SplitMix64(20 + len(props[0]))
     found = 0
     for case in range(10):

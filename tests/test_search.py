@@ -4,6 +4,8 @@ from functools import lru_cache
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nbhdmc.search as search
 
@@ -18,8 +20,8 @@ from nbhdmc.search import (ClassSpec, Countermodel, NoCounterexampleUpTo,
                            distinguish, enumerate_frames, find_countermodel,
                            fragment_representatives, verdict_to_json,
                            verdict_to_text, worker_count)
-from nbhdmc.semantics import (_block_atoms, _blocks, _failing_states,
-                              _Frame, compile_formula, evaluate)
+from nbhdmc.semantics import (_blocks, _failing_states, _Frame,
+                              compile_formula, evaluate)
 
 ALL2 = ClassSpec(frozenset(), 2)
 M3 = ClassSpec(frozenset(("m",)), 3)
@@ -195,6 +197,9 @@ def test_class_spec_refuses_atom_names_no_formula_can_mention():
     for name in ("P", "true", "false", "1p", "p q", ""):
         with pytest.raises(ValueError, match="bad atom name"):
             ClassSpec(frozenset(), 2, ("p", name))
+    for name in (5, None):
+        with pytest.raises(ValueError, match="bad atom name"):
+            ClassSpec(frozenset(), 2, (name,))
 
 
 # --- frozen countermodels ------------------------------------------------------------
@@ -669,32 +674,81 @@ def test_local_announcement_three_state_minimum_matches_brute_force():
     assert _scan_json(f, M3) == _expected_json((doc, state))
 
 
+def _per_code_masks(prog, n: int, props) -> list[int]:
+    """Per state s, the mask over the codes allowed at s of those failing
+    at s on the frame giving every state that code (_failing_states)."""
+    blocks = tuple(_blocks(n, len(prog.atoms)))
+    masks = []
+    for s in range(n):
+        mask = 0
+        for i, code in enumerate(allowed_family_codes(n, props, s)):
+            failing = _failing_states(prog, _Frame(n, (code,) * n), blocks)
+            mask |= (failing >> s & 1) << i
+        masks.append(mask)
+    return masks
+
+
 @pytest.mark.parametrize("props", [*EVERY_CLASS, frozenset(("c", "neg-suppl"))])
 def test_lane_failing_masks_match_the_per_code_sweep(monkeypatch, props):
-    # every code in one pass on a kept lane frame, or, past a budget of
-    # one lane, in lane chunks that are not kept; four atoms over three
-    # states fill more than one valuation block (per == 0), so each
-    # code's frame is swept on its own
-    for memo_lanes in (search._MEMO_LANES, 1):
-        monkeypatch.setattr(search, "_MEMO_LANES", memo_lanes)
-        search._memo.clear()
-        for text in ("U p -> p", "W (p & q) -> W p", "O q | K ! p", "K true",
-                     "K (p & q) -> O (r | s)"):
-            prog = compile_formula(parse(text))
-            for n in (1, 2, 3):
-                V, A = _block_atoms(n, len(prog.atoms))
-                per = V if V == 1 << n * len(prog.atoms) else 0
-                on_lanes = dict(search._code_failures(prog, n, props, per, A))
-                codes = sorted(set().union(*(allowed_family_codes(n, props, s)
-                                             for s in range(n))))
-                assert sorted(on_lanes) == codes
-                blocks = tuple(_blocks(n, len(prog.atoms)))
-                for code in codes:
-                    frame = _Frame(n, (code,) * n)
-                    assert on_lanes[code] == \
-                        _failing_states(prog, frame, blocks), (text, n, code)
-                held = search._memo.get(("local", n, props, per))
-                assert (held.lanes if held else 0) <= memo_lanes
+    # the table from one pattern pass (four atoms over three states: 4096
+    # valuations, under a budget raised for them), and from the
+    # code-by-code fallback; past a budget of one, the scan reads the
+    # fallback's frame
+    cases = [(compile_formula(parse(text)), n)
+             for text in ("U p -> p", "W (p & q) -> W p", "O q | K ! p",
+                          "K true", "K (p & q) -> O (r | s)")
+             for n in (1, 2, 3)]
+    monkeypatch.setattr(search, "_TABLE_LANES", 1 << 14)
+    frames = []
+    for prog, n in cases:
+        want = _per_code_masks(prog, n, props)
+        assert search._failure_masks(prog, n, props) == want, (prog, n)
+        assert search._code_masks(prog, n, props) == want, (prog, n)
+        frames.append(search._local_frame(prog, n, props))
+    monkeypatch.setattr(search, "_TABLE_LANES", 1)
+    assert search._failure_masks(*cases[0], props) is None
+    assert [search._local_frame(prog, n, props)
+            for prog, n in cases] == frames
+
+
+# valid, four atoms and five reads: 4096 valuations of three states times
+# 32 read patterns pass the one-step table's lane budget
+PAST_BUDGET = ("(K p & K q & K r & K s & K (p & q)) | "
+               "! (K p & K q & K r & K s & K (p & q))")
+
+
+@pytest.mark.parametrize("props", [frozenset(("c",)), frozenset()])
+def test_local_scans_past_the_lane_budget_judge_code_by_code(monkeypatch,
+                                                             props):
+    # past the budget each allowed code is judged on its own frame; the
+    # scan never falls back to enumerating orbit-least frames
+    f = parse(PAST_BUDGET)
+    prog = compile_formula(f)
+    assert prog.local
+    assert search._failure_masks(prog, 3, props) is None
+
+    def refused(*args):
+        raise AssertionError("orbit-least frames enumerated")
+
+    monkeypatch.setattr(search, "_orbit_least_frames", refused)
+    assert find_countermodel(f, ClassSpec(props, 3)) == \
+        NoCounterexampleUpTo(3, "exhaustive")
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32), props=st.sets(st.sampled_from(
+    ("m", "c", "n", "r", "neg-suppl"))), n=st.integers(1, 3))
+def test_failure_masks_match_the_per_code_sweep_fuzzed(seed, props, n):
+    # random local formulas, with announcements over (m) classes, over
+    # random classes: the table, from the pattern pass and code by code
+    props = frozenset(props)
+    f = random_local_formula(SplitMix64(seed), 3, "m" in props)
+    prog = compile_formula(f)
+    want = _per_code_masks(prog, n, props)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_TABLE_LANES", 1 << 62)
+        assert search._failure_masks(prog, n, props) == want, f
+    assert search._code_masks(prog, n, props) == want, f
 
 
 R_NEG_SUPPL = (frozenset(("r", "neg-suppl")),
@@ -846,7 +900,7 @@ def test_kept_lanes_stay_within_the_budget(monkeypatch):
     assert _scan_json(valid, M3) == verdict_to_json(
         NoCounterexampleUpTo(3, "exhaustive"))
     held = _held_lanes()
-    assert 0 < held[("orbit", 3, M, 64)] <= search._MEMO_LANES < 1440 * 64
+    assert 0 < held[(3, M, 64)] <= search._MEMO_LANES < 1440 * 64
     # a small budget over few keys; the witness at frame 603 lies past the
     # kept chunks, so warm scans rebuild the chunks after them
     monkeypatch.setattr(search, "_MEMO_LANES", 100)

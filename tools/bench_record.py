@@ -26,8 +26,14 @@ It writes, with the interpreter and machine it ran on:
   whose frames' 4096 valuations fill four valuation blocks;
 * `local_multiblock_probe`: likewise for `nbhdmc valid -f "K (p & q & r
   & s) -> K (p & q & r & s)"`, a depth-1 formula over the unrestricted
-  class at three states, whose 256 codes' frames are each judged block
-  by block, since their 4096 valuations fill four valuation blocks;
+  class at three states, whose 4096 valuations times 2 read patterns
+  pass the one-step table's lane budget, so each of its 256 codes'
+  frames is judged block by block, as its valuations fill four blocks;
+* `local_budget_probe`: likewise for `nbhdmc valid -f "(K p & K q & K r
+  & K s & K (p & q)) | ! (K p & K q & K r & K s & K (p & q))" --class
+  c`, a depth-1 formula at three states whose 4096 valuations times 32
+  read patterns pass the one-step table's lane budget, so each allowed
+  code is judged on its own frame;
 * `bigframe_probe`: likewise for `nbhdmc frame-valid -f "K p | ! K p"`
   on a 16-state model written to a temporary file, state w_i's
   neighborhoods being the full set and {w_i}: one frame's whole K table
@@ -93,6 +99,9 @@ MULTIBLOCK_PROBE = ("valid", "-f", "U (p & q & r & s) -> U U (p & q & r & s)",
                     "--class", "m")
 LOCAL_MULTIBLOCK_PROBE = ("valid", "-f",
                           "K (p & q & r & s) -> K (p & q & r & s)")
+LOCAL_BUDGET_PROBE = ("valid", "-f",
+                      "(K p & K q & K r & K s & K (p & q)) | "
+                      "! (K p & K q & K r & K s & K (p & q))", "--class", "c")
 SAMPLED_PROBE = ("valid", "-f", "W p -> ! p", "--max-states", "4",
                  "--samples", "200000")
 SAMPLED_DRAW_PROBE = ("valid", "-f", "W p -> ! W W p", "--max-states", "4",
@@ -296,6 +305,8 @@ def main(argv=None) -> int:
                              **cli_wall(MULTIBLOCK_PROBE)},
         "local_multiblock_probe": {"repeats": REPEATS,
                                    **cli_wall(LOCAL_MULTIBLOCK_PROBE)},
+        "local_budget_probe": {"repeats": REPEATS,
+                               **cli_wall(LOCAL_BUDGET_PROBE)},
         "bigframe_probe": {"repeats": REPEATS, **bigframe_probe()},
         "forced_probe": {"repeats": REPEATS, **forced_probe()},
         "sampled_probe": {"repeats": REPEATS, **cli_wall(SAMPLED_PROBE)},
