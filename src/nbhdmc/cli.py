@@ -23,12 +23,15 @@ from .model import (FILTER, PROPERTY_IDS, ModelFormatError,
                     PointedModel, check_property, intersection_submodel,
                     model_from_text, model_to_text, perturb, pmap_from_json,
                     supplementation, transitive_closure)
-from .morphism import StateMap, check_bullet_morphism, check_w_morphism
+from .morphism import FRAGMENTS, StateMap
 from .search import (ClassSpec, Countermodel, count_frames, distinguish,
                      find_countermodel, verdict_to_text, worker_count)
 from .semantics import evaluate, extension, frame_valid
 
 _JSON_SEPARATORS = (", ", ": ")
+
+# short name -> kind of each fragment, as --kind and --fragment take it
+_KINDS = {short: kind for kind, (short, _, _) in FRAGMENTS.items()}
 
 # The most `desugar` and `reduce` print, in formula nodes counted as
 # printed.  Desugaring `K c` names c three times, so nested K's grow the
@@ -215,8 +218,7 @@ def _cmd_morphism(args) -> int:
             raise ValueError(msg)
         mapping[left.strip()] = right.strip()
     sm = StateMap.from_names(source, target, mapping)
-    check = check_bullet_morphism if args.kind == "bullet" else check_w_morphism
-    ok, witness = check(sm)
+    ok, witness = FRAGMENTS[_KINDS[args.kind]][2](sm)
     print("true" if ok else "false")
     if witness is not None:
         state, item = witness
@@ -280,8 +282,8 @@ def _cmd_enumerate(args) -> int:
 def _cmd_distinguish(args) -> int:
     pm1 = _point(_load_model(args.m1), args.s1)
     pm2 = _point(_load_model(args.m2), args.s2)
-    fragment = "wrong" if args.fragment == "w" else args.fragment
-    found = distinguish(pm1, pm2, fragment, args.depth)
+    found = distinguish(pm1, pm2, _KINDS.get(args.fragment, args.fragment),
+                        args.depth)
     if found is None:
         print(f"none up to depth {args.depth}")
         return 1
@@ -363,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("morphism", help="decide a morphism condition")
     sub.add_argument("--source", required=True)
     sub.add_argument("--target", required=True)
-    sub.add_argument("--kind", choices=("bullet", "w"), required=True)
+    sub.add_argument("--kind", choices=tuple(_KINDS), required=True)
     sub.add_argument("--map", required=True,
                      help="comma list of sourceState:targetState")
     sub.set_defaults(fn=_cmd_morphism)
@@ -391,8 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--s1", required=True)
     sub.add_argument("--m2", required=True)
     sub.add_argument("--s2", required=True)
-    sub.add_argument("--fragment", choices=("bullet", "w", "full"),
-                     required=True)
+    sub.add_argument("--fragment", choices=(*_KINDS, "full"), required=True)
     sub.add_argument("--depth", type=int, default=2)
     sub.set_defaults(fn=_cmd_distinguish)
 

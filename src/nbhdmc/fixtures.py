@@ -1,11 +1,13 @@
 """Shipped model reconstructions and the replay suite behind `paper-suite`.
 
-The row keys are the source material's result numbers, kept verbatim so
-a reader can line each row up with the claim it replays; everything
-else here is stated operationally.  Where the source fixes a model
-only partially, the builders fill the remaining freedom and the rows
-verify every stated constraint, so the fixtures are reconstructions
-rather than copies.
+The suite (ROWS) is a table of rows (claim, check, *arguments), each
+replayed as check(*arguments); rows of one shape share a check.  The
+row keys are the source material's result numbers, kept verbatim so a
+reader can line each row up with the claim it replays; everything else
+here is stated operationally.  Where the source fixes a model only
+partially, the builders fill the remaining freedom and the rows verify
+every stated constraint, so the fixtures are reconstructions rather
+than copies.
 """
 
 from __future__ import annotations
@@ -13,13 +15,12 @@ from __future__ import annotations
 from itertools import product
 
 from .announce import reduce as reduce_announcements
-from .formula import Atom, Bullet, Wrong, parse, pretty
+from .formula import Atom, Wrong, parse, pretty
 from .model import (NeighborhoodFrame, NeighborhoodModel, PerturbationMap,
                     PointedModel, StateSet, _lacking, check_property,
                     intersection_submodel, perturb, supplementation,
                     transitive_closure)
-from .morphism import StateMap, check_bullet_morphism, check_w_morphism, \
-    verify_invariance
+from .morphism import FRAGMENTS, StateMap, check_w_morphism, verify_invariance
 from .search import (ClassSpec, Countermodel, NoCounterexampleUpTo,
                      distinguish, enumerate_frames, find_countermodel,
                      fragment_representatives)
@@ -166,11 +167,6 @@ def _fragment_formulas(models, atoms, operators, depth):
 # --- rows ----------------------------------------------------------------------
 
 
-# kind -> (short name, modality, morphism check) of each fragment
-_FRAGMENTS = {"bullet": ("bullet", Bullet, check_bullet_morphism),
-              "wrong": ("w", Wrong, check_w_morphism)}
-
-
 def _separation_row(builder, kind: str, other: str, witness: int,
                     summary: str):
     """The kind's modality on p separates the pair at s; the identity is
@@ -179,12 +175,12 @@ def _separation_row(builder, kind: str, other: str, witness: int,
     errs = []
     if perturb(base, pmap) != ext:
         errs.append("perturbation does not rebuild the extended model")
-    short, modality, check = _FRAGMENTS[kind]
+    short, modality, check = FRAGMENTS[kind]
     found = distinguish(PointedModel(base, 0), PointedModel(ext, 0), kind, 1)
     if found != modality(Atom("p")):
         errs.append(f"{kind}-fragment distinguisher is "
                     f"{pretty(found) if found else 'missing'}")
-    other_short, _, other_check = _FRAGMENTS[other]
+    other_short, _, other_check = FRAGMENTS[other]
     ok, _ = other_check(_identity(base, ext))
     if not ok:
         errs.append(f"identity fails the {other_short}-morphism check")
@@ -200,18 +196,6 @@ def _separation_row(builder, kind: str, other: str, witness: int,
     return not errs, "; ".join(errs) or summary
 
 
-def _row_3_2():
-    return _separation_row(
-        pair_w_separation, "wrong", "bullet", 1,
-        "W p separates at s; identity is a bullet morphism; both models m,c,n,r")
-
-
-def _row_3_3():
-    return _separation_row(
-        pair_bullet_separation, "bullet", "wrong", 0,
-        "U p separates at s; identity is a w-morphism; both models m,c,n,r")
-
-
 def _row_3_5():
     texts = ("U p <-> p & ! K p", "W p <-> K p & ! p",
              "O p <-> (p -> K p)", "K p <-> W p | (O p & p)")
@@ -220,22 +204,11 @@ def _row_3_5():
                      "4 interdefinability equivalences hold, n <= 2 exhaustive")
 
 
-def _invariance_row(builder, kind: str):
-    """The identity into the extension preserves the kind's fragment."""
-    base, ext, _ = builder()
-    short, modality, _ = _FRAGMENTS[kind]
-    sm = _identity(base, ext)
-    formulas = _fragment_formulas((base, ext), ("p",), (modality,), 2)
-    report = verify_invariance(sm, kind, formulas)
-    return not report, (f"{len(report)} violations" if report else
-                        f"{len(formulas)} {short}-fragment representatives "
-                        f"preserved along the identity")
-
-
-def _legal_additions_row(builders, kind: str):
-    """Each kind-legal addition keeps the identity a kind morphism that
-    preserves the kind's fragment."""
-    short, modality, check = _FRAGMENTS[kind]
+def _invariance_row(builders, kind: str, summary: str):
+    """Each builder's addition is kind-legal and keeps the identity a kind
+    morphism that preserves the kind's fragment; the summary is told the
+    additions and the representatives checked."""
+    short, modality, check = FRAGMENTS[kind]
     checked = 0
     for builder in builders:
         base, ext, pmap = builder()
@@ -249,17 +222,7 @@ def _legal_additions_row(builders, kind: str):
         if verify_invariance(sm, kind, formulas):
             return False, "truth not preserved under a legal addition"
         checked += len(formulas)
-    return True, (f"{len(builders)} legal additions leave {checked} "
-                  f"representatives invariant")
-
-
-def _row_4_2():
-    return _invariance_row(pair_w_separation, "bullet")
-
-
-def _row_4_3():
-    return _legal_additions_row((pair_w_separation, frame_pair_intersection_core,
-                                 frame_pair_monotone), "bullet")
+    return True, summary.format(additions=len(builders), checked=checked)
 
 
 def _frame_pair_row(builder, created: tuple[str, ...], lost: tuple[str, ...],
@@ -276,7 +239,7 @@ def _frame_pair_row(builder, created: tuple[str, ...], lost: tuple[str, ...],
             errs.append(f"base lacks ({p})")
         if check_property(ext.frame, p):
             errs.append(f"extension still has ({p})")
-    ok, wit = _FRAGMENTS[kind][2](_identity(base, ext))
+    ok, wit = FRAGMENTS[kind][2](_identity(base, ext))
     if not ok:
         errs.append(f"identity fails the {kind} check at {wit!r}")
     if kind == "bullet":
@@ -295,15 +258,6 @@ def _frame_pair_row(builder, created: tuple[str, ...], lost: tuple[str, ...],
          f"{len(sample)} sampled validities agree across the pair")
 
 
-def _row_4_5():
-    return _frame_pair_row(frame_pair_intersection_core, ("c", "r"), (),
-                           "bullet")
-
-
-def _row_4_6():
-    return _frame_pair_row(frame_pair_monotone, (), ("m",), "bullet")
-
-
 def _row_4_7():
     target = parse("O true")
     total = 0
@@ -313,24 +267,6 @@ def _row_4_7():
             if frame_valid(frame, target) != check_property(frame, "n"):
                 return False, f"disagreement on a {n}-state frame"
     return True, f"O true is valid exactly on the (n)-frames ({total} frames)"
-
-
-def _row_4_9():
-    return _invariance_row(pair_bullet_separation, "wrong")
-
-
-def _row_4_10():
-    return _legal_additions_row((pair_bullet_separation, frame_pair_unit,
-                                 frame_pair_w_intersection_core), "wrong")
-
-
-def _row_4_12():
-    return _frame_pair_row(frame_pair_unit, ("m", "n"), (), "wrong")
-
-
-def _row_4_13():
-    return _frame_pair_row(frame_pair_w_intersection_core, (), ("c", "r"),
-                           "wrong")
 
 
 def _row_4_15():
@@ -368,32 +304,26 @@ def _row_4_16():
     return True, f"identity into the closure is a w-morphism on {count} frames"
 
 
-def _axiom_row(row_id: str):
+def _axiom_row(row_id: str, refutable: bool = False):
+    """The row's axiom has no countermodel over its class; if refutable,
+    the unrestricted class has one."""
     name, text, props = AXIOM_ROWS[row_id]
-
-    def run():
-        if not _no_cex(text, props, 2):
-            return False, f"{name} refuted over its class"
-        detail = f"{name}: {text} has no countermodel, n <= 2 exhaustive"
-        if row_id in ("5.12", "5.26"):
-            loose = find_countermodel(parse(text), ClassSpec(frozenset(), 2))
-            if not isinstance(loose, Countermodel):
-                return False, f"{name} unexpectedly valid without the class"
-            detail += "; unrestricted class yields a countermodel"
-        return True, detail
-
-    return run
+    if not _no_cex(text, props, 2):
+        return False, f"{name} refuted over its class"
+    detail = f"{name}: {text} has no countermodel, n <= 2 exhaustive"
+    if refutable:
+        loose = find_countermodel(parse(text), ClassSpec(frozenset(), 2))
+        if not isinstance(loose, Countermodel):
+            return False, f"{name} unexpectedly valid without the class"
+        detail += "; unrestricted class yields a countermodel"
+    return True, detail
 
 
 def _theorem_row(row_id: str):
     text, props = THEOREM_SCHEMAS[row_id]
-
-    def run():
-        ok = _no_cex(text, props, 2)
-        return ok, (f"{text} has no countermodel over its class, n <= 2"
-                    if ok else f"refuted: {text}")
-
-    return run
+    ok = _no_cex(text, props, 2)
+    return ok, (f"{text} has no countermodel over its class, n <= 2"
+                if ok else f"refuted: {text}")
 
 
 def _row_5_11():
@@ -496,38 +426,62 @@ def _row_6_6():
                  "countermodel over (m), n <= 3"
 
 
+# row id -> (claim, check, *arguments); the row replays check(*arguments)
 ROWS = {
     "3.2": ("W fragment separates a pair the bullet fragment cannot",
-            _row_3_2),
+            _separation_row, pair_w_separation, "wrong", "bullet", 1,
+            "W p separates at s; identity is a bullet morphism; "
+            "both models m,c,n,r"),
     "3.3": ("bullet fragment separates a pair the W fragment cannot",
-            _row_3_3),
+            _separation_row, pair_bullet_separation, "bullet", "wrong", 0,
+            "U p separates at s; identity is a w-morphism; "
+            "both models m,c,n,r"),
     "3.5": ("interdefinability equivalences over all frames", _row_3_5),
-    "4.2": ("bullet morphisms preserve bullet-fragment truth", _row_4_2),
+    "4.2": ("bullet morphisms preserve bullet-fragment truth",
+            _invariance_row, (pair_w_separation,), "bullet",
+            "{checked} bullet-fragment representatives preserved along "
+            "the identity"),
     "4.3": ("bullet-legal additions preserve bullet-fragment truth",
-            _row_4_3),
-    "4.5": ("(c) and (r) are not bullet-definable", _row_4_5),
-    "4.6": ("(m) is not bullet-definable", _row_4_6),
+            _invariance_row, (pair_w_separation, frame_pair_intersection_core,
+                              frame_pair_monotone), "bullet",
+            "{additions} legal additions leave {checked} representatives "
+            "invariant"),
+    "4.5": ("(c) and (r) are not bullet-definable", _frame_pair_row,
+            frame_pair_intersection_core, ("c", "r"), (), "bullet"),
+    "4.6": ("(m) is not bullet-definable", _frame_pair_row,
+            frame_pair_monotone, (), ("m",), "bullet"),
     "4.7": ("O true defines (n)", _row_4_7),
-    "4.9": ("w-morphisms preserve W-fragment truth", _row_4_9),
-    "4.10": ("wrong-legal additions preserve W-fragment truth", _row_4_10),
-    "4.12": ("(m) and (n) are not W-definable", _row_4_12),
-    "4.13": ("(c) and (r) are not W-definable", _row_4_13),
+    "4.9": ("w-morphisms preserve W-fragment truth",
+            _invariance_row, (pair_bullet_separation,), "wrong",
+            "{checked} w-fragment representatives preserved along "
+            "the identity"),
+    "4.10": ("wrong-legal additions preserve W-fragment truth",
+             _invariance_row, (pair_bullet_separation, frame_pair_unit,
+                               frame_pair_w_intersection_core), "wrong",
+             "{additions} legal additions leave {checked} representatives "
+             "invariant"),
+    "4.12": ("(m) and (n) are not W-definable", _frame_pair_row,
+             frame_pair_unit, ("m", "n"), (), "wrong"),
+    "4.13": ("(c) and (r) are not W-definable", _frame_pair_row,
+             frame_pair_w_intersection_core, (), ("c", "r"), "wrong"),
     "4.15": ("closure only adds sets containing their state", _row_4_15),
     "4.16": ("identity into the transitive closure is a w-morphism",
              _row_4_16),
-    "5.2": ("unknown truths iterate over (m)", _theorem_row("5.2")),
-    "5.6": ("oE sound over all frames", _axiom_row("5.6")),
-    "5.7": ("oC sound over (c)", _axiom_row("5.7")),
-    "5.8": ("oN sound over (n)", _axiom_row("5.8")),
+    "5.2": ("unknown truths iterate over (m)", _theorem_row, "5.2"),
+    "5.6": ("oE sound over all frames", _axiom_row, "5.6"),
+    "5.7": ("oC sound over (c)", _axiom_row, "5.7"),
+    "5.8": ("oN sound over (n)", _axiom_row, "5.8"),
     "5.11": ("supplementation yields (m), keeps (c)/(n), idempotent",
              _row_5_11),
-    "5.12": ("oM sound over (m), refutable without it", _axiom_row("5.12")),
-    "5.17": ("false beliefs never iterate", _theorem_row("5.17")),
-    "5.21": ("WE sound over all frames", _axiom_row("5.21")),
-    "5.22": ("WC sound over (c)", _axiom_row("5.22")),
-    "5.26": ("WM sound over (m), refutable without it", _axiom_row("5.26")),
+    "5.12": ("oM sound over (m), refutable without it",
+             _axiom_row, "5.12", True),
+    "5.17": ("false beliefs never iterate", _theorem_row, "5.17"),
+    "5.21": ("WE sound over all frames", _axiom_row, "5.21"),
+    "5.22": ("WC sound over (c)", _axiom_row, "5.22"),
+    "5.26": ("WM sound over (m), refutable without it",
+             _axiom_row, "5.26", True),
     "5.27": ("WM sound over negatively supplemented frames",
-             _axiom_row("5.27")),
+             _axiom_row, "5.27"),
     "5.29": ("adding the universe creates (n) invisibly to W", _row_5_29),
     "6.2": ("intersection submodels of monotone models stay monotone",
             _row_6_2),
@@ -543,14 +497,10 @@ def run_row(row_id: str):
     if row_id not in ROWS:
         msg = f"unknown suite row: {row_id!r}"
         raise ValueError(msg)
-    _, fn = ROWS[row_id]
-    return fn()
+    _, check, *args = ROWS[row_id]
+    return check(*args)
 
 
 def run_suite():
-    """[(row_id, description, ok, detail)] for every row, in table order."""
-    out = []
-    for row_id, (description, fn) in ROWS.items():
-        ok, detail = fn()
-        out.append((row_id, description, ok, detail))
-    return out
+    """[(row_id, claim, ok, detail)] for every row, in table order."""
+    return [(row_id, ROWS[row_id][0], *run_row(row_id)) for row_id in ROWS]

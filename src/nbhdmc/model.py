@@ -294,12 +294,17 @@ class PerturbationMap:
 # --- family codes -------------------------------------------------------------
 
 
+# per byte value, the positions of its set bits, ascending
+_BYTE_BITS = tuple(tuple(i for i in range(8) if x >> i & 1) for x in range(256))
+
+
 def _members(code: int):
-    """Subset masks in a family code, ascending."""
-    while code:
-        low = code & -code
-        yield low.bit_length() - 1
-        code ^= low
+    """Subset masks in a family code, ascending, read byte by byte."""
+    for at, byte in enumerate(code.to_bytes((code.bit_length() + 7) // 8,
+                                            "little")):
+        if byte:
+            for i in _BYTE_BITS[byte]:
+                yield 8 * at + i
 
 
 @lru_cache(maxsize=None)

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import Formula
+from .formula import Bullet, Formula, Wrong
 from .model import NeighborhoodModel, StateSet, _members
 from .semantics import extension
 
-__all__ = ["StateMap", "check_bullet_morphism", "check_w_morphism",
-           "verify_invariance"]
+__all__ = ["FRAGMENTS", "StateMap", "check_bullet_morphism",
+           "check_w_morphism", "verify_invariance"]
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,11 @@ def check_w_morphism(sm: StateMap):
     return _check(sm, "wrong")
 
 
+# kind -> (CLI short name, modality, morphism check) of each fragment
+FRAGMENTS = {"bullet": ("bullet", Bullet, check_bullet_morphism),
+             "wrong": ("w", Wrong, check_w_morphism)}
+
+
 def verify_invariance(sm: StateMap, kind: str,
                       formulas: list[Formula]) -> list[tuple[Formula, int]]:
     """Replay truth preservation along a checked morphism.
@@ -119,11 +124,10 @@ def verify_invariance(sm: StateMap, kind: str,
     state and its image.  A nonempty report indicates a bug, since
     checked morphisms preserve truth of their fragment.
     """
-    if kind not in ("bullet", "wrong"):
-        msg = f"kind must be 'bullet' or 'wrong', got {kind!r}"
+    if kind not in FRAGMENTS:
+        msg = f"kind must be {' or '.join(map(repr, FRAGMENTS))}, got {kind!r}"
         raise ValueError(msg)
-    check = check_bullet_morphism if kind == "bullet" else check_w_morphism
-    ok, witness = check(sm)
+    ok, witness = FRAGMENTS[kind][2](sm)
     if not ok:
         msg = f"{kind} morphism check fails at witness {witness!r}"
         raise ValueError(msg)

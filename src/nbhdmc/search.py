@@ -63,11 +63,12 @@ from functools import lru_cache
 from itertools import islice, permutations, product
 from math import prod
 
-from .formula import And, Atom, Bullet, Formula, Not, Wrong, atoms_of
+from .formula import And, Atom, Formula, Not, atoms_of
 from .model import (MAX_STATES, PREFIX_ORDER, PROPERTY_IDS,
                     NeighborhoodModel, PointedModel, StateSet, _lacking,
                     _members, code_has_property, frame_from_codes,
                     model_to_json)
+from .morphism import FRAGMENTS
 from .semantics import (_BOX, Program, _block_atoms, _blocks, _Closure, _exec,
                         _failing_states, _Frame, _k_columns, _lane_ints,
                         _le_ints, _low_pattern, _sweep, _valuation_masks,
@@ -322,6 +323,7 @@ _CHUNK_CAP = 4096      # up to this many lanes
 _MEMO_LANES = 1 << 14  # lanes of lane chunks kept per scan key (_lane_chunks)
 _MEMO_KEYS = 32        # scan keys kept, the least recently used dropped
 _TABLE_LANES = 1 << 12  # valuations x read patterns of a one-step table
+_TABLE_MISSES = 32  # failing lane bits per code allowed at a state, exhaustive
 _memo: OrderedDict = OrderedDict()  # key -> _Memo, least recently used first
 
 
@@ -430,7 +432,9 @@ def _failure_masks(prog: Program, n: int, properties: frozenset,
     """Per state s, the mask over allowed_family_codes(n, properties, s)
     of the codes failing at s under some valuation, for a local program
     (see the module docstring), or None past _TABLE_LANES lanes; with
-    first, only up to the first failing code found.
+    first, only up to the first failing code found, else None past
+    _TABLE_MISSES failing lane bits per code a state allows (_code_masks
+    is cheaper there).
 
     One kernel pass judges each valuation j under each pattern p of the
     modal reads' bits (_pattern_lanes).  The codes realizing a failing
@@ -450,9 +454,14 @@ def _failure_masks(prog: Program, n: int, properties: frozenset,
     width, full = V * n, (1 << n) - 1
     args = [(vals[a] if b is None else vals[a] & vals[b] | ALL ^ vals[b])
             & (1 << width) - 1 for a, b in reads]  # alike in every pattern
-    miss = bin(ALL ^ vals[prog.root])[:1:-1]  # character i is bit i
+    fails = ALL ^ vals[prog.root]
+    allowed = _allowed_lists(n, properties)
+    # every state allows as many codes: classes are closed under renaming
+    if not first and fails.bit_count() > _TABLE_MISSES * len(allowed[0]):
+        return None
+    miss = bin(fails)[:1:-1]  # character i is bit i
     per_state, masks, realized = "neg-suppl" in properties, [0] * n, {}
-    every = [(1 << len(codes)) - 1 for codes in _allowed_lists(n, properties)]
+    every = [(1 << len(codes)) - 1 for codes in allowed]
     at = miss.find("1")
     while at >= 0:
         group, s = divmod(at, n)
@@ -492,7 +501,7 @@ def _code_masks(prog: Program, n: int, properties: frozenset) -> list[int]:
 def _local_frame(prog: Program, n: int, properties: frozenset):
     """The least class frame with a failing state for a local program
     (see Program), or None, read off the codes failing at each state:
-    _failure_masks, or past its lane budget _code_masks.
+    _failure_masks, or where that gives None, _code_masks.
 
     The class minimum is that frame if one of its states' codes fails
     there.  Otherwise every frame with a countermodel has a state s
@@ -732,8 +741,9 @@ def _sampled_search(f: Formula, prog: Program, cls: ClassSpec, seed: int,
 # --- distinguishability -------------------------------------------------------
 
 
-_FRAGMENT_OPS = {"bullet": (Bullet,), "wrong": (Wrong,),
-                 "full": (Bullet, Wrong)}
+# each fragment's modal operators; "full" is both fragments
+_FRAGMENT_OPS = {kind: (op,) for kind, (_, op, _) in FRAGMENTS.items()}
+_FRAGMENT_OPS["full"] = tuple(op for _, op, _ in FRAGMENTS.values())
 
 
 def fragment_representatives(models, atoms, operators, max_depth: int):

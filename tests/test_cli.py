@@ -8,6 +8,7 @@ import pytest
 
 from nbhdmc import cli
 from nbhdmc.cli import main
+from nbhdmc.fixtures import ROWS, run_row, run_suite
 from nbhdmc.formula import MAX_NESTING
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -427,6 +428,25 @@ def test_distinguish(capsys):
     assert (code, out) == (0, "W p\n")
 
 
+@pytest.mark.parametrize("short, kind, morphism_exit", [
+    ("bullet", "bullet", 0), ("w", "wrong", 1), ("full", "full", None)])
+def test_fragment_short_names_resolve_to_kinds(capsys, monkeypatch, short,
+                                               kind, morphism_exit):
+    # --fragment and --kind take each fragment's short name: distinguish
+    # is asked the kind, and --kind runs the kind's morphism check (the
+    # identity from W_BASE to W_EXT is a bullet morphism, not a w-morphism)
+    asked = []
+    monkeypatch.setattr(cli, "distinguish",
+                        lambda pm1, pm2, kind, depth: asked.append(kind))
+    run(capsys, "distinguish", "--m1", W_BASE, "--s1", "s", "--m2", W_EXT,
+        "--s2", "s", "--fragment", short)
+    assert asked == [kind]
+    if morphism_exit is not None:
+        code, _, _ = run(capsys, "morphism", "--source", W_BASE, "--target",
+                         W_EXT, "--kind", short, "--map", "s:s,t:t")
+        assert code == morphism_exit
+
+
 def test_distinguish_none(capsys):
     code, out, _ = run(capsys, "distinguish", "--m1", W_BASE, "--s1", "s",
                        "--m2", W_EXT, "--s2", "s", "--fragment", "bullet",
@@ -538,3 +558,13 @@ def test_paper_suite_all_rows_pass(capsys):
     for expected in ("3.2", "3.5", "4.7", "5.26", "6.4", "6.6"):
         assert expected in rows
     assert all("  PASS  " in line for line in lines[:-1])
+
+
+def test_run_row_matches_the_suite():
+    # perfbench times each row through run_row
+    suite = run_suite()
+    assert [row_id for row_id, *_ in suite] == list(ROWS)
+    for row_id, _, ok, detail in suite:
+        assert run_row(row_id) == (ok, detail), row_id
+    with pytest.raises(ValueError, match="unknown suite row: '9.9'"):
+        run_row("9.9")

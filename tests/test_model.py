@@ -111,6 +111,19 @@ def test_frame_from_codes_checks_names_and_codes():
             frame_from_codes(states, codes)
 
 
+def test_members_match_a_bit_by_bit_scan():
+    # family codes of 4 to 2^16 bits (one to four states): random ones,
+    # every bit (the dense code), the top bit alone and none, against a
+    # scan of each bit
+    rng = random.Random(21)
+    for n in range(1, 5):
+        bits = 1 << (1 << n)
+        for code in (rng.getrandbits(bits), rng.getrandbits(bits) >> 1,
+                     (1 << bits) - 1, 1 << bits - 1, 0):
+            assert list(_members(code)) == [
+                x for x, bit in enumerate(bin(code)[:1:-1]) if bit == "1"]
+
+
 def test_model_valuation_canonicalization():
     m = _model(("s", "t"), ((), ()), (("q", 1), ("p", 2), ("r", 0)))
     assert m.valuation == (("p", StateSet(2, 2)), ("q", StateSet(2, 1)))

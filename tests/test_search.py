@@ -691,7 +691,7 @@ def _per_code_masks(prog, n: int, props) -> list[int]:
 @pytest.mark.parametrize("props", [*EVERY_CLASS, frozenset(("c", "neg-suppl"))])
 def test_lane_failing_masks_match_the_per_code_sweep(monkeypatch, props):
     # the table from one pattern pass (four atoms over three states: 4096
-    # valuations, under a budget raised for them), and from the
+    # valuations, under budgets raised for them), and from the
     # code-by-code fallback; past a budget of one, the scan reads the
     # fallback's frame
     cases = [(compile_formula(parse(text)), n)
@@ -699,6 +699,7 @@ def test_lane_failing_masks_match_the_per_code_sweep(monkeypatch, props):
                           "K true", "K (p & q) -> O (r | s)")
              for n in (1, 2, 3)]
     monkeypatch.setattr(search, "_TABLE_LANES", 1 << 14)
+    monkeypatch.setattr(search, "_TABLE_MISSES", 1 << 62)
     frames = []
     for prog, n in cases:
         want = _per_code_masks(prog, n, props)
@@ -735,6 +736,37 @@ def test_local_scans_past_the_lane_budget_judge_code_by_code(monkeypatch,
         NoCounterexampleUpTo(3, "exhaustive")
 
 
+# six atoms and reads at one state: 4032 of 64 valuations x 64 read
+# patterns fail, against 4 allowed codes
+MANY_MISSES = "K p & K q & K r & K s & K x & K y"
+
+
+@pytest.mark.parametrize("props", [frozenset(("c",)), frozenset()])
+def test_tables_failing_on_most_lanes_judge_code_by_code(monkeypatch, props):
+    # exhaustive scans judge each code where walking the failing lanes
+    # costs more; the verdict is the one the table gives, and sampled
+    # mode's check still reads the table
+    f = parse(MANY_MISSES)
+    prog = compile_formula(f)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_TABLE_MISSES", 1 << 62)
+        table = search._failure_masks(prog, 1, props)
+        want = find_countermodel(f, ClassSpec(props, 1))
+    assert isinstance(want, Countermodel)
+    assert search._failure_masks(prog, 1, props) is None
+    assert any(search._failure_masks(prog, 1, props, True))
+    judged = []
+    code_masks = search._code_masks
+
+    def spy(*args):
+        judged.append(code_masks(*args))
+        return judged[-1]
+
+    monkeypatch.setattr(search, "_code_masks", spy)
+    assert find_countermodel(f, ClassSpec(props, 1)) == want
+    assert judged == [table]
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32), props=st.sets(st.sampled_from(
     ("m", "c", "n", "r", "neg-suppl"))), n=st.integers(1, 3))
@@ -747,6 +779,7 @@ def test_failure_masks_match_the_per_code_sweep_fuzzed(seed, props, n):
     want = _per_code_masks(prog, n, props)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "_TABLE_LANES", 1 << 62)
+        patch.setattr(search, "_TABLE_MISSES", 1 << 62)
         assert search._failure_masks(prog, n, props) == want, f
     assert search._code_masks(prog, n, props) == want, f
 

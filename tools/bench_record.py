@@ -58,6 +58,13 @@ It writes, with the interpreter and machine it ran on:
   REFERENCE_NS.  The loop does not touch nbhdmc, so it tracks the host's
   speed of the moment: read file-to-file deltas against it.
 
+Every other section, and each perfbench workload, also carries its own
+mark, `calibration_ns`: the median of CALIBRATION_MARKS runs of the
+loop, taken as soon as the section is recorded.  A section's time
+compares across files at the host speed of its own mark, so a host
+phase that changes within a recording does not pass for a change in
+nbhdmc.
+
 Every `cli_wall` probe also records the child's CPU time (user plus
 system, from os.wait4); the criteria and class tables record the CPU
 time of the process that ran them (time.process_time), as `cpu_s` and
@@ -181,8 +188,8 @@ def perfbench() -> dict:
             values = [run["metrics"][name]["value"] for run in runs]
             metrics[name] = {"median": statistics.median(values),
                              "unit": entry["unit"], "runs": values}
-        out[workload] = {"correct": all(run["correct"] for run in runs),
-                         "metrics": metrics}
+        out[workload] = marked({"correct": all(run["correct"] for run in runs),
+                                "metrics": metrics})
     return out
 
 
@@ -223,6 +230,16 @@ def calibration() -> dict:
     runs = [calibration_ns() for _ in range(CALIBRATION_MARKS)]
     return {"median_ns": statistics.median(runs), "runs_ns": runs,
             "reference_ns": REFERENCE_NS}
+
+
+def marked(section: dict) -> dict:
+    """section with the median of a calibration() taken now."""
+    return {**section, "calibration_ns": calibration()["median_ns"]}
+
+
+def repeated(section: dict) -> dict:
+    """A section measured REPEATS times, marked."""
+    return marked({"repeats": REPEATS, **section})
 
 
 def cli_wall(args) -> dict:
@@ -296,26 +313,20 @@ def main(argv=None) -> int:
                     "cpus": os.cpu_count()},
         "perfbench": {"seeds": list(SEEDS), "seconds": SECONDS,
                       "workloads": perfbench()},
-        "criteria": {"repeats": REPEATS, **criteria()},
-        "class_tables": {"repeats": REPEATS, "states": 4, **class_tables()},
-        "cold_start": {"repeats": REPEATS, **cli_wall(COLD_START)},
-        "valid_probe": {"repeats": REPEATS, **cli_wall(VALID_PROBE)},
-        "announce_probe": {"repeats": REPEATS, **cli_wall(ANNOUNCE_PROBE)},
-        "multiblock_probe": {"repeats": REPEATS,
-                             **cli_wall(MULTIBLOCK_PROBE)},
-        "local_multiblock_probe": {"repeats": REPEATS,
-                                   **cli_wall(LOCAL_MULTIBLOCK_PROBE)},
-        "local_budget_probe": {"repeats": REPEATS,
-                               **cli_wall(LOCAL_BUDGET_PROBE)},
-        "bigframe_probe": {"repeats": REPEATS, **bigframe_probe()},
-        "forced_probe": {"repeats": REPEATS, **forced_probe()},
-        "sampled_probe": {"repeats": REPEATS, **cli_wall(SAMPLED_PROBE)},
-        "sampled_draw_probe": {"repeats": REPEATS,
-                               **cli_wall(SAMPLED_DRAW_PROBE)},
-        "paper_suite": {"repeats": REPEATS,
-                        **{f"jobs_{jobs}": cli_wall(("paper-suite", "--jobs",
-                                                     str(jobs)))
-                           for jobs in SUITE_JOBS}},
+        "criteria": repeated(criteria()),
+        "class_tables": repeated({"states": 4, **class_tables()}),
+        "cold_start": repeated(cli_wall(COLD_START)),
+        "valid_probe": repeated(cli_wall(VALID_PROBE)),
+        "announce_probe": repeated(cli_wall(ANNOUNCE_PROBE)),
+        "multiblock_probe": repeated(cli_wall(MULTIBLOCK_PROBE)),
+        "local_multiblock_probe": repeated(cli_wall(LOCAL_MULTIBLOCK_PROBE)),
+        "local_budget_probe": repeated(cli_wall(LOCAL_BUDGET_PROBE)),
+        "bigframe_probe": repeated(bigframe_probe()),
+        "forced_probe": repeated(forced_probe()),
+        "sampled_probe": repeated(cli_wall(SAMPLED_PROBE)),
+        "sampled_draw_probe": repeated(cli_wall(SAMPLED_DRAW_PROBE)),
+        "paper_suite": repeated({f"jobs_{jobs}": cli_wall(
+            ("paper-suite", "--jobs", str(jobs))) for jobs in SUITE_JOBS}),
         "calibration_end": calibration(),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
