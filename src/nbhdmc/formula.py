@@ -41,10 +41,16 @@ class Atom(Formula):
     name: str
 
     def __post_init__(self) -> None:
-        if (not isinstance(self.name, str) or not _ATOM_RE.fullmatch(self.name)
-                or self.name in ("true", "false")):
+        if not is_atom_name(self.name):
             msg = f"bad atom name: {self.name!r}"
             raise ValueError(msg)
+
+
+def is_atom_name(name) -> bool:
+    """Whether a formula can mention an atom of this name: an identifier
+    other than the constants true and false."""
+    return (isinstance(name, str) and bool(_ATOM_RE.fullmatch(name))
+            and name not in ("true", "false"))
 
 
 @dataclass(frozen=True)

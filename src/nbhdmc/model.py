@@ -18,9 +18,10 @@ them in or reads a frame's `neighborhoods` or `family`.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+
+from .formula import is_atom_name
 
 MAX_STATES = 16
 
@@ -35,8 +36,6 @@ FILTER = ("m", "c", "n")  # the filter property is these three together
 # is never smaller.  (n) and (r) hold on no such prefixes.
 PREFIX_ORDER = {"c": "ascending", "m": "descending",
                 "neg-suppl": "descending"}
-
-_NAME_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 
 class ModelFormatError(ValueError):
@@ -188,7 +187,7 @@ def _canonical_valuation(n: int, valuation) -> tuple[tuple[str, StateSet], ...]:
     items = valuation.items() if hasattr(valuation, "items") else valuation
     out: dict[str, StateSet] = {}
     for name, ss in items:
-        if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
+        if not is_atom_name(name):
             msg = f"bad atom name in valuation: {name!r}"
             raise ValueError(msg)
         if not isinstance(ss, StateSet) or ss.universe_size != n:
@@ -296,15 +295,31 @@ class PerturbationMap:
 
 # per byte value, the positions of its set bits, ascending
 _BYTE_BITS = tuple(tuple(i for i in range(8) if x >> i & 1) for x in range(256))
+_NONZERO = bytes([0] + [1] * 255)  # byte x to 1 when x is not 0
+
+
+def _nonzero_runs(data: bytes):
+    """(start, end) of each run of nonzero bytes in data, found in C."""
+    flags = data.translate(_NONZERO)
+    at = flags.find(1)
+    while at >= 0:
+        end = flags.find(0, at)
+        end = len(data) if end < 0 else end
+        yield at, end
+        at = flags.find(1, end)
 
 
 def _members(code: int):
-    """Subset masks in a family code, ascending, read byte by byte."""
-    for at, byte in enumerate(code.to_bytes((code.bit_length() + 7) // 8,
-                                            "little")):
-        if byte:
+    """Subset masks in a family code, ascending, read byte by byte; a
+    code wider than 8 bytes only in its runs of nonzero bytes, so a
+    sparse code of 16 states costs little more than its members."""
+    data = code.to_bytes((code.bit_length() + 7) // 8, "little")
+    for at, end in _nonzero_runs(data) if len(data) > 8 else ((0, len(data)),):
+        base = 8 * at
+        for byte in data[at:end]:
             for i in _BYTE_BITS[byte]:
-                yield 8 * at + i
+                yield base + i
+            base += 8
 
 
 @lru_cache(maxsize=None)
@@ -576,7 +591,7 @@ def model_from_json(data) -> NeighborhoodModel:
         raise ModelFormatError("'valuation' must be an object")
     valuation = {}
     for atom, names in val_data.items():
-        if not isinstance(atom, str) or not _NAME_RE.fullmatch(atom):
+        if not is_atom_name(atom):
             msg = f"bad atom name in valuation: {atom!r}"
             raise ModelFormatError(msg)
         valuation[atom] = StateSet(

@@ -72,7 +72,7 @@ from .morphism import FRAGMENTS
 from .semantics import (_BOX, Program, _block_atoms, _blocks, _Closure, _exec,
                         _failing_states, _Frame, _k_columns, _lane_ints,
                         _le_ints, _low_pattern, _sweep, _valuation_masks,
-                        compile_formula, evaluate)
+                        check_valuation_space, compile_formula, evaluate)
 
 __all__ = [
     "SplitMix64", "ClassSpec", "Countermodel", "NoCounterexampleUpTo",
@@ -591,9 +591,11 @@ def find_countermodel(f: Formula, cls: ClassSpec, mode: str = "exhaustive",
 
     Exhaustive mode climbs n = 1..max_states and returns the canonical
     minimum countermodel, or NoCounterexampleUpTo (never a validity
-    claim).  Sampled mode draws `samples` (frame, valuation) pairs at
-    n = max_states from the seeded generator.  jobs must be at least 1;
-    it starts no processes and never changes the verdict.
+    claim); it refuses an n whose valuations pass the cap of
+    check_valuation_space, once no smaller n has a countermodel.
+    Sampled mode draws `samples` (frame, valuation) pairs at n =
+    max_states from the seeded generator.  jobs must be at least 1; it
+    starts no processes and never changes the verdict.
     """
     if mode not in ("exhaustive", "sampled"):
         msg = f"mode must be 'exhaustive' or 'sampled', got {mode!r}"
@@ -612,6 +614,7 @@ def find_countermodel(f: Formula, cls: ClassSpec, mode: str = "exhaustive",
                f"got {cls.max_states}; use sampled mode")
         raise ValueError(msg)
     for n in range(1, cls.max_states + 1):
+        check_valuation_space(len(atoms), n)
         hit = _scan(prog, n, cls.properties)
         if hit:
             codes, assignment, state = hit

@@ -29,8 +29,8 @@ inline as pa -> b, with the announced set pa = ctx & a, where ctx is the
 set announced around it (everything at the top), and b compiled under
 the context pa: a modal node under a context reads its argument v as
 v & pa | ~pa, and K there is the projection's bit on a frame closed
-under supersets; a forced run on another frame projects once per
-announced set (_k_forced).  Nested announcements compose by
+under supersets; a forced run on another frame reads that bit with one
+AND per state (_k_forced).  Nested announcements compose by
 intersection.  Slot values outside their context are never read.
 
 A frame (_Frame) is V lanes side by side, lane j with its own family
@@ -63,9 +63,8 @@ from .model import (NeighborhoodFrame, NeighborhoodModel, NonMonotoneError,
 
 __all__ = ["evaluate", "extension", "frame_valid"]
 
-VALUATION_SPACE_CAP = 24  # frame_valid refuses when atoms * states exceeds this
+VALUATION_SPACE_CAP = 24  # sweeps refuse when atoms * states exceeds this
 _BLOCK_BITS = 10  # a sweep evaluates at most 2^10 valuations at once
-_FORCED_BITS = 1 << 24  # code bits a forced run keeps projected
 
 _NON_MONOTONE = ("announcement on a model not closed under supersets; "
                  "pass force to apply the submodel formula anyway")
@@ -197,7 +196,7 @@ class _Frame:
     """
 
     __slots__ = ("n", "full", "codes", "V", "ALL", "rep", "K", "_table",
-                 "force", "blocked", "_monotone", "subs")
+                 "force", "blocked", "_monotone")
 
     def __init__(self, n: int, codes, force: bool = False,
                  monotone: bool | None = None):
@@ -212,7 +211,6 @@ class _Frame:
         self.force = force
         self.blocked: int | None = None
         self._monotone = monotone
-        self.subs: dict[int, _Frame] = {}  # forced runs: see _k_forced
 
     def k_at(self, x: int) -> int:
         return sum((c >> x & 1) << s for s, c in enumerate(self.codes))
@@ -328,21 +326,20 @@ def _mux(table: list, v: int, rep: int, full: int, n: int) -> int:
 
 
 def _k_forced(fr: _Frame, v: int, pa: int, V: int) -> int:
-    """Per valuation, the states s where v within pa is a neighborhood of
-    s in the submodel on pa, on one lane not closed under supersets: bit
-    v & pa of s's code projected over ~pa, kept in fr.subs for the last
-    announced sets, up to _FORCED_BITS code bits."""
-    n, full, subs = fr.n, fr.full, fr.subs
-    k = 0
+    """Per valuation, the states s where y = v & pa is a neighborhood of s
+    in the submodel on pa, on one lane not closed under supersets: where
+    s's code has a member y | z with z within ~pa, that is, a bit of the
+    code of the subsets of ~pa shifted up by y.  That code is rebuilt
+    only when the announced set differs from the previous valuation's."""
+    n, full, codes = fr.n, fr.full, fr.codes
+    k, keep = 0, None
     for sh in range(0, V * n, n):
-        keep = pa >> sh & full
-        sub = subs.get(keep)
-        if sub is None:
-            if len(subs) >= _FORCED_BITS // (n << n):  # the oldest goes
-                del subs[next(iter(subs))]
-            sub = subs[keep] = _Frame(n, [project(n, c, full ^ keep)
-                                          for c in fr.codes])
-        k |= sub.k_at(v >> sh & keep) << sh
+        if pa >> sh & full != keep:
+            keep = pa >> sh & full
+            out = full ^ keep
+            subsets = project(n, 1 << out, out)  # the subsets of out
+        mask = subsets << (v >> sh & keep)
+        k |= sum(1 << s for s, c in enumerate(codes) if c & mask) << sh
     return k
 
 
@@ -555,14 +552,20 @@ def evaluate(pm: PointedModel, f: Formula, force: bool = False) -> bool:
     return bool(_model_ext(pm.model, f, force) >> pm.point & 1)
 
 
+def check_valuation_space(k: int, n: int) -> None:
+    """Refuse to sweep the valuations of k atoms over n states when k * n
+    exceeds VALUATION_SPACE_CAP."""
+    if k * n > VALUATION_SPACE_CAP:
+        msg = (f"{k} atoms over {n} states exceeds the "
+               f"2^{VALUATION_SPACE_CAP} valuation cap; use sampled search")
+        raise ValueError(msg)
+
+
 def _first_failure(frame: NeighborhoodFrame, f: Formula, force: bool = False):
     """First (valuation index, state) falsifying f on the frame, or None."""
     n = frame.size
     atoms = atoms_of(f)
-    if len(atoms) * n > VALUATION_SPACE_CAP:
-        msg = (f"{len(atoms)} atoms over {n} states exceeds the "
-               f"2^{VALUATION_SPACE_CAP} valuation cap; use sampled search")
-        raise ValueError(msg)
+    check_valuation_space(len(atoms), n)
     prog = compile_formula(f, atoms)
     fr = _Frame(n, frame.family_codes(), force)
     return _sweep(prog, fr, _blocks(n, len(atoms)))

@@ -128,6 +128,26 @@ def test_search_rejects_announcements_off_monotone_class(capsys):
     assert err.startswith("error: invalid-argument:")
 
 
+def test_exhaustive_search_refuses_past_the_valuation_cap(capsys):
+    """Exhaustive search refuses an n whose valuations pass frame-valid's
+    cap, once no smaller n has a countermodel; sampled search draws."""
+    conj = " & ".join("abcdefghijklm")  # 13 atoms: 13 at n = 1, 26 at n = 2
+    taut = f"({conj}) | ! ({conj})"
+    for command in ("valid", "countermodel"):
+        code, out, err = run(capsys, command, "-f", taut, "--max-states", "2")
+        assert (code, out) == (2, "")
+        assert err == ("error: invalid-argument: 13 atoms over 2 states "
+                       "exceeds the 2^24 valuation cap; use sampled search\n")
+    code, out, _ = run(capsys, "countermodel", "-f", f"K ({conj})",
+                       "--max-states", "2")
+    assert code == 1
+    assert json.loads(out)["model"]["states"] == ["s"]
+    code, out, _ = run(capsys, "valid", "-f", taut, "--max-states", "2",
+                       "--samples", "10")
+    assert code == 0
+    assert out.startswith("no-counterexample\n")
+
+
 def test_bad_class_token(capsys):
     code, _, err = run(capsys, "valid", "-f", "p", "--class", "serial")
     assert code == 2

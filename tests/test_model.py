@@ -139,6 +139,19 @@ def test_model_rejects_bad_valuation():
         NeighborhoodModel(f, {"p": StateSet(2, 1)})
 
 
+@pytest.mark.parametrize("name", ["true", "false", "P", "1p", "", None, 5])
+def test_valuation_refuses_atom_names_no_formula_can_mention(name):
+    """A valuation names only atoms that a formula can read: `false`
+    parses as the constant, never as an atom."""
+    f = _frame(("s",), ((),))
+    with pytest.raises(ValueError, match="bad atom name in valuation"):
+        NeighborhoodModel(f, {name: StateSet(1, 1)})
+    doc = {"states": ["s"], "valuation": {name: ["s"]}}
+    if isinstance(name, str):  # JSON object keys are strings
+        with pytest.raises(ModelFormatError, match="bad atom name"):
+            model_from_json(doc)
+
+
 def test_pointed_model_range():
     m = _model(("s",), ((),))
     assert PointedModel(m, 0).point_name == "s"

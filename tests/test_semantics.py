@@ -4,12 +4,14 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracle
 from _gen import (random_announcement_formula, random_formula,
                   random_full_formula, random_model, random_model_doc)
 from nbhdmc import semantics
-from nbhdmc.formula import (And, Announce, Atom, Imp, Not, Or, atoms_of,
+from nbhdmc.formula import (And, Announce, Atom, Iff, Imp, Not, Or, atoms_of,
                             children, parse)
 from nbhdmc.model import (NeighborhoodFrame, NeighborhoodModel,
                           NonMonotoneError, PointedModel, StateSet,
@@ -325,38 +327,46 @@ def test_sixteen_state_frame_validity_matches_oracle():
     assert not frame_valid(frame, f)
 
 
-def _counted_projections(monkeypatch) -> list[int]:
-    """The kernel's projections from now on, as the masks projected over,
-    one entry per code projected."""
-    overs: list[int] = []
+def _counted_projections(monkeypatch) -> list[tuple[int, int]]:
+    """The kernel's projections from now on, as (code, over) pairs."""
+    calls: list[tuple[int, int]] = []
 
     def counted(n: int, code: int, over: int) -> int:
-        overs.append(over)
+        calls.append((code, over))
         return project(n, code, over)
 
     monkeypatch.setattr(semantics, "project", counted)
-    return overs
+    return calls
 
 
-def test_forced_sweep_projects_each_announced_set_once(monkeypatch):
+def _projects_subsets_only(calls, frame) -> bool:
+    """Whether every projection built the code of the subsets of the
+    states it projected over, from that one member, and none projected
+    one of the frame's family codes."""
+    return all(code == 1 << over for code, over in calls) and \
+        not {code for code, _ in calls} & set(frame.codes)
+
+
+def test_forced_sweep_never_projects_the_frame(monkeypatch):
     """A forced sweep of a non-monotone 8-state frame under all 2^16
-    valuations of two atoms projects the frame's codes once per distinct
-    announced set: the kept projections hold every set of 8 states."""
+    valuations of two atoms holds, and it projects only one-member codes,
+    the subsets of the states outside each announced set, never the
+    frame's own family codes."""
     rng = random.Random(417)
     n = 8
     frame = frame_from_codes([f"w{i}" for i in range(n)], [
         rng.getrandbits(1 << n) & rng.getrandbits(1 << n) for _ in range(n)])
     assert not check_property(frame, "m")
-    overs = _counted_projections(monkeypatch)
+    calls = _counted_projections(monkeypatch)
     assert frame_valid(frame, parse("[W p] (K q | ! K q)"), force=True)
-    assert len(overs) == n * len(set(overs))
-    assert len(set(overs)) > 16
+    assert _projects_subsets_only(calls, frame)
+    assert len({over for _, over in calls}) > 16
 
 
-def test_forced_projections_stay_within_their_budget(monkeypatch):
-    """A forced one-atom sweep of a non-monotone 16-state frame keeps at
-    most _FORCED_BITS code bits of projections, dropping the oldest: its
-    first block announces 1024 sets, the budget holds 16 of them."""
+def test_forced_first_failure_never_projects_the_frame(monkeypatch):
+    """A forced one-atom sweep of a non-monotone 16-state frame finds the
+    first failure, and projects only one-member codes on the way, though
+    its first block of 1024 valuations announces as many sets."""
     rng = random.Random(418)
     n = 16
     # state 0's only neighborhood is the empty set, so [p] K p fails
@@ -366,20 +376,10 @@ def test_forced_projections_stay_within_their_budget(monkeypatch):
                    for _ in range(n - 1)]
     frame = frame_from_codes([f"w{i}" for i in range(n)], codes)
     assert not check_property(frame, "m")
-    held = []
-    k_forced = semantics._k_forced
-
-    def checked(fr, v, pa, V):
-        k = k_forced(fr, v, pa, V)
-        held.append(len(fr.subs))
-        return k
-
-    monkeypatch.setattr(semantics, "_k_forced", checked)
-    overs = _counted_projections(monkeypatch)
+    calls = _counted_projections(monkeypatch)
     assert _first_failure(frame, parse("[p] K p"), force=True) == (1, 0)
-    budget = semantics._FORCED_BITS // (n << n)
-    assert budget == 16 and max(held) == budget
-    assert len(overs) == n * len(set(overs)) == n << 10
+    assert _projects_subsets_only(calls, frame)
+    assert len({over for _, over in calls}) == 1 << 10
 
 
 # --- kernel against the oracle --------------------------------------------------------
@@ -465,3 +465,41 @@ def test_block_sweep_first_failure_matches_valuation_loop(monkeypatch):
         kinds["valid" if expected is None else "non-monotone"
               if expected == "non-monotone" else "failed"] += 1
     assert min(kinds.values()) > 10, kinds
+
+
+def _oracle_first_failure(doc, f):
+    """First (valuation index, state) falsifying f on doc's frame, by the
+    set-theoretic oracle, one valuation at a time in the sweep's order."""
+    states = doc["states"]
+    n = len(states)
+    atoms = atoms_of(f)
+    for j, masks in enumerate(product(range(1 << n), repeat=len(atoms))):
+        val = {a: [s for i, s in enumerate(states) if m >> i & 1]
+               for a, m in zip(atoms, masks)}
+        holds = _oracle.ext({**doc, "valuation": val}, f)
+        missing = [i for i, s in enumerate(states) if s not in holds]
+        if missing:
+            return j, missing[0]
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 4), kind=st.integers(0, 2))
+def test_forced_first_failure_matches_the_oracle_fuzzed(seed, n, kind):
+    """Forced sweeps of random frames not closed under supersets find the
+    first failing (valuation, state) that the oracle finds valuation by
+    valuation.  Every announcement's set flips with q, so the announced
+    sets change within the one block that holds all valuations."""
+    rng = SplitMix64(seed)
+    model = random_model(rng, n)
+    codes = list(model.frame.codes)
+    w = rng.below(n)
+    codes[w] = (codes[w] | 1) & ~(1 << (1 << n) - 1)  # empty set, not all
+    frame = frame_from_codes(model.states, codes)
+    doc = model_to_json(NeighborhoodModel(frame))
+    g = Announce(Iff(Atom("q"), random_formula(rng, 2)),
+                 random_full_formula(rng, 3, announce_budget=1))
+    f = (g, Not(g), Imp(And(Atom("p"), Atom("q")), g))[kind]
+    expected = _oracle_first_failure(doc, f)
+    assert _first_failure(frame, f, force=True) == expected, (doc, f)
+    assert frame_valid(frame, f, force=True) == (expected is None)

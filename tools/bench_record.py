@@ -43,6 +43,10 @@ It writes, with the interpreter and machine it ran on:
   temporary file, each subset a neighborhood of each state with
   probability 1/3, so the frame is not closed under supersets: a forced
   sweep of 2^16 valuations whose announced sets take up to 2^8 values;
+* `forced_wide_probe`: likewise for `nbhdmc frame-valid -f "[p] (K p | !
+  K p) | p" --force` on a seeded random 16-state model written to a
+  temporary file, each state with 4 distinct random neighborhoods: a
+  forced sweep of 2^16 valuations, each announcing its own set;
 * `sampled_probe`: likewise for `nbhdmc valid -f "W p -> ! p"
   --max-states 4 --samples 200000`, a sampled four-state scan of the
   unrestricted class; the formula is valid and depth-1, so the one-step
@@ -118,6 +122,9 @@ BIGFRAME_STATES = 16
 FORCED_PROBE = ("frame-valid", "-f", "[W p] (K q | ! K q)", "--force")
 FORCED_STATES = 8
 FORCED_SEED = 16
+FORCED_WIDE_PROBE = ("frame-valid", "-f", "[p] (K p | ! K p) | p", "--force")
+FORCED_WIDE_STATES = 16
+FORCED_WIDE_SETS = 4
 SUITE_JOBS = (1, 2, 4)
 CALIBRATION_MARKS = 15
 
@@ -302,6 +309,20 @@ def forced_probe() -> dict:
     return _model_probe(FORCED_PROBE, doc, "forced.json")
 
 
+def forced_wide_probe() -> dict:
+    """cli_wall of FORCED_WIDE_PROBE on a random FORCED_WIDE_STATES-state
+    model, each state with FORCED_WIDE_SETS distinct neighborhoods drawn
+    uniformly under random.Random(FORCED_SEED)."""
+    rng = random.Random(FORCED_SEED)
+    names = [f"w{i}" for i in range(FORCED_WIDE_STATES)]
+    doc = {"states": names, "neighborhoods": {
+        name: [[names[i] for i in range(FORCED_WIDE_STATES) if x >> i & 1]
+               for x in rng.sample(range(1 << FORCED_WIDE_STATES),
+                                   FORCED_WIDE_SETS)]
+        for name in names}}
+    return _model_probe(FORCED_WIDE_PROBE, doc, "forced_wide.json")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", required=True, type=Path)
@@ -323,6 +344,7 @@ def main(argv=None) -> int:
         "local_budget_probe": repeated(cli_wall(LOCAL_BUDGET_PROBE)),
         "bigframe_probe": repeated(bigframe_probe()),
         "forced_probe": repeated(forced_probe()),
+        "forced_wide_probe": repeated(forced_wide_probe()),
         "sampled_probe": repeated(cli_wall(SAMPLED_PROBE)),
         "sampled_draw_probe": repeated(cli_wall(SAMPLED_DRAW_PROBE)),
         "paper_suite": repeated({f"jobs_{jobs}": cli_wall(
