@@ -42,8 +42,12 @@ neighbourhood of s" of its modal arguments X_i: whether a code fails at
 s is a one-step question (Schröder & Pattinson, J. Logic Comput. 2010).
 One table (_failure_masks) of the allowed codes failing at each state
 serves both modes: sampled mode draws nothing when it is empty, and
-exhaustive scans sweep only the least frame with a failing state.
-Other scans skip the frames some state permutation makes smaller: the
+exhaustive scans sweep only the least frame with a failing state.  A
+nested formula asks it of its one-step program (_one_step_program),
+which reads each modal read inside another's argument or context as a
+fresh atom defined at the state; where no code fails that, the formula
+has no countermodel of that size, so none is drawn or scanned.  Other
+scans skip the frames some state permutation makes smaller: the
 frames with a countermodel and every class are closed under state
 permutation, so the canonical minimum is the least frame of its orbit
 (McKay, "Isomorph-Free Exhaustive Generation", 1998).
@@ -68,11 +72,13 @@ from .model import (MAX_STATES, PREFIX_ORDER, PROPERTY_IDS,
                     NeighborhoodModel, PointedModel, StateSet, _lacking,
                     _members, code_has_property, frame_from_codes,
                     model_to_json)
+from . import semantics
 from .morphism import FRAGMENTS
-from .semantics import (_BOX, Program, _block_atoms, _blocks, _Closure, _exec,
-                        _failing_states, _Frame, _k_columns, _lane_ints,
-                        _le_ints, _low_pattern, _sweep, _valuation_masks,
-                        check_valuation_space, compile_formula, evaluate)
+from .semantics import (_ATOM, _BOT, _BOX, _IFF, _IMP, Program, _block_atoms,
+                        _blocks, _Builder, _Closure, _exec, _failing_states,
+                        _Frame, _k_columns, _lane_ints, _le_ints, _low_pattern,
+                        _sweep, _valuation_masks, check_valuation_space,
+                        compile_formula, evaluate)
 
 __all__ = [
     "SplitMix64", "ClassSpec", "Countermodel", "NoCounterexampleUpTo",
@@ -427,6 +433,45 @@ def _pattern_lanes(n: int, k: int, m: int):
     return V, ALL, atoms, reads
 
 
+def _one_step_program(prog: Program) -> Program | None:
+    """prog when local, else its one-step program, or None where that is
+    not local either (an announcement in a modal argument).
+
+    Each modal read in another's argument or context cone becomes a
+    fresh atom q named by its slot, read by every reader of that slot;
+    the root becomes (q <-> read) -> ... -> root; unread atoms are
+    dropped.  Sound: on any frame under any valuation, let each q hold
+    at its read's extension; every slot keeps its value and the
+    definitions hold, so the program equals the root at every state.
+    If no allowed code fails it at its state (_failure_masks), no class
+    frame of that size has a countermodel; a failing code proves nothing.
+    """
+    if prog.local:
+        return prog
+    inside = set()  # slots in the argument or context cone of a modal read
+    for slot, op, a, b in reversed(prog.code):
+        if op > _BOT and (op >= _BOX or slot in inside):
+            inside.update(x for x in (a, b) if x is not None)
+    fresh = [slot for slot in sorted(inside) if prog.code[slot][1] >= _BOX]
+    read = sorted({a for _, op, a, _ in prog.code if op == _ATOM})
+    builder = _Builder([prog.atoms[i] for i in read] + [*map(str, fresh)])
+    new, defs = {}, []
+    for slot, op, a, b in prog.code:
+        if op <= _BOT:
+            new[slot] = builder.node(op, read.index(a) if op == _ATOM else a)
+        else:
+            new[slot] = builder.node(op, new[a], new.get(b))  # b may be None
+        if slot in fresh:
+            q = builder.node(_ATOM, len(read) + len(defs))
+            defs.append(builder.node(_IFF, q, new[slot]))
+            new[slot] = q
+    root = new[prog.root]
+    for definition in defs:
+        root = builder.node(_IMP, definition, root)
+    step = builder.program(root)
+    return step if step.local else None
+
+
 def _failure_masks(prog: Program, n: int, properties: frozenset,
                    first: bool = False):
     """Per state s, the mask over allowed_family_codes(n, properties, s)
@@ -448,9 +493,9 @@ def _failure_masks(prog: Program, n: int, properties: frozenset,
     if 1 << n * k << m > _TABLE_LANES:
         return None
     V, ALL, A, K = _pattern_lanes(n, k, m)
-    vals = [0] * prog.size
-    _exec(prog.code, vals, A, _Frame(n, (), monotone=True), V << m, ALL,
-          dict(zip(reads, K)))
+    vals = [0] * prog.size  # on a codeless frame: reads are the patterns'
+    _exec(prog.code, vals, A, semantics._Frame(n, (), monotone=True), V << m,
+          ALL, dict(zip(reads, K)))
     width, full = V * n, (1 << n) - 1
     args = [(vals[a] if b is None else vals[a] & vals[b] | ALL ^ vals[b])
             & (1 << width) - 1 for a, b in reads]  # alike in every pattern
@@ -607,15 +652,18 @@ def find_countermodel(f: Formula, cls: ClassSpec, mode: str = "exhaustive",
         msg = ("announcement formulas are only searched over classes "
                "requiring property m")
         raise ValueError(msg)
+    step = _one_step_program(prog)
     if mode == "sampled":
-        return _sampled_search(f, prog, cls, seed, samples)
+        return _sampled_search(f, prog, step, cls, seed, samples)
     if cls.max_states > EXHAUSTIVE_MAX_STATES:
         msg = (f"exhaustive search caps max_states at {EXHAUSTIVE_MAX_STATES}, "
                f"got {cls.max_states}; use sampled mode")
         raise ValueError(msg)
+    settles = not prog.local  # asked until it fails; _scan reads local ones
     for n in range(1, cls.max_states + 1):
         check_valuation_space(len(atoms), n)
-        hit = _scan(prog, n, cls.properties)
+        settles = settles and not _some_code_fails(step, n, cls.properties)
+        hit = None if settles else _scan(prog, n, cls.properties)
         if hit:
             codes, assignment, state = hit
             return _witness_to_countermodel(f, n, codes, atoms, assignment, state)
@@ -658,11 +706,12 @@ def _splitmix_block(seed: int, start: int, count: int) -> bytes:
     return (z ^ z >> 31).to_bytes(16 * count, "little")
 
 
-def _some_code_fails(prog: Program, n: int, properties: frozenset) -> bool:
-    """Whether some allowed code fails at its state under some valuation,
-    for a local program (_failure_masks); True for others, or past the
-    table's lane budget."""
-    masks = _failure_masks(prog, n, properties, True) if prog.local else None
+def _some_code_fails(step: Program | None, n: int,
+                     properties: frozenset) -> bool:
+    """Whether some allowed code fails the one-step program step at its
+    state under some valuation (_failure_masks, up to the first); True
+    without a step program (_one_step_program) or past the lane budget."""
+    masks = None if step is None else _failure_masks(step, n, properties, True)
     return masks is None or any(masks)
 
 
@@ -671,13 +720,13 @@ _LOW_BITS = tuple(bytes(x & (1 << (1 << n)) - 1 for x in range(256))
                   for n in range(4))
 
 
-def _sampled_search(f: Formula, prog: Program, cls: ClassSpec, seed: int,
-                    samples: int):
+def _sampled_search(f: Formula, prog: Program, step: Program | None,
+                    cls: ClassSpec, seed: int, samples: int):
     """The first of `samples` draws of the stream that falsifies f, as a
     countermodel at its lowest failing state, or NoCounterexampleUpTo.
-    If the one-step table of a local program has no allowed code failing
-    at its state (_some_code_fails), no draw fails, and none is drawn;
-    else, or past the table's lane budget, the draws decide.  Either way
+    If the one-step program step (_one_step_program) has no allowed code
+    failing at its state (_some_code_fails), no draw fails, and none is
+    drawn; else, or without a step program, the draws decide.  Either way
     the verdict bytes are the draws'.
 
     Draws are judged a chunk at a time on a lane frame, draw j of the
@@ -703,7 +752,7 @@ def _sampled_search(f: Formula, prog: Program, cls: ClassSpec, seed: int,
     atoms = prog.atoms
     allowed = _allowed_lists(n, cls.properties)
     whole = all(len(options) == 1 << (1 << n) for options in allowed)
-    if not _some_code_fails(prog, n, cls.properties):
+    if not _some_code_fails(step, n, cls.properties):
         return NoCounterexampleUpTo(n, "sampled", samples, seed)
     width = max(1, 1 << n >> 3)  # bytes per code
     full = (1 << n) - 1

@@ -13,6 +13,10 @@ from nbhdmc.search import SplitMix64
 
 STATE_NAMES = ("s", "t", "u", "v", "w", "x")
 
+# frame classes the differential sweeps cover
+CLASSES = ((), ("m",), ("c",), ("n",), ("r",), ("neg-suppl",), ("m", "c"),
+           ("m", "n"), ("c", "n", "r"))
+
 
 def random_model_doc(rng: SplitMix64, n: int, atoms=("p", "q")) -> dict:
     """Random n-state JSON model document (arbitrary frame class)."""

@@ -11,16 +11,14 @@ import pytest
 
 import _oracle
 import nbhdmc.search as search
-from _gen import STATE_NAMES, random_full_formula, random_local_formula
+from _gen import (CLASSES, STATE_NAMES, random_full_formula,
+                  random_local_formula)
 from nbhdmc.formula import Announce, atoms_of, parse
 from nbhdmc.model import PointedModel, model_from_json
 from nbhdmc.search import (ClassSpec, Countermodel, NoCounterexampleUpTo,
                            SplitMix64, allowed_family_codes, find_countermodel,
                            verdict_to_text)
 from nbhdmc.semantics import _blocks, _failing_states, _Frame, compile_formula
-
-CLASSES = ((), ("m",), ("c",), ("n",), ("r",), ("neg-suppl",), ("m", "c"),
-           ("m", "n"), ("c", "n", "r"))
 
 
 @pytest.fixture(autouse=True)
@@ -287,6 +285,29 @@ def test_valid_local_formula_draws_nothing(monkeypatch):
     assert _sampled(f, ("c",), 4, 9, 100000) == verdict_to_text(
         NoCounterexampleUpTo(4, "sampled", 100000, 9))
     assert asked == []
+
+
+@pytest.mark.parametrize("props", [(), ("m",), ("c",)])
+def test_nested_formula_settled_one_step_deep_draws_nothing(monkeypatch,
+                                                            props):
+    # W p -> ! W W p (row 5.17), with W p read as an atom defined at the
+    # state, has no allowed code failing at its state; the draws agree
+    f = parse("W p -> ! W W p")
+    assert referee(f, props, 4, 9, 1000)[1] is None
+    asked = _count_blocks(monkeypatch)
+    assert _sampled(f, props, 4, 9, 100000) == verdict_to_text(
+        NoCounterexampleUpTo(4, "sampled", 100000, 9))
+    assert asked == []
+
+
+def test_nested_formula_the_table_leaves_open_is_drawn(monkeypatch):
+    # U p -> U U p over (m): its one-step program fails at four states, so
+    # the draws decide, as the referee does
+    f = parse("U p -> U U p")
+    asked = _count_blocks(monkeypatch)
+    assert _sampled(f, ("m",), 4, 9, 1000) == referee(f, ("m",), 4, 9,
+                                                      1000)[0]
+    assert sum(asked) == 1000 * (4 + 1)
 
 
 # the perfbench sampled sentinels' shapes: oC and WC off (c), and the union

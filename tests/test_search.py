@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import nbhdmc.search as search
 
 import _oracle
-from _gen import (random_announcement_formula, random_full_formula,
+from _gen import (CLASSES, random_announcement_formula, random_full_formula,
                   random_local_formula, random_model, random_model_doc)
 from nbhdmc.formula import Atom, Not, Or, Wrong, atoms_of, parse
 from nbhdmc.model import (NeighborhoodFrame, NeighborhoodModel, PointedModel,
@@ -20,7 +20,7 @@ from nbhdmc.search import (ClassSpec, Countermodel, NoCounterexampleUpTo,
                            distinguish, enumerate_frames, find_countermodel,
                            fragment_representatives, verdict_to_json,
                            verdict_to_text, worker_count)
-from nbhdmc.semantics import (_blocks, _failing_states, _Frame,
+from nbhdmc.semantics import (_blocks, _exec, _failing_states, _Frame,
                               compile_formula, evaluate)
 
 ALL2 = ClassSpec(frozenset(), 2)
@@ -602,7 +602,9 @@ def test_a_witness_at_the_first_frame_on_a_lane_frame(monkeypatch):
 def test_scans_past_the_valuation_block_sweep_frame_by_frame(monkeypatch):
     # four atoms over three states fill more than one valuation block, so
     # each three-state frame up to the witness is swept alone, on lanes of
-    # one block's valuations; atoms f does not read stay empty
+    # one block's valuations; atoms f does not read stay empty.  No frame
+    # of one or two states has three disjoint neighborhoods, so the
+    # one-step check settles those counts and builds no lane frame there
     text = LATE_N3[0]
     frame = find_countermodel(parse(text), M3).pointed.model.frame
     w = list(search._orbit_least_frames(3, M)).index(
@@ -610,7 +612,7 @@ def test_scans_past_the_valuation_block_sweep_frame_by_frame(monkeypatch):
     states = _counting_lanes(monkeypatch)
     cls = ClassSpec(M, 3, ("p", "q", "r", "s"))
     assert _scan_json(parse(text), cls) == _expected_json(_late_minimum(text))
-    assert 2 in states and states.count(3) == w + 1
+    assert states == [3] * (w + 1)
 
 
 @lru_cache(maxsize=None)
@@ -855,6 +857,105 @@ def test_local_scans_match_the_orbit_pruned_scan(monkeypatch, props):
             assert verdict == _expected_json(found), f
             sizes.append(len(verdict["model"]["states"]))
     assert sizes.count(3) == len(LOCAL_N3) and len(sizes) < len(cases)
+
+
+# --- the one-step program of a nested formula -------------------------------
+
+
+def _no_countermodel_at(f, prog, n: int, props) -> bool:
+    """Whether no n-state frame of the class has a countermodel: the
+    oracle's brute force up to two states; at three, every class frame
+    swept by the kernel, the oracle being too slow there."""
+    if n < 3:
+        return _brute_minimum(f, n, props, lambda m: _oracle_class_frames(
+            m, props) if m == n else ()) is None
+    blocks = list(_blocks(n, len(prog.atoms)))
+    frames = product(*(allowed_family_codes(n, props, s) for s in range(n)))
+    return not any(_failing_states(prog, _Frame(n, codes), blocks)
+                   for codes in frames)
+
+
+def test_one_step_programs_equal_the_formula_with_atoms_as_their_reads():
+    # the soundness lemma itself: on random frames of 1-4 states under
+    # random valuations, with each fresh atom holding at its read's
+    # extension in the formula's program, the one-step program holds
+    # exactly where the formula does; random nested formulas with up to
+    # two announcements, whose reads take their contexts
+    rng = SplitMix64(25)
+    checked, announced = 0, 0
+    while checked < 400:
+        f = random_full_formula(rng, 4, 2)
+        prog = compile_formula(f, atoms_of(f))
+        step = search._one_step_program(prog)
+        if prog.local or step is None:
+            continue
+        n = 1 + rng.below(4)
+        fr = _Frame(n, [rng.below(1 << (1 << n)) for _ in range(n)])
+        vals = [0] * prog.size
+        masks = [rng.below(1 << n) for _ in prog.atoms]
+        _exec(prog.code, vals, masks, fr, 1, fr.full)
+        given = dict(zip(prog.atoms, masks))
+        step_vals = [0] * step.size
+        _exec(step.code, step_vals, [given[a] if a in given else vals[int(a)]
+                                     for a in step.atoms], fr, 1, fr.full)
+        assert step_vals[step.root] == vals[prog.root], f
+        checked += 1
+        announced += step.announces
+    assert announced >= 50, announced
+
+
+def test_one_step_programs_settle_only_counts_without_a_countermodel():
+    # soundness: wherever no allowed code fails the one-step program at
+    # its state, no frame of the class at n has a countermodel; random
+    # nested formulas, with announcements over (m) classes, over every
+    # class at one and two states and over the (m) classes at three,
+    # whose frames are few
+    pairs = [(frozenset(props), n) for n in (1, 2, 3) for props in CLASSES
+             if n < 3 or "m" in props]
+    rng = SplitMix64(24)
+    settled, unsettled, case = 0, 0, 0
+    while settled + unsettled < 1200:
+        props, n = pairs[case % len(pairs)]
+        case += 1
+        f = random_full_formula(rng, 4, 1 if "m" in props else 0)
+        prog = compile_formula(f, atoms_of(f))
+        if prog.local:
+            continue
+        if search._some_code_fails(search._one_step_program(prog), n, props):
+            unsettled += 1
+            continue
+        settled += 1
+        assert _no_countermodel_at(f, prog, n, props), (f, sorted(props), n)
+    assert settled >= 150 and unsettled, (settled, unsettled)
+
+
+def test_false_beliefs_never_iterate_without_enumerating_frames(monkeypatch):
+    # W p -> ! W W p (row 5.17): W W p at s needs s outside the extension
+    # of W p, so with W p read as an atom defined at s the formula is
+    # settled one step deep, and no count lists an orbit-least frame
+    def refused(*args):
+        raise AssertionError("orbit-least frames enumerated")
+
+    monkeypatch.setattr(search, "_orbit_least_frames", refused)
+    assert find_countermodel(parse("W p -> ! W W p"), ClassSpec(
+        frozenset(("c",)), 3)) == NoCounterexampleUpTo(3, "exhaustive")
+
+
+def test_nested_formulas_the_table_leaves_open_are_scanned(monkeypatch):
+    # U p -> U U p is valid over (m), but not one step deep past one
+    # state: two and three states are scanned over their orbit-least
+    # frames, to the same verdict
+    listed = []
+    orbit_least = search._orbit_least_frames
+
+    def counted(n, props):
+        listed.append(n)
+        return orbit_least(n, props)
+
+    monkeypatch.setattr(search, "_orbit_least_frames", counted)
+    assert find_countermodel(parse("U p -> U U p"), M3) == \
+        NoCounterexampleUpTo(3, "exhaustive")
+    assert listed == [2, 3]
 
 
 # --- kept lane chunks ----------------------------------------------------------------

@@ -17,7 +17,14 @@ It writes, with the interpreter and machine it ran on:
 * `cold_start`: the wall time and peak RSS of `nbhdmc desugar -f p` as
   a new process, REPEATS times;
 * `valid_probe`: likewise for `nbhdmc valid -f "W p -> ! W W p" --class
-  c`, an exhaustive three-state scan over the orbit-least frames of (c);
+  c`, a nested formula whose one-step program settles one to three
+  states over (c), so no frame is enumerated (records made before the
+  one-step program timed a three-state scan of the orbit-least frames
+  of (c) here; `orbit_probe` times such a scan);
+* `orbit_probe`: likewise for `nbhdmc valid -f "W W true <-> W ! true"
+  --class c`, a nested formula valid up to three states that its
+  one-step program does not settle: an exhaustive three-state scan over
+  the orbit-least frames of (c);
 * `announce_probe`: likewise for `nbhdmc valid -f "[[W false] (p | K q)]
   [q] (U true -> true)" --class m,n`, an exhaustive three-state scan of
   a valid formula with nested announcements;
@@ -52,8 +59,14 @@ It writes, with the interpreter and machine it ran on:
   unrestricted class; the formula is valid and depth-1, so the one-step
   check settles it without drawing;
 * `sampled_draw_probe`: likewise for `nbhdmc valid -f "W p -> ! W W p"
-  --max-states 4 --samples 200000`, a valid formula that is not depth-1,
-  so all 200000 draws are made, their family codes read off the stream;
+  --max-states 4 --samples 200000`, a valid nested formula whose
+  one-step program settles four states, so nothing is drawn (records
+  made before the one-step program timed all 200000 draws here;
+  `sampled_unsettled_probe` times such draws);
+* `sampled_unsettled_probe`: likewise for `nbhdmc valid -f "U p -> U U
+  p" --class m --max-states 4 --samples 200000`, a formula valid over
+  (m) whose one-step program fails at four states, so all 200000 draws
+  are made and judged;
 * `paper_suite`: likewise for `nbhdmc paper-suite --jobs J`, per J in
   SUITE_JOBS;
 * `calibration_start` and `calibration_end`: CALIBRATION_MARKS runs of
@@ -117,6 +130,9 @@ SAMPLED_PROBE = ("valid", "-f", "W p -> ! p", "--max-states", "4",
                  "--samples", "200000")
 SAMPLED_DRAW_PROBE = ("valid", "-f", "W p -> ! W W p", "--max-states", "4",
                       "--samples", "200000")
+ORBIT_PROBE = ("valid", "-f", "W W true <-> W ! true", "--class", "c")
+SAMPLED_UNSETTLED_PROBE = ("valid", "-f", "U p -> U U p", "--class", "m",
+                           "--max-states", "4", "--samples", "200000")
 BIGFRAME_PROBE = ("frame-valid", "-f", "K p | ! K p")
 BIGFRAME_STATES = 16
 FORCED_PROBE = ("frame-valid", "-f", "[W p] (K q | ! K q)", "--force")
@@ -338,6 +354,7 @@ def main(argv=None) -> int:
         "class_tables": repeated({"states": 4, **class_tables()}),
         "cold_start": repeated(cli_wall(COLD_START)),
         "valid_probe": repeated(cli_wall(VALID_PROBE)),
+        "orbit_probe": repeated(cli_wall(ORBIT_PROBE)),
         "announce_probe": repeated(cli_wall(ANNOUNCE_PROBE)),
         "multiblock_probe": repeated(cli_wall(MULTIBLOCK_PROBE)),
         "local_multiblock_probe": repeated(cli_wall(LOCAL_MULTIBLOCK_PROBE)),
@@ -347,6 +364,8 @@ def main(argv=None) -> int:
         "forced_wide_probe": repeated(forced_wide_probe()),
         "sampled_probe": repeated(cli_wall(SAMPLED_PROBE)),
         "sampled_draw_probe": repeated(cli_wall(SAMPLED_DRAW_PROBE)),
+        "sampled_unsettled_probe": repeated(cli_wall(
+            SAMPLED_UNSETTLED_PROBE)),
         "paper_suite": repeated({f"jobs_{jobs}": cli_wall(
             ("paper-suite", "--jobs", str(jobs))) for jobs in SUITE_JOBS}),
         "calibration_end": calibration(),
