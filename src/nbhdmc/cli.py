@@ -54,6 +54,9 @@ _CHANNELS = (
     (ParseError, "parse"),
     (ValueError, "invalid-argument"),
 )
+# What main catches: every type _CHANNELS lists, its tuples flattened.
+_CAUGHT = tuple(t for kind, _ in _CHANNELS
+                for t in (kind if isinstance(kind, tuple) else (kind,)))
 
 
 def _read_file(path: str) -> str:
@@ -417,7 +420,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (_ReadError, ParseError, ValueError) as exc:
+    except _CAUGHT as exc:
         channel = next(c for kind, c in _CHANNELS if isinstance(exc, kind))
         hint = " (pass --force to override)" if channel == "non-monotone" \
             else ""

@@ -54,14 +54,15 @@ permutation, so the canonical minimum is the least frame of its orbit
 
 The lane frames and atom ints of an orbit scan depend on n, the class
 and the valuations per frame, not on the formula, so they are built
-once and replayed by later scans (_lane_chunks): the first _MEMO_LANES
-lanes of each of the _MEMO_KEYS keys used last are kept, and chunks past
-that budget are built and dropped, so memory stays bounded.
+once and replayed by later scans (_lane_chunks): each of the _MEMO_KEYS
+keys used last keeps its first chunks, once built, up to _MEMO_LANES
+lanes, and chunks past that budget are built and dropped, so memory
+stays bounded.  Only whole chunks are kept, so a scan that is abandoned,
+fails or is interrupted leaves every later verdict as it was.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, permutations, product
@@ -330,7 +331,6 @@ _MEMO_LANES = 1 << 14  # lanes of lane chunks kept per scan key (_lane_chunks)
 _MEMO_KEYS = 32        # scan keys kept, the least recently used dropped
 _TABLE_LANES = 1 << 12  # valuations x read patterns of a one-step table
 _TABLE_MISSES = 32  # failing lane bits per code allowed at a state, exhaustive
-_memo: OrderedDict = OrderedDict()  # key -> _Memo, least recently used first
 
 
 def _chunk_sizes(per: int):
@@ -343,68 +343,50 @@ def _chunk_sizes(per: int):
         size = min(2 * size, cap)
 
 
-def _chunks(items, per: int):
-    """items in lists of _chunk_sizes(per) items."""
-    it = iter(items)
-    for size in _chunk_sizes(per):
-        chunk = list(islice(it, size))
-        if not chunk:
-            return
-        yield chunk
-
-
-class _Memo:
-    """A key's lane chunks kept so far, and the stream of frame lists
-    that continues them; None once the lane budget is spent."""
-
-    __slots__ = ("chunks", "lanes", "stream")
-
-    def __init__(self, stream):
-        self.chunks: list = []
-        self.lanes = 0
-        self.stream = stream
+@lru_cache(maxsize=_MEMO_KEYS)
+def _kept_chunks(n: int, properties: frozenset, per: int) -> list:
+    """The first lane chunks of a key (_lane_chunks) built so far, within
+    _MEMO_LANES lanes, then None once they are all of its chunks."""
+    return []
 
 
 def _lane_chunks(n: int, properties: frozenset, per: int, A):
-    """(lane frame, atom ints) per chunk (_chunks) of the class's
-    orbit-least frames, frame i of a chunk under valuation j in lane
-    i * per + j, valuation j read off the one block's atom ints A.
+    """(lane frame, atom ints) per chunk of the class's orbit-least
+    frames (_chunk_sizes items), frame i of a chunk under valuation j in
+    lane i * per + j, valuation j read off the one block's atom ints A.
 
-    The first chunks of a key, up to _MEMO_LANES lanes, are built once
-    and replayed by every later scan of the key (_memo, an LRU of
-    _MEMO_KEYS keys); later chunks are built and dropped.
+    The key's kept chunks (_kept_chunks, the _MEMO_KEYS keys used last)
+    are replayed, those another scan keeps meanwhile too; the rest are
+    built from this scan's own frames.  A chunk is kept only once built,
+    only at its own index and only within _MEMO_LANES lanes, so the kept
+    chunks are a prefix of the key's chunks however scans are advanced,
+    abandoned or interrupted, and no scan changes a later verdict.
     """
-    key = (n, properties, per)
-
-    def split():
-        return _chunks(_orbit_least_frames(n, properties), per)
-
-    memo = _memo.pop(key, None) or _Memo(split())
-    _memo[key] = memo
-    if len(_memo) > _MEMO_KEYS:
-        _memo.popitem(last=False)
+    kept = _kept_chunks(n, properties, per)
+    frames = 0
+    for built in kept:
+        if built is None:  # the class's every chunk is kept
+            return
+        frames += built[0].V // per
+        yield built
+    index = len(kept)
+    rest = islice(_orbit_least_frames(n, properties), frames, None)
     monotone = "m" in properties or None
-
-    def build(chunk):
+    for size in islice(_chunk_sizes(per), index, None):
+        chunk = list(islice(rest, size))
+        if not chunk:
+            break
         lanes = _Frame(n, b"".join([bytes(codes) * per for codes in chunk]),
                        monotone=monotone)
         rep = lanes.ALL // ((1 << per * n) - 1)  # bit 0 of every frame
-        return lanes, [a * rep for a in A]
-
-    yield from memo.chunks
-    if memo.stream is None:  # past the budget: rebuild the rest
-        yield from map(build, islice(split(), len(memo.chunks), None))
-        return
-    for chunk in memo.stream:
-        built = build(chunk)
-        if memo.lanes + len(chunk) * per > _MEMO_LANES:
-            rest, memo.stream = memo.stream, None
-            yield built
-            yield from map(build, rest)
-            return
-        memo.chunks.append(built)
-        memo.lanes += len(chunk) * per
+        built = lanes, [a * rep for a in A]
+        frames += len(chunk)
+        if len(kept) == index and frames * per <= _MEMO_LANES:
+            kept.append(built)
+        index += 1
         yield built
+    if len(kept) == index:
+        kept.append(None)
 
 
 @lru_cache(maxsize=None)

@@ -188,15 +188,13 @@ class _Frame:
 
     table()[x], built whole on its first sweep, has bit j*n+s set when
     lane j's code at state s has bit x; the dict K holds the entries a
-    run of one valuation on one lane has read.  `blocked` is the first
-    valuation (in the current run) whose announcement met a non-monotone
-    frame without force.  A caller that knows the frame is closed under
-    supersets says so with monotone=True; otherwise monotone() checks the
-    codes on first use.
+    run of one valuation on one lane has read.  A caller that knows the
+    frame is closed under supersets says so with monotone=True; otherwise
+    monotone() checks the codes on first use.
     """
 
     __slots__ = ("n", "full", "codes", "V", "ALL", "rep", "K", "_table",
-                 "force", "blocked", "_monotone")
+                 "force", "_monotone")
 
     def __init__(self, n: int, codes, force: bool = False,
                  monotone: bool | None = None):
@@ -209,7 +207,6 @@ class _Frame:
         self.K: dict[int, int] = {}
         self._table: list[int] | None = None
         self.force = force
-        self.blocked: int | None = None
         self._monotone = monotone
 
     def k_at(self, x: int) -> int:
@@ -344,9 +341,12 @@ def _k_forced(fr: _Frame, v: int, pa: int, V: int) -> int:
 
 
 def _exec(code, vals: list, A, fr: _Frame, V: int, ALL: int,
-          reads: dict | None = None) -> None:
-    """Run instructions over V valuations; A holds the atoms' ints."""
+          reads: dict | None = None) -> int | None:
+    """Run instructions over V valuations; A holds the atoms' ints.
+    Returns the first valuation whose announcement met a non-monotone
+    frame without force (the caller raises), or None."""
     n, full, K, lanes = fr.n, fr.full, fr.K, fr.V > 1
+    blocked = None
     table = fr.table() if V > 1 and reads is None else None
     for dst, op, a, b in code:
         if op == _AND:
@@ -391,8 +391,8 @@ def _exec(code, vals: list, A, fr: _Frame, V: int, ALL: int,
             pa = vals[a]
             if pa and not fr.force and not fr.monotone():
                 j = ((pa & -pa).bit_length() - 1) // n  # first valuation
-                if fr.blocked is None or j < fr.blocked:
-                    fr.blocked = j  # the caller raises
+                if blocked is None or j < blocked:
+                    blocked = j
             vals[dst] = ALL ^ pa | vals[b]
         elif op == _ATOM:
             vals[dst] = A[a]
@@ -400,13 +400,13 @@ def _exec(code, vals: list, A, fr: _Frame, V: int, ALL: int,
             vals[dst] = ALL
         else:
             vals[dst] = 0
+    return blocked
 
 
 def _run(prog: Program, fr: _Frame, atom_masks) -> int:
     """Extension of the program's formula in one model (V = 1)."""
     vals = [0] * prog.size
-    _exec(prog.code, vals, atom_masks, fr, 1, fr.full)
-    if fr.blocked is not None:
+    if _exec(prog.code, vals, atom_masks, fr, 1, fr.full) is not None:
         raise NonMonotoneError(_NON_MONOTONE)
     return vals[prog.root]
 
@@ -491,11 +491,10 @@ def _sweep(prog: Program, fr: _Frame, blocks):
     n = fr.n
     for start, V, ALL, A in blocks:
         vals = [0] * prog.size
-        fr.blocked = None
-        _exec(prog.code, vals, A, fr, V, ALL)
+        blocked = _exec(prog.code, vals, A, fr, V, ALL)
         miss = ALL ^ vals[prog.root]
         first = (miss & -miss).bit_length() - 1
-        if fr.blocked is not None and (not miss or first // n >= fr.blocked):
+        if blocked is not None and (not miss or first // n >= blocked):
             raise NonMonotoneError(_NON_MONOTONE)
         if miss:
             j, state = divmod(first, n)

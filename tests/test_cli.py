@@ -565,6 +565,20 @@ def test_bad_formula(capsys):
     assert err.startswith("error: parse:")
 
 
+@pytest.mark.parametrize("kind, channel", [
+    (t, channel) for kind, channel in cli._CHANNELS
+    for t in (kind if isinstance(kind, tuple) else (kind,))])
+def test_every_listed_exception_takes_its_channel(capsys, monkeypatch, kind,
+                                                  channel):
+    def raised(args):  # built without __init__, which ParseError extends
+        raise kind.__new__(kind, "raised by the command")
+
+    monkeypatch.setattr(cli, "_cmd_desugar", raised)
+    code, out, err = run(capsys, "desugar", "-f", "p")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {channel}: raised by the command")
+
+
 # --- paper-suite ------------------------------------------------------------------------------
 
 def test_paper_suite_all_rows_pass(capsys):

@@ -3,7 +3,7 @@
 import re
 from pathlib import Path
 
-from nbhdmc import cli
+from nbhdmc import cli, search
 from nbhdmc.formula import MAX_NESTING, Atom, children, parse
 from nbhdmc.model import MAX_STATES
 from nbhdmc.semantics import VALUATION_SPACE_CAP
@@ -35,6 +35,29 @@ def test_readme_reduce_cap_is_max_desugared_nodes():
 def test_readme_frame_valid_cap_is_valuation_space_cap():
     caps = re.findall(r"when atoms ×\s+states exceeds (\d+)", README)
     assert caps == [str(VALUATION_SPACE_CAP)]
+
+
+def test_readme_chunk_cap_is_chunk_cap():
+    caps = re.findall(r"doubling up to\s+(\d+)|"
+                      r"chunks double up to (\d+) lanes", README)
+    assert [a or b for a, b in caps] == [str(search._CHUNK_CAP)] * 2
+
+
+def test_readme_table_lanes_are_table_lanes():
+    caps = re.findall(r"Past (\d+) such lanes|more than its (\d+)\s+lanes",
+                      README)
+    assert [a or b for a, b in caps] == [str(search._TABLE_LANES)] * 3
+
+
+def test_readme_table_misses_are_table_misses():
+    caps = re.findall(r"more than (\d+) to 1", README)
+    assert caps == [str(search._TABLE_MISSES)]
+
+
+def test_readme_kept_lanes_and_keys_are_the_memo_budget():
+    caps = re.findall(r"up to\s+(\d+) lanes, of each of the (\d+) such keys",
+                      README)
+    assert caps == [(str(search._MEMO_LANES), str(search._MEMO_KEYS))]
 
 
 def test_readme_lists_every_error_channel():

@@ -26,7 +26,7 @@ def _cold_scans():
     """Sampled scans keep no lane chunks; every test still starts without
     those exhaustive scans keep, so a lane frame a test here forbids or
     counts is one its own scan would build."""
-    search._memo.clear()
+    search._kept_chunks.cache_clear()
 
 
 def _draw_doc(names, codes, atoms, masks) -> dict:

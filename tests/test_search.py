@@ -1,7 +1,7 @@
 """Frame enumeration, countermodel search, sampling, distinguishability."""
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +20,8 @@ from nbhdmc.search import (ClassSpec, Countermodel, NoCounterexampleUpTo,
                            distinguish, enumerate_frames, find_countermodel,
                            fragment_representatives, verdict_to_json,
                            verdict_to_text, worker_count)
-from nbhdmc.semantics import (_blocks, _exec, _failing_states, _Frame,
-                              compile_formula, evaluate)
+from nbhdmc.semantics import (_block_atoms, _blocks, _exec, _failing_states,
+                              _Frame, compile_formula, evaluate)
 
 ALL2 = ClassSpec(frozenset(), 2)
 M3 = ClassSpec(frozenset(("m",)), 3)
@@ -32,7 +32,7 @@ def _cold_scans():
     """Every test starts without kept lane chunks, so a test that patches
     the chunking, or counts the lane frames built, sees its scans build
     them."""
-    search._memo.clear()
+    search._kept_chunks.cache_clear()
 
 
 def _model(states, families, valuation=()):
@@ -577,7 +577,7 @@ def test_chunked_scans_find_the_brute_force_minimum(monkeypatch, text):
                                (1, per, w + 1)):
         monkeypatch.setattr(search, "_FIRST_CHUNK", first)
         monkeypatch.setattr(search, "_CHUNK_CAP", cap)
-        search._memo.clear()
+        search._kept_chunks.cache_clear()
         built.clear()
         assert _scan_json(f, M3) == expected, (first, cap)
         assert built.count(3) == chunks, (first, cap)
@@ -968,7 +968,7 @@ def _cold_then_warm(cases, max_states):
     then warm, after a pass over every case has kept its chunks."""
     cold = []
     for f, props in cases:
-        search._memo.clear()
+        search._kept_chunks.cache_clear()
         cold.append(_scan_json(f, ClassSpec(props, max_states)))
     for f, props in cases:
         _scan_json(f, ClassSpec(props, max_states))
@@ -1022,10 +1022,9 @@ def test_warm_three_state_scans_match_cold_scans_and_brute_force():
     assert warm == expected
 
 
-def _held_lanes():
-    """Lanes of every kept chunk, per key."""
-    return {key: sum(lanes.V for lanes, _ in memo.chunks)
-            for key, memo in search._memo.items()}
+def _held_lanes(kept):
+    """Lanes of the chunks a key keeps."""
+    return sum(built[0].V for built in kept if built)
 
 
 def test_kept_lanes_stay_within_the_budget(monkeypatch):
@@ -1033,22 +1032,114 @@ def test_kept_lanes_stay_within_the_budget(monkeypatch):
     valid = parse("q | (U p -> U U p)")
     assert _scan_json(valid, M3) == verdict_to_json(
         NoCounterexampleUpTo(3, "exhaustive"))
-    held = _held_lanes()
-    assert 0 < held[(3, M, 64)] <= search._MEMO_LANES < 1440 * 64
+    held = _held_lanes(search._kept_chunks(3, M, 64))
+    assert 0 < held <= search._MEMO_LANES < 1440 * 64
+    assert search._kept_chunks.cache_info().maxsize == search._MEMO_KEYS
     # a small budget over few keys; the witness at frame 603 lies past the
     # kept chunks, so warm scans rebuild the chunks after them
+    made = []  # (key, kept chunks) per key the cache took in, held or not
+    empty = search._kept_chunks.__wrapped__
+
+    def fresh(*key):
+        made.append((key, empty(*key)))
+        return made[-1][1]
+
+    kept = lru_cache(maxsize=3)(fresh)
     monkeypatch.setattr(search, "_MEMO_LANES", 100)
-    monkeypatch.setattr(search, "_MEMO_KEYS", 3)
-    search._memo.clear()
+    monkeypatch.setattr(search, "_kept_chunks", kept)
     late = LATE_N3[3]
     for _ in range(2):
         assert _scan_json(parse("U p -> U U p"), M3) == verdict_to_json(
             NoCounterexampleUpTo(3, "exhaustive"))
         assert _scan_json(parse(late), M3) == \
             _expected_json(_late_minimum(late))
-        assert len(search._memo) <= 3
-        for key, lanes in _held_lanes().items():
-            assert lanes == search._memo[key].lanes <= 100, key
+        assert kept.cache_info().currsize <= 3
+        for key, chunks in made:
+            assert _held_lanes(chunks) <= 100, key
+
+
+def test_a_class_kept_whole_is_not_enumerated_again(monkeypatch):
+    # one atom over three states: (m)'s 1440 orbit-least frames take
+    # 11520 lanes, within the budget, so the second scan only replays
+    valid = parse("U p -> U U p")
+    expected = verdict_to_json(NoCounterexampleUpTo(3, "exhaustive"))
+    assert _scan_json(valid, M3) == expected
+    assert search._kept_chunks(3, M, 8)[-1] is None
+
+    def refused(*args):
+        raise AssertionError("orbit-least frames enumerated")
+
+    monkeypatch.setattr(search, "_orbit_least_frames", refused)
+    assert _scan_json(valid, M3) == expected
+
+
+class _Interrupt(Exception):
+    """Raised into a scan where a user would press Ctrl-C."""
+
+
+def test_a_scan_interrupted_while_listing_frames_changes_no_later_verdict(
+        monkeypatch):
+    f = parse(LATE_N3[3])
+    cold = _scan_json(f, M3)
+    assert cold == _expected_json(_late_minimum(LATE_N3[3]))
+    search._kept_chunks.cache_clear()
+    calls = []
+    orbit_least = search._orbit_least
+
+    def interrupted(n, props, prefix):
+        if n == 3:
+            calls.append(prefix)
+            if len(calls) == 40:
+                raise _Interrupt
+        return orbit_least(n, props, prefix)
+
+    monkeypatch.setattr(search, "_orbit_least", interrupted)
+    with pytest.raises(_Interrupt):
+        _scan_json(f, M3)
+    assert _scan_json(f, M3) == cold
+
+
+def test_a_scan_interrupted_while_building_a_chunk_changes_no_later_verdict(
+        monkeypatch):
+    f = parse("! (! K false & K (p & K p) & K (p & ! K p) & K ! p)")
+    cold = _scan_json(f, M3)
+    search._kept_chunks.cache_clear()
+    wide = []  # three-state lane chunks of more than one frame
+    lane_frame = search._Frame
+
+    def interrupted(n, codes, force=False, monotone=None):
+        if n == 3 and len(codes) > 3 * 8:
+            wide.append(codes)
+            if len(wide) == 3:
+                raise _Interrupt
+        return lane_frame(n, codes, force, monotone)
+
+    monkeypatch.setattr(search, "_Frame", interrupted)
+    with pytest.raises(_Interrupt):
+        _scan_json(f, M3)
+    assert _scan_json(f, M3) == cold
+
+
+@pytest.mark.parametrize("budget", [search._MEMO_LANES, 100])
+def test_interleaved_scans_each_list_every_frame(monkeypatch, budget):
+    # two scans of one key advanced in turns of one, two and three chunks,
+    # each replaying what the other keeps; within the budget and past it
+    monkeypatch.setattr(search, "_MEMO_LANES", budget)
+    per = 8  # valuations of one atom over three states
+    _, A = _block_atoms(3, 1)
+    scans = [search._lane_chunks(3, M, per, A) for _ in range(2)]
+    listed, done, turn = [[], []], set(), 0
+    while len(done) < 2:
+        i, take = turn % 2, 1 + turn % 3
+        chunks = list(islice(scans[i], take))
+        if len(chunks) < take:
+            done.add(i)
+        for lanes, _ in chunks:
+            listed[i].extend(tuple(lanes.codes[at:at + 3])
+                             for at in range(0, len(lanes.codes), 3 * per))
+        turn += 1
+    cold = list(search._orbit_least_frames(3, M))
+    assert listed == [cold, cold]
 
 
 def test_announcement_scans_check_no_frame_for_monotonicity(monkeypatch):
