@@ -46,19 +46,14 @@ exhaustive scans sweep only the least frame with a failing state.  A
 nested formula asks it of its one-step program (_one_step_program),
 which reads each modal read inside another's argument or context as a
 fresh atom defined at the state; where no code fails that, the formula
-has no countermodel of that size, so none is drawn or scanned.  Other
-scans skip the frames some state permutation makes smaller: the
-frames with a countermodel and every class are closed under state
-permutation, so the canonical minimum is the least frame of its orbit
-(McKay, "Isomorph-Free Exhaustive Generation", 1998).
-
-The lane frames and atom ints of an orbit scan depend on n, the class
-and the valuations per frame, not on the formula, so they are built
-once and replayed by later scans (_lane_chunks): each of the _MEMO_KEYS
-keys used last keeps its first chunks, once built, up to _MEMO_LANES
-lanes, and chunks past that budget are built and dropped, so memory
-stays bounded.  Only whole chunks are kept, so a scan that is abandoned,
-fails or is interrupted leaves every later verdict as it was.
+has no countermodel of that size, so none is drawn or scanned.  A
+fresh atom for a U, W or O read outside every announcement also carries
+what every frame says of that read's extension (axioms oE and WE): U a
+lies within a, W a outside a, and O a covers ! a, so q reads as a & q,
+! a & q and ! a | q.  Other scans skip the frames some state permutation
+makes smaller: the frames with a countermodel and every class are closed
+under state permutation, so the canonical minimum is the least frame of
+its orbit (McKay, "Isomorph-Free Exhaustive Generation", 1998).
 """
 
 from __future__ import annotations
@@ -68,17 +63,18 @@ from functools import lru_cache
 from itertools import islice, permutations, product
 from math import prod
 
-from .formula import And, Atom, Formula, Not, atoms_of
+from .formula import And, Atom, Formula, Not, Top, atoms_of
 from .model import (MAX_STATES, PREFIX_ORDER, PROPERTY_IDS,
                     NeighborhoodModel, PointedModel, StateSet, _lacking,
                     _members, code_has_property, frame_from_codes,
                     model_to_json)
 from . import semantics
 from .morphism import FRAGMENTS
-from .semantics import (_ATOM, _BOT, _BOX, _IFF, _IMP, Program, _block_atoms,
-                        _blocks, _Builder, _Closure, _exec, _failing_states,
-                        _Frame, _k_columns, _lane_ints, _le_ints, _low_pattern,
-                        _sweep, _valuation_masks, check_valuation_space,
+from .semantics import (_AND, _ATOM, _BOT, _BOX, _BULLET, _CIRC, _IFF, _IMP,
+                        _NOT, _OR, Program, _block_atoms, _blocks, _Builder,
+                        _Closure, _exec, _failing_states, _Frame, _k_columns,
+                        _lane_ints, _le_ints, _low_pattern, _sweep,
+                        _valuation_masks, check_valuation_space,
                         compile_formula, evaluate)
 
 __all__ = [
@@ -327,8 +323,6 @@ def _orbit_least_frames(n: int, properties: frozenset):
 
 _FIRST_CHUNK = 1       # items judged at once, first; each later chunk doubles
 _CHUNK_CAP = 4096      # up to this many lanes
-_MEMO_LANES = 1 << 14  # lanes of lane chunks kept per scan key (_lane_chunks)
-_MEMO_KEYS = 32        # scan keys kept, the least recently used dropped
 _TABLE_LANES = 1 << 12  # valuations x read patterns of a one-step table
 _TABLE_MISSES = 32  # failing lane bits per code allowed at a state, exhaustive
 
@@ -343,50 +337,20 @@ def _chunk_sizes(per: int):
         size = min(2 * size, cap)
 
 
-@lru_cache(maxsize=_MEMO_KEYS)
-def _kept_chunks(n: int, properties: frozenset, per: int) -> list:
-    """The first lane chunks of a key (_lane_chunks) built so far, within
-    _MEMO_LANES lanes, then None once they are all of its chunks."""
-    return []
-
-
 def _lane_chunks(n: int, properties: frozenset, per: int, A):
     """(lane frame, atom ints) per chunk of the class's orbit-least
     frames (_chunk_sizes items), frame i of a chunk under valuation j in
-    lane i * per + j, valuation j read off the one block's atom ints A.
-
-    The key's kept chunks (_kept_chunks, the _MEMO_KEYS keys used last)
-    are replayed, those another scan keeps meanwhile too; the rest are
-    built from this scan's own frames.  A chunk is kept only once built,
-    only at its own index and only within _MEMO_LANES lanes, so the kept
-    chunks are a prefix of the key's chunks however scans are advanced,
-    abandoned or interrupted, and no scan changes a later verdict.
-    """
-    kept = _kept_chunks(n, properties, per)
-    frames = 0
-    for built in kept:
-        if built is None:  # the class's every chunk is kept
-            return
-        frames += built[0].V // per
-        yield built
-    index = len(kept)
-    rest = islice(_orbit_least_frames(n, properties), frames, None)
+    lane i * per + j, valuation j read off the one block's atom ints A."""
+    frames = _orbit_least_frames(n, properties)
     monotone = "m" in properties or None
-    for size in islice(_chunk_sizes(per), index, None):
-        chunk = list(islice(rest, size))
+    for size in _chunk_sizes(per):
+        chunk = list(islice(frames, size))
         if not chunk:
-            break
+            return
         lanes = _Frame(n, b"".join([bytes(codes) * per for codes in chunk]),
                        monotone=monotone)
         rep = lanes.ALL // ((1 << per * n) - 1)  # bit 0 of every frame
-        built = lanes, [a * rep for a in A]
-        frames += len(chunk)
-        if len(kept) == index and frames * per <= _MEMO_LANES:
-            kept.append(built)
-        index += 1
-        yield built
-    if len(kept) == index:
-        kept.append(None)
+        yield lanes, [a * rep for a in A]
 
 
 @lru_cache(maxsize=None)
@@ -420,13 +384,17 @@ def _one_step_program(prog: Program) -> Program | None:
     not local either (an announcement in a modal argument).
 
     Each modal read in another's argument or context cone becomes a
-    fresh atom q named by its slot, read by every reader of that slot;
-    the root becomes (q <-> read) -> ... -> root; unread atoms are
-    dropped.  Sound: on any frame under any valuation, let each q hold
-    at its read's extension; every slot keeps its value and the
-    definitions hold, so the program equals the root at every state.
-    If no allowed code fails it at its state (_failure_masks), no class
-    frame of that size has a countermodel; a failing code proves nothing.
+    fresh atom q named by its slot; the root becomes (q <-> read) -> ...
+    -> root; unread atoms are dropped.  Every reader of the slot reads q,
+    or, for a read outside every announcement of an argument a: a & q
+    for U a, ! a & q for W a and ! a | q for O a.  Sound: on any frame
+    under any valuation, let each q hold at its read's extension E.  U a
+    holds only where a holds and W a only where a fails, and O a holds
+    wherever a fails, so a & q, ! a & q and ! a | q each equal E there,
+    as q does; every slot keeps its value and the definitions hold, so
+    the program equals the root at every state.  If no allowed code
+    fails it at its state (_failure_masks), no class frame of that size
+    has a countermodel; a failing code proves nothing.
     """
     if prog.local:
         return prog
@@ -446,6 +414,9 @@ def _one_step_program(prog: Program) -> Program | None:
         if slot in fresh:
             q = builder.node(_ATOM, len(read) + len(defs))
             defs.append(builder.node(_IFF, q, new[slot]))
+            if b is None and op > _BOX:  # U a, W a or O a
+                x = new[a] if op == _BULLET else builder.node(_NOT, new[a])
+                q = builder.node(_OR if op == _CIRC else _AND, x, q)
             new[slot] = q
     root = new[prog.root]
     for definition in defs:
@@ -783,13 +754,13 @@ _FRAGMENT_OPS["full"] = tuple(op for _, op, _ in FRAGMENTS.values())
 def fragment_representatives(models, atoms, operators, max_depth: int):
     """Representatives of the fragment up to joint extension signature.
 
-    Closes the sorted atoms under negation, conjunction and the given
-    unary operators, keeping one formula (first discovered) per joint
-    signature and tracking the least modal depth that realizes it, so
-    the depth bound cuts exactly.  Returns [(formula, signature)] in
-    discovery order; signatures are tuples of extension masks, one per
-    model.  Each offered formula is one kernel node over the slots of
-    representatives.
+    Closes the sorted atoms, or true where there are none, under
+    negation, conjunction and the given unary operators, keeping one
+    formula (first discovered) per joint signature and tracking the
+    least modal depth that realizes it, so the depth bound cuts exactly.
+    Returns [(formula, signature)] in discovery order; signatures are
+    tuples of extension masks, one per model.  Each offered formula is
+    one kernel node over the slots of representatives.
     """
     return list(_representatives(models, atoms, operators, max_depth))
 
@@ -830,6 +801,8 @@ def _representatives(models, atoms, operators, max_depth: int):
 
     for name in names:
         offer(closure.atom(name), 0, Atom, name)
+    if not names:  # the constants are reached from an atom, else from true
+        offer(closure.node(Top), 0, Top)
     yield from fresh()
     changed = True
     while changed:
@@ -857,7 +830,7 @@ def distinguish(pm1: PointedModel, pm2: PointedModel, fragment: str,
     The formula is the first separating one of fragment_representatives,
     whose closure is cut off once it is found.  None is a bounded
     verdict: no distinguishing formula up to the modal depth over the
-    shared atoms.
+    atoms of either valuation (over true alone when neither has one).
     """
     if fragment not in _FRAGMENT_OPS:
         msg = f"fragment must be one of {sorted(_FRAGMENT_OPS)}, got {fragment!r}"

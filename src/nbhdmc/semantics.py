@@ -428,9 +428,9 @@ class _Closure:
     def atom(self, name: str) -> tuple[int, tuple[int, ...]]:
         return self._add(_ATOM, self.builder.index[name], None)
 
-    def node(self, kind: type, a: int, b=None) -> tuple[int, tuple[int, ...]]:
-        op = _UNARY[kind] if kind in _UNARY else _BINARY[kind]
-        return self._add(op, a, b)
+    def node(self, kind: type, a: int = 0,
+             b=None) -> tuple[int, tuple[int, ...]]:
+        return self._add(_OPS[kind], a, b)
 
     def _add(self, op: int, a: int, b):
         slot = self.builder.node(op, a, b)

@@ -474,6 +474,20 @@ def test_distinguish_none(capsys):
     assert (code, out) == (1, "none up to depth 2\n")
 
 
+def test_distinguish_without_atoms(capsys, tmp_path):
+    # models without a valuation are told apart by formulas built from
+    # true; a pair that only depth 2 separates
+    paths = [tmp_path / "one.json", tmp_path / "two.json"]
+    for path, at_t in zip(paths, ([[], ["s", "t"]], [["s"], ["s", "t"]])):
+        path.write_text(json.dumps({"states": ["s", "t"], "neighborhoods":
+                                    {"s": [[]], "t": at_t}}))
+    args = ("distinguish", "--m1", str(paths[0]), "--s1", "s", "--m2",
+            str(paths[1]), "--s2", "s", "--fragment", "w")
+    assert run(capsys, *args, "--depth", "1")[:2] == \
+        (1, "none up to depth 1\n")
+    assert run(capsys, *args, "--depth", "2")[:2] == (0, "W ! W ! true\n")
+
+
 @pytest.mark.parametrize("depth", ["-1", "-3"])
 def test_distinguish_negative_depth(capsys, depth):
     code, out, err = run(capsys, "distinguish", "--m1", W_BASE, "--s1", "s",

@@ -54,12 +54,6 @@ def test_readme_table_misses_are_table_misses():
     assert caps == [str(search._TABLE_MISSES)]
 
 
-def test_readme_kept_lanes_and_keys_are_the_memo_budget():
-    caps = re.findall(r"up to\s+(\d+) lanes, of each of the (\d+) such keys",
-                      README)
-    assert caps == [(str(search._MEMO_LANES), str(search._MEMO_KEYS))]
-
-
 def test_readme_lists_every_error_channel():
     listing = re.search(r"prefixed by a channel:\n(.*?\.)\n", README, re.S)
     assert listing, "README lost its list of error channels"

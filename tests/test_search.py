@@ -12,7 +12,8 @@ import nbhdmc.search as search
 import _oracle
 from _gen import (CLASSES, random_announcement_formula, random_full_formula,
                   random_local_formula, random_model, random_model_doc)
-from nbhdmc.formula import Atom, Not, Or, Wrong, atoms_of, parse
+from nbhdmc.formula import (And, Atom, Box, Bullet, Circ, Not, Or, Wrong,
+                            atoms_of, parse)
 from nbhdmc.model import (NeighborhoodFrame, NeighborhoodModel, PointedModel,
                           StateSet, check_property, model_from_json)
 from nbhdmc.search import (ClassSpec, Countermodel, NoCounterexampleUpTo,
@@ -20,19 +21,12 @@ from nbhdmc.search import (ClassSpec, Countermodel, NoCounterexampleUpTo,
                            distinguish, enumerate_frames, find_countermodel,
                            fragment_representatives, verdict_to_json,
                            verdict_to_text, worker_count)
-from nbhdmc.semantics import (_block_atoms, _blocks, _exec, _failing_states,
-                              _Frame, compile_formula, evaluate)
+from nbhdmc.semantics import (_BOX, _BULLET, _CIRC, _IMP, _WRONG,
+                              _block_atoms, _blocks, _exec, _failing_states,
+                              _Frame, compile_formula, evaluate, extension)
 
 ALL2 = ClassSpec(frozenset(), 2)
 M3 = ClassSpec(frozenset(("m",)), 3)
-
-
-@pytest.fixture(autouse=True)
-def _cold_scans():
-    """Every test starts without kept lane chunks, so a test that patches
-    the chunking, or counts the lane frames built, sees its scans build
-    them."""
-    search._kept_chunks.cache_clear()
 
 
 def _model(states, families, valuation=()):
@@ -577,14 +571,9 @@ def test_chunked_scans_find_the_brute_force_minimum(monkeypatch, text):
                                (1, per, w + 1)):
         monkeypatch.setattr(search, "_FIRST_CHUNK", first)
         monkeypatch.setattr(search, "_CHUNK_CAP", cap)
-        search._kept_chunks.cache_clear()
         built.clear()
         assert _scan_json(f, M3) == expected, (first, cap)
         assert built.count(3) == chunks, (first, cap)
-        # the kept chunks are replayed: the same scan builds none
-        built.clear()
-        assert _scan_json(f, M3) == expected, (first, cap)
-        assert built == [], (first, cap)
 
 
 def test_a_witness_at_the_first_frame_on_a_lane_frame(monkeypatch):
@@ -904,16 +893,82 @@ def test_one_step_programs_equal_the_formula_with_atoms_as_their_reads():
     assert announced >= 50, announced
 
 
+@pytest.mark.parametrize("read, atom", [
+    (Bullet, lambda a, q: And(a, q)),
+    (Wrong, lambda a, q: And(Not(a), q)),
+    (Circ, lambda a, q: Or(Not(a), q))], ids=["U", "W", "O"])
+def test_fresh_atoms_carry_the_e_axioms_of_their_reads(read, atom):
+    # on random models of 1-4 states: with q at the extension of U a,
+    # W a or O a, the atom a & q, ! a & q or ! a | q is that extension
+    # (axioms oE and WE); and under any q, the one-step program of
+    # K (read a) has K read that atom, not q alone
+    rng = SplitMix64(26)
+    q = Atom("x")
+    for _ in range(200):
+        n = 1 + rng.below(4)
+        model = random_model(rng, n)
+        a = random_full_formula(rng, 2)
+        e = extension(model, read(a))
+        at_e = NeighborhoodModel(model.frame, {**model.valuation_map(),
+                                               "x": e})
+        assert extension(at_e, atom(a, q)) == e, a
+        prog = compile_formula(Box(read(a)), ("p", "q"))
+        step = search._one_step_program(prog)
+        fr = _Frame(n, model.frame.family_codes())
+        given = [model.atom_extension(name).bits for name in prog.atoms]
+        vals = [0] * prog.size
+        _exec(prog.code, vals, given, fr, 1, fr.full)
+        own, r = str(prog.code[prog.root][2]), rng.below(1 << n)
+        masks = [r if name == own else vals[int(name)] if name.isdigit()
+                 else given[prog.atoms.index(name)] for name in step.atoms]
+        step_vals = [0] * step.size
+        _exec(step.code, step_vals, masks, fr, 1, fr.full)
+        slot = step.root
+        while step.code[slot][1] == _IMP:  # past the definitions
+            slot = step.code[slot][3]
+        assert step.code[slot][1] == _BOX
+        at_r = NeighborhoodModel(model.frame, {**model.valuation_map(),
+                                               "x": StateSet(n, r)})
+        assert step_vals[step.code[slot][2]] == \
+            extension(at_r, atom(a, q)).bits, (a, r)
+
+
+@pytest.mark.parametrize("text, props", [
+    ("U p -> U U p", M), ("W W true <-> W ! true", frozenset(("c",)))])
+def test_e_axioms_settle_counts_without_frames_or_draws(monkeypatch, text,
+                                                        props):
+    # row 5.2 over (m), and a nested formula valid on every frame over (c):
+    # with U p read as p & q and W true as ! true & q, no allowed code
+    # fails either one-step program at one to four states, so no
+    # orbit-least frame is listed and no stream block is asked
+    def refused(*args):
+        raise AssertionError("orbit-least frames enumerated")
+
+    f = parse(text)
+    monkeypatch.setattr(search, "_orbit_least_frames", refused)
+    asked = []
+    monkeypatch.setattr(search, "_splitmix_block",
+                        lambda *args: asked.append(args))
+    assert find_countermodel(f, ClassSpec(props, 3)) == \
+        NoCounterexampleUpTo(3, "exhaustive")
+    for n in range(1, 5):
+        assert find_countermodel(f, ClassSpec(props, n), "sampled", seed=9,
+                                 samples=1000) == \
+            NoCounterexampleUpTo(n, "sampled", 1000, 9)
+    assert asked == []
+
+
 def test_one_step_programs_settle_only_counts_without_a_countermodel():
     # soundness: wherever no allowed code fails the one-step program at
     # its state, no frame of the class at n has a countermodel; random
     # nested formulas, with announcements over (m) classes, over every
     # class at one and two states and over the (m) classes at three,
-    # whose frames are few
+    # whose frames are few; the settled programs read U, W and O outside
+    # every announcement through all three kinds of E-axiom atom
     pairs = [(frozenset(props), n) for n in (1, 2, 3) for props in CLASSES
              if n < 3 or "m" in props]
     rng = SplitMix64(24)
-    settled, unsettled, case = 0, 0, 0
+    settled, unsettled, case, kinds = 0, 0, 0, set()
     while settled + unsettled < 1200:
         props, n = pairs[case % len(pairs)]
         case += 1
@@ -921,12 +976,16 @@ def test_one_step_programs_settle_only_counts_without_a_countermodel():
         prog = compile_formula(f, atoms_of(f))
         if prog.local:
             continue
-        if search._some_code_fails(search._one_step_program(prog), n, props):
+        step = search._one_step_program(prog)
+        if search._some_code_fails(step, n, props):
             unsettled += 1
             continue
         settled += 1
         assert _no_countermodel_at(f, prog, n, props), (f, sorted(props), n)
+        reads = [prog.code[int(name)] for name in step.atoms if name.isdigit()]
+        kinds.update(op for _, op, _, b in reads if op > _BOX and b is None)
     assert settled >= 150 and unsettled, (settled, unsettled)
+    assert kinds == {_BULLET, _CIRC, _WRONG}, kinds
 
 
 def test_false_beliefs_never_iterate_without_enumerating_frames(monkeypatch):
@@ -942,9 +1001,9 @@ def test_false_beliefs_never_iterate_without_enumerating_frames(monkeypatch):
 
 
 def test_nested_formulas_the_table_leaves_open_are_scanned(monkeypatch):
-    # U p -> U U p is valid over (m), but not one step deep past one
-    # state: two and three states are scanned over their orbit-least
-    # frames, to the same verdict
+    # O K W (p & ! p) is valid over (m) up to three states, but not one
+    # step deep past one state: two and three states are scanned over
+    # their orbit-least frames, to the same verdict
     listed = []
     orbit_least = search._orbit_least_frames
 
@@ -953,23 +1012,20 @@ def test_nested_formulas_the_table_leaves_open_are_scanned(monkeypatch):
         return orbit_least(n, props)
 
     monkeypatch.setattr(search, "_orbit_least_frames", counted)
-    assert find_countermodel(parse("U p -> U U p"), M3) == \
+    assert find_countermodel(parse("O K W (p & ! p)"), M3) == \
         NoCounterexampleUpTo(3, "exhaustive")
     assert listed == [2, 3]
 
 
-# --- kept lane chunks ----------------------------------------------------------------
+# --- repeated and interrupted scans -------------------------------------------------
 
 DISJOINT3 = "! (! K false & K (p & ! q) & K (q & ! p) & K (! p & ! q))"
 
 
 def _cold_then_warm(cases, max_states):
-    """Each (formula, properties) scanned cold, with no kept chunks, and
-    then warm, after a pass over every case has kept its chunks."""
-    cold = []
-    for f, props in cases:
-        search._kept_chunks.cache_clear()
-        cold.append(_scan_json(f, ClassSpec(props, max_states)))
+    """Each (formula, properties) scanned once, and then again after a
+    pass over every case."""
+    cold = [_scan_json(f, ClassSpec(props, max_states)) for f, props in cases]
     for f, props in cases:
         _scan_json(f, ClassSpec(props, max_states))
     warm = [_scan_json(f, ClassSpec(props, max_states)) for f, props in cases]
@@ -979,7 +1035,7 @@ def _cold_then_warm(cases, max_states):
 @pytest.mark.parametrize("props", [M, NEG_SUPPL])
 def test_warm_scans_match_cold_scans_and_brute_force(props):
     # local and non-local formulas, with announcements over (m), a quarter
-    # of them valid so their scans run past the last kept chunk
+    # of them valid so their scans run through every frame
     rng = SplitMix64(31)
     cases, kinds = [], set()
     for i in range(24):
@@ -1007,7 +1063,7 @@ def test_warm_three_state_scans_match_cold_scans_and_brute_force():
     texts = [(DISJOINT3, M), (DISJOINT3, NEG_SUPPL),
              (f"({DISJOINT3}) & (K K p | ! K K p)", NEG_SUPPL),
              (f"[! (p & q)] {DISJOINT3}", M), (LATE_N3[0], M),
-             (LATE_N3[3], M), ("U p -> U U p", M)]
+             (LATE_N3[3], M), ("O K W (p & ! p)", M)]
     cases = [(parse(text), props) for text, props in texts]
     expected = []
     for f, props in cases[:-1]:
@@ -1022,57 +1078,6 @@ def test_warm_three_state_scans_match_cold_scans_and_brute_force():
     assert warm == expected
 
 
-def _held_lanes(kept):
-    """Lanes of the chunks a key keeps."""
-    return sum(built[0].V for built in kept if built)
-
-
-def test_kept_lanes_stay_within_the_budget(monkeypatch):
-    # two atoms over three states: 1440 orbit-least frames of 64 lanes
-    valid = parse("q | (U p -> U U p)")
-    assert _scan_json(valid, M3) == verdict_to_json(
-        NoCounterexampleUpTo(3, "exhaustive"))
-    held = _held_lanes(search._kept_chunks(3, M, 64))
-    assert 0 < held <= search._MEMO_LANES < 1440 * 64
-    assert search._kept_chunks.cache_info().maxsize == search._MEMO_KEYS
-    # a small budget over few keys; the witness at frame 603 lies past the
-    # kept chunks, so warm scans rebuild the chunks after them
-    made = []  # (key, kept chunks) per key the cache took in, held or not
-    empty = search._kept_chunks.__wrapped__
-
-    def fresh(*key):
-        made.append((key, empty(*key)))
-        return made[-1][1]
-
-    kept = lru_cache(maxsize=3)(fresh)
-    monkeypatch.setattr(search, "_MEMO_LANES", 100)
-    monkeypatch.setattr(search, "_kept_chunks", kept)
-    late = LATE_N3[3]
-    for _ in range(2):
-        assert _scan_json(parse("U p -> U U p"), M3) == verdict_to_json(
-            NoCounterexampleUpTo(3, "exhaustive"))
-        assert _scan_json(parse(late), M3) == \
-            _expected_json(_late_minimum(late))
-        assert kept.cache_info().currsize <= 3
-        for key, chunks in made:
-            assert _held_lanes(chunks) <= 100, key
-
-
-def test_a_class_kept_whole_is_not_enumerated_again(monkeypatch):
-    # one atom over three states: (m)'s 1440 orbit-least frames take
-    # 11520 lanes, within the budget, so the second scan only replays
-    valid = parse("U p -> U U p")
-    expected = verdict_to_json(NoCounterexampleUpTo(3, "exhaustive"))
-    assert _scan_json(valid, M3) == expected
-    assert search._kept_chunks(3, M, 8)[-1] is None
-
-    def refused(*args):
-        raise AssertionError("orbit-least frames enumerated")
-
-    monkeypatch.setattr(search, "_orbit_least_frames", refused)
-    assert _scan_json(valid, M3) == expected
-
-
 class _Interrupt(Exception):
     """Raised into a scan where a user would press Ctrl-C."""
 
@@ -1082,7 +1087,6 @@ def test_a_scan_interrupted_while_listing_frames_changes_no_later_verdict(
     f = parse(LATE_N3[3])
     cold = _scan_json(f, M3)
     assert cold == _expected_json(_late_minimum(LATE_N3[3]))
-    search._kept_chunks.cache_clear()
     calls = []
     orbit_least = search._orbit_least
 
@@ -1103,7 +1107,6 @@ def test_a_scan_interrupted_while_building_a_chunk_changes_no_later_verdict(
         monkeypatch):
     f = parse("! (! K false & K (p & K p) & K (p & ! K p) & K ! p)")
     cold = _scan_json(f, M3)
-    search._kept_chunks.cache_clear()
     wide = []  # three-state lane chunks of more than one frame
     lane_frame = search._Frame
 
@@ -1120,11 +1123,9 @@ def test_a_scan_interrupted_while_building_a_chunk_changes_no_later_verdict(
     assert _scan_json(f, M3) == cold
 
 
-@pytest.mark.parametrize("budget", [search._MEMO_LANES, 100])
-def test_interleaved_scans_each_list_every_frame(monkeypatch, budget):
-    # two scans of one key advanced in turns of one, two and three chunks,
-    # each replaying what the other keeps; within the budget and past it
-    monkeypatch.setattr(search, "_MEMO_LANES", budget)
+def test_interleaved_scans_each_list_every_frame():
+    # two scans of one class advanced in turns of one, two and three
+    # chunks, sharing the cached orbit decisions
     per = 8  # valuations of one atom over three states
     _, A = _block_atoms(3, 1)
     scans = [search._lane_chunks(3, M, per, A) for _ in range(2)]
@@ -1215,6 +1216,22 @@ def test_distinguish_uses_atoms_from_both_models():
     m2 = _model(("s",), ((),), (("q", 1),))
     assert distinguish(PointedModel(m1, 0), PointedModel(m2, 0),
                        "full", 1) == Atom("p")
+
+
+def test_distinguish_without_atoms_grows_the_closure_from_true():
+    # neither model has an atom, so the closure starts from true: W ! W
+    # false holds at s in the first model only, and the W fragment finds
+    # it at depth 2; the U fragment reads {s} and {t} alike in both
+    m1 = _model(("s", "t"), ((0,), (0, 3)))
+    m2 = _model(("s", "t"), ((0,), (1, 3)))
+    pm1, pm2 = PointedModel(m1, 0), PointedModel(m2, 0)
+    assert evaluate(pm1, parse("W ! W false"))
+    assert not evaluate(pm2, parse("W ! W false"))
+    for kind in ("wrong", "full"):
+        assert distinguish(pm1, pm2, kind, 1) is None
+        for depth in (2, 3):
+            assert distinguish(pm1, pm2, kind, depth) == parse("W ! W ! true")
+    assert distinguish(pm1, pm2, "bullet", 3) is None
 
 
 def test_distinguish_rejects_unknown_fragment():

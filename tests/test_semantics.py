@@ -418,6 +418,29 @@ def test_kernel_matches_oracle_on_full_language():
     assert raised > 20
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 4))
+def test_unforced_extension_matches_the_oracle_fuzzed(seed, n):
+    """Unforced extensions on random models not closed under supersets
+    equal the oracle's over the whole language; an announcement of a
+    non-empty set in the model itself raises NonMonotoneError instead."""
+    rng = SplitMix64(seed)
+    model = random_model(rng, n)
+    codes = list(model.frame.codes)
+    w = rng.below(n)
+    codes[w] = (codes[w] | 1) & ~(1 << (1 << n) - 1)  # empty set, not all
+    model = NeighborhoodModel(frame_from_codes(model.states, codes),
+                              model.valuation)
+    doc = model_to_json(model)
+    f = random_full_formula(rng, 4, announce_budget=rng.below(2))
+    if _announces_here(doc, f):
+        with pytest.raises(NonMonotoneError, match="pass force"):
+            extension(model, f)
+    else:
+        assert _names(model, extension(model, f)) == _oracle.ext(doc, f), \
+            (doc, f)
+
+
 def _loop_first_failure(frame, f, force):
     """First (valuation index, state) falsifying f, one valuation at a time."""
     n = frame.size

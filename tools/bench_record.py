@@ -20,11 +20,13 @@ It writes, with the interpreter and machine it ran on:
   c`, a nested formula whose one-step program settles one to three
   states over (c), so no frame is enumerated (records made before the
   one-step program timed a three-state scan of the orbit-least frames
-  of (c) here; `orbit_probe` times such a scan);
-* `orbit_probe`: likewise for `nbhdmc valid -f "W W true <-> W ! true"
-  --class c`, a nested formula valid up to three states that its
-  one-step program does not settle: an exhaustive three-state scan over
-  the orbit-least frames of (c);
+  of (c) here; `orbit_probe` times such a listing);
+* `orbit_probe`: the wall and CPU time of listing the orbit-least frames
+  of ORBIT_CLASS at ORBIT_STATES states (search._orbit_least_frames),
+  class tables included, REPEATS times, each in a fresh interpreter
+  (records up to BENCH_25 timed `nbhdmc valid -f "W W true <-> W !
+  true" --class c` here, which scanned those frames until the one-step
+  program's E-axiom atoms settled it);
 * `announce_probe`: likewise for `nbhdmc valid -f "[[W false] (p | K q)]
   [q] (U true -> true)" --class m,n`, an exhaustive three-state scan of
   a valid formula with nested announcements;
@@ -63,10 +65,11 @@ It writes, with the interpreter and machine it ran on:
   one-step program settles four states, so nothing is drawn (records
   made before the one-step program timed all 200000 draws here;
   `sampled_unsettled_probe` times such draws);
-* `sampled_unsettled_probe`: likewise for `nbhdmc valid -f "U p -> U U
-  p" --class m --max-states 4 --samples 200000`, a formula valid over
+* `sampled_unsettled_probe`: likewise for `nbhdmc valid -f "O K W (p & !
+  p)" --class m --max-states 4 --samples 200000`, a formula valid over
   (m) whose one-step program fails at four states, so all 200000 draws
-  are made and judged;
+  are made and judged (records up to BENCH_25 drew for `U p -> U U p`
+  here, which the one-step program now settles);
 * `paper_suite`: likewise for `nbhdmc paper-suite --jobs J`, per J in
   SUITE_JOBS;
 * `calibration_start` and `calibration_end`: CALIBRATION_MARKS runs of
@@ -130,8 +133,9 @@ SAMPLED_PROBE = ("valid", "-f", "W p -> ! p", "--max-states", "4",
                  "--samples", "200000")
 SAMPLED_DRAW_PROBE = ("valid", "-f", "W p -> ! W W p", "--max-states", "4",
                       "--samples", "200000")
-ORBIT_PROBE = ("valid", "-f", "W W true <-> W ! true", "--class", "c")
-SAMPLED_UNSETTLED_PROBE = ("valid", "-f", "U p -> U U p", "--class", "m",
+ORBIT_CLASS = ("c",)
+ORBIT_STATES = 3
+SAMPLED_UNSETTLED_PROBE = ("valid", "-f", "O K W (p & ! p)", "--class", "m",
                            "--max-states", "4", "--samples", "200000")
 BIGFRAME_PROBE = ("frame-valid", "-f", "K p | ! K p")
 BIGFRAME_STATES = 16
@@ -174,6 +178,19 @@ props = frozenset(sys.argv[1:])
 start, cpu = time.perf_counter(), time.process_time()
 for state in range(4):
     allowed_family_codes(4, props, state)
+print(json.dumps([time.perf_counter() - start, time.process_time() - cpu]))
+"""
+
+
+# Lists the orbit-least frames, class tables included, of the class named
+# by the arguments after the state count; prints JSON, [wall, cpu] seconds.
+_ORBIT_PROBE = """
+import json, sys, time
+from nbhdmc.search import _orbit_least_frames
+n, props = int(sys.argv[1]), frozenset(sys.argv[2:])
+start, cpu = time.perf_counter(), time.process_time()
+for _ in _orbit_least_frames(n, props):
+    pass
 print(json.dumps([time.perf_counter() - start, time.process_time() - cpu]))
 """
 
@@ -245,6 +262,20 @@ def class_tables() -> dict:
         out[name] = {"median_ms": statistics.median(runs), "runs_ms": runs,
                      "cpu_ms": statistics.median(cpus), "runs_cpu_ms": cpus}
     return out
+
+
+def orbit_probe() -> dict:
+    runs, cpus = [], []
+    for _ in range(REPEATS):
+        print(f"orbit-least frames ({','.join(ORBIT_CLASS)}) at "
+              f"{ORBIT_STATES} states", file=sys.stderr)
+        wall, cpu = _last_json_line([sys.executable, "-c", _ORBIT_PROBE,
+                                     str(ORBIT_STATES), *ORBIT_CLASS])
+        runs.append(wall)
+        cpus.append(cpu)
+    return {"class": list(ORBIT_CLASS), "states": ORBIT_STATES,
+            "median_s": statistics.median(runs), "runs_s": runs,
+            "cpu_s": statistics.median(cpus), "runs_cpu_s": cpus}
 
 
 def calibration() -> dict:
@@ -354,7 +385,7 @@ def main(argv=None) -> int:
         "class_tables": repeated({"states": 4, **class_tables()}),
         "cold_start": repeated(cli_wall(COLD_START)),
         "valid_probe": repeated(cli_wall(VALID_PROBE)),
-        "orbit_probe": repeated(cli_wall(ORBIT_PROBE)),
+        "orbit_probe": repeated(orbit_probe()),
         "announce_probe": repeated(cli_wall(ANNOUNCE_PROBE)),
         "multiblock_probe": repeated(cli_wall(MULTIBLOCK_PROBE)),
         "local_multiblock_probe": repeated(cli_wall(LOCAL_MULTIBLOCK_PROBE)),
