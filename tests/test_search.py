@@ -1123,9 +1123,12 @@ def test_a_scan_interrupted_while_building_a_chunk_changes_no_later_verdict(
     assert _scan_json(f, M3) == cold
 
 
-def test_interleaved_scans_each_list_every_frame():
+@pytest.mark.parametrize("cap", [16384, 100])
+def test_interleaved_scans_each_list_every_frame(monkeypatch, cap):
     # two scans of one class advanced in turns of one, two and three
-    # chunks, sharing the cached orbit decisions
+    # chunks, sharing the cached orbit decisions; with chunks doubling
+    # freely and capped at a dozen frames
+    monkeypatch.setattr(search, "_CHUNK_CAP", cap)
     per = 8  # valuations of one atom over three states
     _, A = _block_atoms(3, 1)
     scans = [search._lane_chunks(3, M, per, A) for _ in range(2)]
