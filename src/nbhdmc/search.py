@@ -53,15 +53,18 @@ lies within a, W a outside a, and O a covers ! a, so q reads as a & q,
 ! a & q and ! a | q.  Other scans skip the frames some state permutation
 makes smaller: the frames with a countermodel and every class are closed
 under state permutation, so the canonical minimum is the least frame of
-its orbit (McKay, "Isomorph-Free Exhaustive Generation", 1998).
+its orbit (McKay, "Isomorph-Free Exhaustive Generation", 1998).  By
+the same closure, whether the one-step table is empty is judged on one
+valuation per orbit, the one whose states' atom types ascend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, permutations, product
-from math import prod
+from itertools import (chain, combinations_with_replacement, islice,
+                       permutations, product)
+from math import comb, prod
 
 from .formula import And, Atom, Formula, Not, Top, atoms_of
 from .model import (MAX_STATES, PREFIX_ORDER, PROPERTY_IDS,
@@ -366,17 +369,26 @@ def _class_columns(n: int, properties: frozenset, state: int):
 
 
 @lru_cache(maxsize=32)
-def _pattern_lanes(n: int, k: int, m: int):
+def _pattern_lanes(n: int, k: int, m: int, orbit: bool = False):
     """(V, ALL, atom ints, read ints) of the lanes p * V + j, valuation j
     of k atoms over n states under pattern p of m read bits: read i's
-    int holds every state of the lanes whose pattern has bit i."""
-    V = 1 << n * k
+    int holds every state of the lanes whose pattern has bit i.  With
+    orbit, only the valuations whose states' atom types (bit k - 1 - i:
+    atom i holds) ascend, in combinations_with_replacement order: one per
+    orbit under state permutation, C(2^k + n - 1, n) of 2^(n*k)."""
+    V = comb((1 << k) + n - 1, n) if orbit else 1 << n * k
+    if V < 1 << n * k:
+        names = [f"{t:0{k}b}"[::-1] for t in range(1 << k)]  # atom k-1 first
+        text = "".join(chain.from_iterable(  # atom i's bits at i::k, top first
+            combinations_with_replacement(names, n)))[::-1]
+        lows = [int(text[i::k], 2) for i in range(k)]
+    else:
+        lows = [_low_pattern(n, V, n * (k - 1 - i)) for i in range(k)]
     ALL = (1 << (V * n << m)) - 1
     rep = ALL // ((1 << V * n) - 1)  # bit 0 of every pattern's lanes
-    atoms = [_low_pattern(n, V, n * (k - 1 - i)) * rep for i in range(k)]
     reads = [ALL // ((1 << 2 * h) - 1) * (((1 << h) - 1) << h)
              for h in (V * n << i for i in range(m))]
-    return V, ALL, atoms, reads
+    return V, ALL, [low * rep for low in lows], reads
 
 
 def _one_step_program(prog: Program) -> Program | None:
@@ -439,13 +451,19 @@ def _failure_masks(prog: Program, n: int, properties: frozenset,
     lane group (p, j) at s have the reads' argument masks at j exactly
     where p has their bits: an AND of class columns (_class_columns),
     computed once per class table and asked bits.
+
+    With first, one valuation per orbit under state permutation is
+    judged (_pattern_lanes): if c fails at s in group (p, j), pi c fails
+    at pi s in (p, pi j), as class tables are closed under renaming
+    states (neg-suppl too), lanes read no names and pi j's argument
+    masks are pi of j's.  Exact per-state masks need every valuation.
     """
     k, reads = len(prog.atoms), list(dict.fromkeys(
         (a, b) for _, op, a, b in prog.code if op >= _BOX))  # modal reads
     m = len(reads)
     if 1 << n * k << m > _TABLE_LANES:
         return None
-    V, ALL, A, K = _pattern_lanes(n, k, m)
+    V, ALL, A, K = _pattern_lanes(n, k, m, first)
     vals = [0] * prog.size  # on a codeless frame: reads are the patterns'
     _exec(prog.code, vals, A, semantics._Frame(n, (), monotone=True), V << m,
           ALL, dict(zip(reads, K)))
@@ -662,8 +680,9 @@ def _splitmix_block(seed: int, start: int, count: int) -> bytes:
 def _some_code_fails(step: Program | None, n: int,
                      properties: frozenset) -> bool:
     """Whether some allowed code fails the one-step program step at its
-    state under some valuation (_failure_masks, up to the first); True
-    without a step program (_one_step_program) or past the lane budget."""
+    state under some valuation (_failure_masks, up to the first, on one
+    valuation per orbit under state permutation); True without a step
+    program (_one_step_program) or past the lane budget."""
     masks = None if step is None else _failure_masks(step, n, properties, True)
     return masks is None or any(masks)
 

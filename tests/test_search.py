@@ -1,7 +1,8 @@
 """Frame enumeration, countermodel search, sampling, distinguishability."""
 
 from functools import lru_cache
-from itertools import islice, permutations, product
+from itertools import combinations, islice, permutations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -773,6 +774,99 @@ def test_failure_masks_match_the_per_code_sweep_fuzzed(seed, props, n):
         patch.setattr(search, "_TABLE_MISSES", 1 << 62)
         assert search._failure_masks(prog, n, props) == want, f
     assert search._code_masks(prog, n, props) == want, f
+
+
+EVERY_PROPERTY_SET = [frozenset(props) for size in range(6)
+                      for props in combinations(
+                          ("m", "c", "n", "r", "neg-suppl"), size)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("props", EVERY_PROPERTY_SET, ids=sorted)
+def test_class_tables_are_closed_under_renaming_states(n, props):
+    # both orbit arguments rest on this: a permutation maps the codes
+    # allowed at s onto those allowed at its image of s
+    for source, table in search._state_permutations(n):
+        for s in range(n):
+            image = {table[code] for code in allowed_family_codes(n, props, s)}
+            assert image == set(allowed_family_codes(
+                n, props, source.index(s))), (source, s)
+
+
+def _orbit(n, masks):
+    """The valuations (atom masks) that renaming the states makes of
+    masks."""
+    return {tuple(sum((x >> w & 1) << image[w] for w in range(n))
+                  for x in masks)
+            for image in permutations(range(n))}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orbit_lanes_hold_one_valuation_per_orbit(n):
+    # C(2^k + n - 1, n) valuations, and every valuation is a renaming of
+    # exactly one of them; read patterns repeat the atoms' lanes
+    full = (1 << n) - 1
+    for k in range(4):
+        V, _, atoms, _ = search._pattern_lanes(n, k, 0, True)
+        assert V == comb((1 << k) + n - 1, n), k
+        least = [tuple(a >> j * n & full for a in atoms) for j in range(V)]
+        seen = []
+        for masks in least:
+            seen.extend(_orbit(n, masks))
+        assert sorted(seen) == sorted(product(range(1 << n), repeat=k)), k
+        assert search._pattern_lanes(n, k, 1, True)[2] == \
+            [a | a << V * n for a in atoms]
+
+
+def _orbit_and_full_answers(f, n, props):
+    """Whether the orbit lanes find a failing code for the formula's
+    one-step program, and whether its full table has one; None for both
+    past the lane budget or without a one-step program."""
+    step = search._one_step_program(compile_formula(f, atoms_of(f)))
+    if step is None:
+        return None, None
+    first = search._failure_masks(step, n, props, True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_TABLE_MISSES", 1 << 62)
+        table = search._failure_masks(step, n, props)
+    return tuple(None if masks is None else any(masks)
+                 for masks in (first, table))
+
+
+def _random_program_formula(rng, props):
+    """A random local or nested formula, with announcements over (m)
+    classes."""
+    kind = rng.below(3)
+    if kind == 0:
+        return random_local_formula(rng, 3, "m" in props)
+    if kind == 1 and "m" in props:
+        return random_announcement_formula(rng, 3)
+    return random_full_formula(rng, 3 + rng.below(2))
+
+
+def test_orbit_lanes_find_a_failing_code_iff_the_full_table_does():
+    # seeded: random local and nested programs over every class at one
+    # to four states; each answer occurs, and past the lane budget
+    rng = SplitMix64(27)
+    answers = set()
+    for case in range(640):
+        props = EVERY_PROPERTY_SET[case % len(EVERY_PROPERTY_SET)]
+        n = 1 + case // len(EVERY_PROPERTY_SET) % 4
+        f = _random_program_formula(rng, props)
+        got, want = _orbit_and_full_answers(f, n, props)
+        assert got == want, (f, sorted(props), n)
+        answers.add(got)
+    assert answers == {None, False, True}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32), props=st.sampled_from(EVERY_PROPERTY_SET),
+       n=st.integers(1, 4))
+def test_orbit_lanes_find_a_failing_code_iff_the_full_table_does_fuzzed(
+        seed, props, n):
+    f = _random_program_formula(SplitMix64(seed), props)
+    got, want = _orbit_and_full_answers(f, n, props)
+    assert got == want, f
 
 
 R_NEG_SUPPL = (frozenset(("r", "neg-suppl")),

@@ -27,6 +27,14 @@ It writes, with the interpreter and machine it ran on:
   (records up to BENCH_25 timed `nbhdmc valid -f "W W true <-> W !
   true" --class c` here, which scanned those frames until the one-step
   program's E-axiom atoms settled it);
+* `one_step_probe`: per formula and class in ONE_STEP_PROBES, in a
+  fresh interpreter, the wall and CPU time of a cold first sampled
+  `find_countermodel` call at ONE_STEP_STATES states (ONE_STEP_SAMPLES
+  samples), class tables included, then the medians of ONE_STEP_WARM
+  warm calls, REPEATS times: valid formulas that the one-step table
+  settles, so each call is that table's emptiness question, the four
+  with several modal reads that set sampled-scan's p90 before BENCH_27
+  and row 5.2;
 * `announce_probe`: likewise for `nbhdmc valid -f "[[W false] (p | K q)]
   [q] (U true -> true)" --class m,n`, an exhaustive three-state scan of
   a valid formula with nested announcements;
@@ -135,6 +143,14 @@ SAMPLED_DRAW_PROBE = ("valid", "-f", "W p -> ! W W p", "--max-states", "4",
                       "--samples", "200000")
 ORBIT_CLASS = ("c",)
 ORBIT_STATES = 3
+ONE_STEP_PROBES = (("(O p & O q) -> O (p & q)", ("c",)),
+                   ("(O p & p) -> O (p | q)", ("m",)),
+                   ("(W p & W ! q) -> W (p & ! q)", ("c",)),
+                   ("(W (p & q) & ! q) -> W q", ("m",)),
+                   ("U p -> U U p", ("m",)))
+ONE_STEP_STATES = 4
+ONE_STEP_SAMPLES = 1000
+ONE_STEP_WARM = 200
 SAMPLED_UNSETTLED_PROBE = ("valid", "-f", "O K W (p & ! p)", "--class", "m",
                            "--max-states", "4", "--samples", "200000")
 BIGFRAME_PROBE = ("frame-valid", "-f", "K p | ! K p")
@@ -192,6 +208,28 @@ start, cpu = time.perf_counter(), time.process_time()
 for _ in _orbit_least_frames(n, props):
     pass
 print(json.dumps([time.perf_counter() - start, time.process_time() - cpu]))
+"""
+
+
+# Times a cold sampled call, then ONE_STEP_WARM warm ones, of the formula
+# and class named by the arguments after the state count, sample count
+# and warm count; prints JSON, [cold wall, cold cpu, warm wall median,
+# warm cpu median] seconds.
+_ONE_STEP_PROBE = """
+import json, statistics, sys, time
+from nbhdmc.formula import parse
+from nbhdmc.search import ClassSpec, NoCounterexampleUpTo, find_countermodel
+n, samples, warm = map(int, sys.argv[1:4])
+f, cls = parse(sys.argv[4]), ClassSpec(frozenset(sys.argv[5:]), n)
+runs = []
+for _ in range(1 + warm):
+    start, cpu = time.perf_counter(), time.process_time()
+    verdict = find_countermodel(f, cls, "sampled", seed=1, samples=samples)
+    runs.append((time.perf_counter() - start, time.process_time() - cpu))
+    assert isinstance(verdict, NoCounterexampleUpTo), verdict
+walls, cpus = zip(*runs[1:])
+print(json.dumps([*runs[0], statistics.median(walls),
+                  statistics.median(cpus)]))
 """
 
 
@@ -276,6 +314,28 @@ def orbit_probe() -> dict:
     return {"class": list(ORBIT_CLASS), "states": ORBIT_STATES,
             "median_s": statistics.median(runs), "runs_s": runs,
             "cpu_s": statistics.median(cpus), "runs_cpu_s": cpus}
+
+
+def one_step_probe() -> dict:
+    out = {"states": ONE_STEP_STATES, "samples": ONE_STEP_SAMPLES,
+           "warm_calls": ONE_STEP_WARM}
+    for text, props in ONE_STEP_PROBES:
+        print(f"one-step table: {text} over ({','.join(props)})",
+              file=sys.stderr)
+        runs = [_last_json_line(
+            [sys.executable, "-c", _ONE_STEP_PROBE, str(ONE_STEP_STATES),
+             str(ONE_STEP_SAMPLES), str(ONE_STEP_WARM), text, *props])
+            for _ in range(REPEATS)]
+        cold, cold_cpu, warm, warm_cpu = (
+            [1e3 * run[i] for run in runs] for i in range(4))
+        out[f"{text} ({','.join(props)})"] = {
+            "cold_ms": statistics.median(cold), "runs_cold_ms": cold,
+            "cold_cpu_ms": statistics.median(cold_cpu),
+            "runs_cold_cpu_ms": cold_cpu,
+            "warm_ms": statistics.median(warm), "runs_warm_ms": warm,
+            "warm_cpu_ms": statistics.median(warm_cpu),
+            "runs_warm_cpu_ms": warm_cpu}
+    return out
 
 
 def calibration() -> dict:
@@ -386,6 +446,7 @@ def main(argv=None) -> int:
         "cold_start": repeated(cli_wall(COLD_START)),
         "valid_probe": repeated(cli_wall(VALID_PROBE)),
         "orbit_probe": repeated(orbit_probe()),
+        "one_step_probe": repeated(one_step_probe()),
         "announce_probe": repeated(cli_wall(ANNOUNCE_PROBE)),
         "multiblock_probe": repeated(cli_wall(MULTIBLOCK_PROBE)),
         "local_multiblock_probe": repeated(cli_wall(LOCAL_MULTIBLOCK_PROBE)),
