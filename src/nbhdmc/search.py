@@ -40,22 +40,22 @@ arguments, inside announcements of valuation-only formulas only) is
 true at s depending only on the valuation and the bits "X_i is a
 neighbourhood of s" of its modal arguments X_i: whether a code fails at
 s is a one-step question (Schröder & Pattinson, J. Logic Comput. 2010).
-One table (_failure_masks) of the allowed codes failing at each state
-serves both modes: sampled mode draws nothing when it is empty, and
-exhaustive scans sweep only the least frame with a failing state.  A
-nested formula asks it of its one-step program (_one_step_program),
-which reads each modal read inside another's argument or context as a
-fresh atom defined at the state; where no code fails that, the formula
-has no countermodel of that size, so none is drawn or scanned.  A
-fresh atom for a U, W or O read outside every announcement also carries
-what every frame says of that read's extension (axioms oE and WE): U a
-lies within a, W a outside a, and O a covers ! a, so q reads as a & q,
-! a & q and ! a | q.  Other scans skip the frames some state permutation
-makes smaller: the frames with a countermodel and every class are closed
-under state permutation, so the canonical minimum is the least frame of
-its orbit (McKay, "Isomorph-Free Exhaustive Generation", 1998).  By
-the same closure, whether the one-step table is empty is judged on one
-valuation per orbit, the one whose states' atom types ascend.
+A scan asks it (_some_code_fails) at each state count until some code
+fails, before judging frames: a local formula of itself, a nested one
+of its one-step program (_one_step_program), which reads each modal
+read inside another's argument or context as a fresh atom defined at
+the state.  Where no allowed code fails, the formula has no
+countermodel of that size, so none is drawn or scanned.  A fresh atom
+for a U, W or O read outside every announcement also carries what
+every frame says of that read's extension (axioms oE and WE): U a lies
+within a, W a outside a, and O a covers ! a, so q reads as a & q, ! a &
+q and ! a | q.  The frames with a countermodel and every class are
+closed under state permutation, so the question is judged on one
+valuation per orbit, the one whose states' atom types ascend.  Where a code fails, a local formula's scan
+judges the class's least frame with the last state's code raised, code
+by code; other scans skip the frames some state permutation makes
+smaller, since the canonical minimum is the least frame of its orbit
+(McKay, "Isomorph-Free Exhaustive Generation", 1998).
 """
 
 from __future__ import annotations
@@ -75,10 +75,9 @@ from . import semantics
 from .morphism import FRAGMENTS
 from .semantics import (_AND, _ATOM, _BOT, _BOX, _BULLET, _CIRC, _IFF, _IMP,
                         _NOT, _OR, Program, _block_atoms, _blocks, _Builder,
-                        _Closure, _exec, _failing_states, _Frame, _k_columns,
-                        _lane_ints, _le_ints, _low_pattern, _sweep,
-                        _valuation_masks, check_valuation_space,
-                        compile_formula, evaluate)
+                        _Closure, _exec, _Frame, _k_columns, _lane_ints,
+                        _le_ints, _sweep, _valuation_masks,
+                        check_valuation_space, compile_formula, evaluate)
 
 __all__ = [
     "SplitMix64", "ClassSpec", "Countermodel", "NoCounterexampleUpTo",
@@ -327,7 +326,6 @@ def _orbit_least_frames(n: int, properties: frozenset):
 _FIRST_CHUNK = 1       # items judged at once, first; each later chunk doubles
 _CHUNK_CAP = 4096      # up to this many lanes
 _TABLE_LANES = 1 << 12  # valuations x read patterns of a one-step table
-_TABLE_MISSES = 32  # failing lane bits per code allowed at a state, exhaustive
 
 
 def _chunk_sizes(per: int):
@@ -340,12 +338,11 @@ def _chunk_sizes(per: int):
         size = min(2 * size, cap)
 
 
-def _lane_chunks(n: int, properties: frozenset, per: int, A):
-    """(lane frame, atom ints) per chunk of the class's orbit-least
-    frames (_chunk_sizes items), frame i of a chunk under valuation j in
-    lane i * per + j, valuation j read off the one block's atom ints A."""
-    frames = _orbit_least_frames(n, properties)
-    monotone = "m" in properties or None
+def _lane_chunks(n: int, frames, per: int, A, monotone):
+    """(lane frame, atom ints) per chunk of the iterator frames' family
+    code tuples (_chunk_sizes items), frame i of a chunk under valuation
+    j in lane i * per + j, valuation j read off the one block's atom ints
+    A."""
     for size in _chunk_sizes(per):
         chunk = list(islice(frames, size))
         if not chunk:
@@ -369,21 +366,18 @@ def _class_columns(n: int, properties: frozenset, state: int):
 
 
 @lru_cache(maxsize=32)
-def _pattern_lanes(n: int, k: int, m: int, orbit: bool = False):
+def _pattern_lanes(n: int, k: int, m: int):
     """(V, ALL, atom ints, read ints) of the lanes p * V + j, valuation j
     of k atoms over n states under pattern p of m read bits: read i's
-    int holds every state of the lanes whose pattern has bit i.  With
-    orbit, only the valuations whose states' atom types (bit k - 1 - i:
-    atom i holds) ascend, in combinations_with_replacement order: one per
-    orbit under state permutation, C(2^k + n - 1, n) of 2^(n*k)."""
-    V = comb((1 << k) + n - 1, n) if orbit else 1 << n * k
-    if V < 1 << n * k:
-        names = [f"{t:0{k}b}"[::-1] for t in range(1 << k)]  # atom k-1 first
-        text = "".join(chain.from_iterable(  # atom i's bits at i::k, top first
-            combinations_with_replacement(names, n)))[::-1]
-        lows = [int(text[i::k], 2) for i in range(k)]
-    else:
-        lows = [_low_pattern(n, V, n * (k - 1 - i)) for i in range(k)]
+    int holds every state of the lanes whose pattern has bit i.  The
+    valuations are those whose states' atom types (bit k - 1 - i: atom i
+    holds) ascend, in combinations_with_replacement order: one per orbit
+    under state permutation, V = C(2^k + n - 1, n) of 2^(n*k)."""
+    V = comb((1 << k) + n - 1, n)
+    names = [f"{t:0{k}b}"[::-1] for t in range(1 << k)]  # atom k-1 first
+    text = "".join(chain.from_iterable(  # atom i's bits at i::k, top first
+        combinations_with_replacement(names, n)))[::-1]
+    lows = [int(text[i::k], 2) for i in range(k)]
     ALL = (1 << (V * n << m)) - 1
     rep = ALL // ((1 << V * n) - 1)  # bit 0 of every pattern's lanes
     reads = [ALL // ((1 << 2 * h) - 1) * (((1 << h) - 1) << h)
@@ -405,8 +399,8 @@ def _one_step_program(prog: Program) -> Program | None:
     wherever a fails, so a & q, ! a & q and ! a | q each equal E there,
     as q does; every slot keeps its value and the definitions hold, so
     the program equals the root at every state.  If no allowed code
-    fails it at its state (_failure_masks), no class frame of that size
-    has a countermodel; a failing code proves nothing.
+    fails it at its state (_some_code_fails), no class frame of that
+    size has a countermodel; a failing code proves nothing.
     """
     if prog.local:
         return prog
@@ -437,131 +431,93 @@ def _one_step_program(prog: Program) -> Program | None:
     return step if step.local else None
 
 
-def _failure_masks(prog: Program, n: int, properties: frozenset,
-                   first: bool = False):
-    """Per state s, the mask over allowed_family_codes(n, properties, s)
-    of the codes failing at s under some valuation, for a local program
-    (see the module docstring), or None past _TABLE_LANES lanes; with
-    first, only up to the first failing code found, else None past
-    _TABLE_MISSES failing lane bits per code a state allows (_code_masks
-    is cheaper there).
+def _some_code_fails(step: Program | None, n: int,
+                     properties: frozenset) -> bool:
+    """Whether some code allowed at a state s fails the local program
+    step at s under some valuation (see the module docstring); True
+    without a step program (_one_step_program) or past _TABLE_LANES
+    lanes.
 
     One kernel pass judges each valuation j under each pattern p of the
-    modal reads' bits (_pattern_lanes).  The codes realizing a failing
-    lane group (p, j) at s have the reads' argument masks at j exactly
-    where p has their bits: an AND of class columns (_class_columns),
-    computed once per class table and asked bits.
-
-    With first, one valuation per orbit under state permutation is
-    judged (_pattern_lanes): if c fails at s in group (p, j), pi c fails
-    at pi s in (p, pi j), as class tables are closed under renaming
-    states (neg-suppl too), lanes read no names and pi j's argument
-    masks are pi of j's.  Exact per-state masks need every valuation.
+    modal reads' bits (_pattern_lanes), one valuation j per orbit under
+    state permutation: if c fails at s in group (p, j), pi c fails at
+    pi s in (p, pi j), as class tables are closed under renaming states
+    (neg-suppl too), lanes read no names and pi j's argument masks are
+    pi of j's.  The codes realizing a failing lane group (p, j) at s
+    have the reads' argument masks at j exactly where p has their bits:
+    an AND of class columns (_class_columns), asked once per class table
+    and argument bits.
     """
-    k, reads = len(prog.atoms), list(dict.fromkeys(
-        (a, b) for _, op, a, b in prog.code if op >= _BOX))  # modal reads
+    if step is None:
+        return True
+    k, reads = len(step.atoms), list(dict.fromkeys(
+        (a, b) for _, op, a, b in step.code if op >= _BOX))  # modal reads
     m = len(reads)
-    if 1 << n * k << m > _TABLE_LANES:
-        return None
-    V, ALL, A, K = _pattern_lanes(n, k, m, first)
-    vals = [0] * prog.size  # on a codeless frame: reads are the patterns'
-    _exec(prog.code, vals, A, semantics._Frame(n, (), monotone=True), V << m,
+    if comb((1 << k) + n - 1, n) << m > _TABLE_LANES:
+        return True
+    V, ALL, A, K = _pattern_lanes(n, k, m)
+    vals = [0] * step.size  # on a codeless frame: reads are the patterns'
+    _exec(step.code, vals, A, semantics._Frame(n, (), monotone=True), V << m,
           ALL, dict(zip(reads, K)))
     width, full = V * n, (1 << n) - 1
     args = [(vals[a] if b is None else vals[a] & vals[b] | ALL ^ vals[b])
             & (1 << width) - 1 for a, b in reads]  # alike in every pattern
-    fails = ALL ^ vals[prog.root]
-    allowed = _allowed_lists(n, properties)
+    miss = bin(ALL ^ vals[step.root])[:1:-1]  # character i is bit i
+    per_state, asked_before = "neg-suppl" in properties, set()
     # every state allows as many codes: classes are closed under renaming
-    if not first and fails.bit_count() > _TABLE_MISSES * len(allowed[0]):
-        return None
-    miss = bin(fails)[:1:-1]  # character i is bit i
-    per_state, masks, realized = "neg-suppl" in properties, [0] * n, {}
-    every = [(1 << len(codes)) - 1 for codes in allowed]
+    every = (1 << len(allowed_family_codes(n, properties, 0))) - 1
     at = miss.find("1")
     while at >= 0:
         group, s = divmod(at, n)
         p, j = divmod(group, V)
-        end = at + 1 if per_state else at - s + n  # the states of s's table
         asked = (s * per_state, p, *[x >> j * n & full for x in args])
-        codes = realized.get(asked)
-        if codes is None:
+        if asked not in asked_before:
+            asked_before.add(asked)
             lacking, having = _class_columns(n, properties, asked[0])
-            codes = every[asked[0]]
+            codes = every
             for i, x in enumerate(asked[2:]):
                 codes &= having[x] if p >> i & 1 else lacking[x]
-            realized[asked] = codes
-        if codes:
-            for t, bit in enumerate(miss[at:end], s):
-                if bit == "1":
-                    masks[t] |= codes
-            if first or masks == every:  # nothing left to add
-                return masks
-        at = miss.find("1", end)
-    return masks
-
-
-def _code_masks(prog: Program, n: int, properties: frozenset) -> list[int]:
-    """_failure_masks with each allowed code judged on the frame giving
-    every state that code, block by block."""
-    allowed = _allowed_lists(n, properties)
-    blocks = list(_blocks(n, len(prog.atoms)))
-    monotone = "m" in properties or None
-    failing = {code: _failing_states(prog, _Frame(
-                   n, bytes((code,) * n) * blocks[0][1], monotone=monotone),
-                   blocks) for code in set().union(*allowed)}
-    return [sum((failing[code] >> s & 1) << i for i, code in enumerate(codes))
-            for s, codes in enumerate(allowed)]
-
-
-def _local_frame(prog: Program, n: int, properties: frozenset):
-    """The least class frame with a failing state for a local program
-    (see Program), or None, read off the codes failing at each state:
-    _failure_masks, or where that gives None, _code_masks.
-
-    The class minimum is that frame if one of its states' codes fails
-    there.  Otherwise every frame with a countermodel has a state s
-    whose code, above s's least, fails at s, and is at least the minimum
-    with state s's code raised to the least one failing at s, for the
-    largest such s: that frame has a countermodel.
-    """
-    masks = _failure_masks(prog, n, properties)
-    if masks is None:
-        masks = _code_masks(prog, n, properties)
-    allowed = _allowed_lists(n, properties)
-    least = tuple(options[0] for options in allowed)
-    if any(mask & 1 for mask in masks):
-        return least
-    for s in reversed(range(n)):
-        if masks[s]:
-            code = allowed[s][(masks[s] & -masks[s]).bit_length() - 1]
-            return least[:s] + (code,) + least[s + 1:]
-    return None
+            if codes:
+                return True
+        # past the states of s's table: s alone, or the whole group
+        at = miss.find("1", at + 1 if per_state else at - s + n)
+    return False
 
 
 def _scan(prog: Program, n: int, properties: frozenset):
     """First witness (family codes, valuation masks, state) among the
     class's n-state frames in canonical order, or None.
 
-    A local program sweeps at most one frame (_local_frame).  Otherwise,
-    when a frame's `per` valuations fit one block, orbit-least frames
-    are judged a chunk at a time (_lane_chunks), frame i of the chunk
-    under valuation j in lane i * per + j, so the first failing lane is
-    the first failing frame's first failing valuation at its lowest
-    failing state, as frame by frame sweeps find it; the failing frame
-    is read back from its lanes' codes.  Other frames are swept on their
-    own, block by block, valuation j of a block in lane j.
-    Announcements are only scanned over classes requiring (m), and the
-    frames are told so.
+    Candidate frames are judged in canonical order.  A program that is
+    not local takes the orbit-least frames (_orbit_least_frames).  A
+    local program fails at a state by that state's code alone, so it
+    takes the class's least frame L with the last state's code running
+    up through the codes allowed there: the first is L itself, and if no
+    state of L fails, the minimum is L with the last state's code raised
+    to the least one failing there (a renaming of the states carries a
+    code failing at any state to one failing at the last).
+
+    When a frame's `per` valuations fit one block, candidates are judged
+    a chunk at a time (_lane_chunks), frame i of the chunk under
+    valuation j in lane i * per + j, so the first failing lane is the
+    first failing frame's first failing valuation at its lowest failing
+    state, as frame by frame sweeps find it; the failing frame is read
+    back from its lanes' codes.  Other frames are swept on their own,
+    block by block, valuation j of a block in lane j.  Announcements are
+    only scanned over classes requiring (m), and the frames are told so.
     """
     k = len(prog.atoms)
     V, A = _block_atoms(n, k)
     per = V if V == 1 << n * k else 0  # valuations per frame in one block
+    monotone = "m" in properties or None
     if prog.local:
-        frame = _local_frame(prog, n, properties)
-        frames = () if frame is None else (frame,)
-    elif per:
-        for lanes, atoms in _lane_chunks(n, properties, per, A):
+        allowed = _allowed_lists(n, properties)
+        least = tuple(options[0] for options in allowed[:-1])
+        frames = (least + (code,) for code in allowed[-1])
+    else:
+        frames = _orbit_least_frames(n, properties)
+    if per:
+        for lanes, atoms in _lane_chunks(n, frames, per, A, monotone):
             hit = _sweep(prog, lanes, ((0, lanes.V, lanes.ALL, atoms),))
             if hit:
                 lane, state = hit
@@ -569,9 +525,6 @@ def _scan(prog: Program, n: int, properties: frozenset):
                 return (tuple(lanes.codes[i * per * n:i * per * n + n]),
                         _valuation_masks(j, n, k), state)
         return None
-    else:
-        frames = _orbit_least_frames(n, properties)
-    monotone = "m" in properties or None
     for codes in frames:
         hit = _sweep(prog, _Frame(n, bytes(codes) * V, monotone=monotone),
                      _blocks(n, k))
@@ -630,7 +583,7 @@ def find_countermodel(f: Formula, cls: ClassSpec, mode: str = "exhaustive",
         msg = (f"exhaustive search caps max_states at {EXHAUSTIVE_MAX_STATES}, "
                f"got {cls.max_states}; use sampled mode")
         raise ValueError(msg)
-    settles = not prog.local  # asked until it fails; _scan reads local ones
+    settles = True  # until the one-step table fails; the scans decide then
     for n in range(1, cls.max_states + 1):
         check_valuation_space(len(atoms), n)
         settles = settles and not _some_code_fails(step, n, cls.properties)
@@ -675,16 +628,6 @@ def _splitmix_block(seed: int, start: int, count: int) -> bytes:
     z = (z ^ z >> 27) & mask
     z = z * 0x94D049BB133111EB & mask
     return (z ^ z >> 31).to_bytes(16 * count, "little")
-
-
-def _some_code_fails(step: Program | None, n: int,
-                     properties: frozenset) -> bool:
-    """Whether some allowed code fails the one-step program step at its
-    state under some valuation (_failure_masks, up to the first, on one
-    valuation per orbit under state permutation); True without a step
-    program (_one_step_program) or past the lane budget."""
-    masks = None if step is None else _failure_masks(step, n, properties, True)
-    return masks is None or any(masks)
 
 
 # byte x to x % 2^(2^n), the low 2^n bits of x, at n <= 3

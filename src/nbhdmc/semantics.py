@@ -502,28 +502,6 @@ def _sweep(prog: Program, fr: _Frame, blocks):
     return None
 
 
-def _failing_states(prog: Program, fr: _Frame, blocks) -> int:
-    """Mask of the states where the formula fails under some valuation.
-
-    Announcements are not checked for blocking: the scans that ask read
-    classes closed under supersets only.
-    """
-    n = fr.n
-    out = 0
-    for _, V, ALL, A in blocks:
-        vals = [0] * prog.size
-        _exec(prog.code, vals, A, fr, V, ALL)
-        miss = ALL ^ vals[prog.root]
-        width = V * n
-        while width > n:  # fold the V valuations' n-bit groups together
-            width >>= 1
-            miss = miss >> width | miss & (1 << width) - 1
-        out |= miss
-        if out == fr.full:
-            break
-    return out
-
-
 def _valuation_masks(j: int, n: int, k: int) -> tuple[int, ...]:
     """The k atom masks of valuation index j over n states."""
     full = (1 << n) - 1

@@ -49,11 +49,6 @@ def test_readme_table_lanes_are_table_lanes():
     assert [a or b for a, b in caps] == [str(search._TABLE_LANES)] * 3
 
 
-def test_readme_table_misses_are_table_misses():
-    caps = re.findall(r"more than (\d+) to 1", README)
-    assert caps == [str(search._TABLE_MISSES)]
-
-
 def test_readme_lists_every_error_channel():
     listing = re.search(r"prefixed by a channel:\n(.*?\.)\n", README, re.S)
     assert listing, "README lost its list of error channels"

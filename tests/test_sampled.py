@@ -10,6 +10,7 @@ byte.
 import pytest
 
 import _oracle
+from _referee import failing_code_masks
 import nbhdmc.search as search
 from _gen import (CLASSES, STATE_NAMES, random_full_formula,
                   random_local_formula)
@@ -18,7 +19,7 @@ from nbhdmc.model import PointedModel, model_from_json
 from nbhdmc.search import (ClassSpec, Countermodel, NoCounterexampleUpTo,
                            SplitMix64, allowed_family_codes, find_countermodel,
                            verdict_to_text)
-from nbhdmc.semantics import _blocks, _failing_states, _Frame, compile_formula
+from nbhdmc.semantics import compile_formula
 
 
 def _draw_doc(names, codes, atoms, masks) -> dict:
@@ -209,21 +210,14 @@ def test_stream_lanes_of_two_calls_stay_cached(monkeypatch):
 
 def _code_fails(prog, n: int, props) -> bool:
     """Per code: whether some code allowed at a state s fails at s under
-    some valuation, on the frame giving every state that code."""
-    blocks = list(_blocks(n, len(prog.atoms)))
-    allowed = [set(allowed_family_codes(n, frozenset(props), s))
-               for s in range(n)]
-    for code in set().union(*allowed):
-        failing = _failing_states(prog, _Frame(n, [code] * n), blocks)
-        if any(failing >> s & 1 and code in allowed[s] for s in range(n)):
-            return True
-    return False
+    some valuation, by the per-code referee."""
+    return any(failing_code_masks(prog, n, props))
 
 
 def _one_step(prog, n: int, props) -> bool:
-    """Whether search._failure_masks, up to its first failing code,
-    finds a failing code; every case here is within its lane budget."""
-    return any(search._failure_masks(prog, n, frozenset(props), True))
+    """Whether search._some_code_fails finds a failing code; every case
+    here is within its lane budget."""
+    return search._some_code_fails(prog, n, frozenset(props))
 
 
 def test_one_step_check_matches_the_per_code_brute_force():
@@ -276,6 +270,21 @@ def test_valid_local_formula_draws_nothing(monkeypatch):
     f = parse("O p & O q -> O (p & q)")  # oC, valid over (c)
     assert _sampled(f, ("c",), 4, 9, 100000) == verdict_to_text(
         NoCounterexampleUpTo(4, "sampled", 100000, 9))
+    assert asked == []
+
+
+def test_the_lane_budget_counts_one_valuation_per_orbit(monkeypatch):
+    # three atoms and three reads over four states: 330 valuations, one
+    # per orbit, times 8 read patterns fit the budget, where all 4096
+    # valuations would not; the table is asked, and nothing is drawn
+    f = parse("(W p & W (q & r)) -> W (p & q & r)")  # valid over (c)
+    prog = compile_formula(f, atoms_of(f))
+    assert 330 << 3 <= search._TABLE_LANES < 1 << 4 * 3 << 3
+    assert search._pattern_lanes(4, 3, 3)[0] == 330
+    assert not _code_fails(prog, 4, ("c",))
+    asked = _count_blocks(monkeypatch)
+    assert _sampled(f, ("c",), 4, 9, 1000) == verdict_to_text(
+        NoCounterexampleUpTo(4, "sampled", 1000, 9))
     assert asked == []
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import nbhdmc.search as search
 
 import _oracle
+from _referee import failing_code_masks
 from _gen import (CLASSES, random_announcement_formula, random_full_formula,
                   random_local_formula, random_model, random_model_doc)
 from nbhdmc.formula import (And, Atom, Box, Bullet, Circ, Not, Or, Wrong,
@@ -23,8 +24,8 @@ from nbhdmc.search import (ClassSpec, Countermodel, NoCounterexampleUpTo,
                            fragment_representatives, verdict_to_json,
                            verdict_to_text, worker_count)
 from nbhdmc.semantics import (_BOX, _BULLET, _CIRC, _IMP, _WRONG,
-                              _block_atoms, _blocks, _exec, _failing_states,
-                              _Frame, compile_formula, evaluate, extension)
+                              _block_atoms, _blocks, _exec, _Frame, _sweep,
+                              compile_formula, evaluate, extension)
 
 ALL2 = ClassSpec(frozenset(), 2)
 M3 = ClassSpec(frozenset(("m",)), 3)
@@ -309,7 +310,7 @@ EVERY_CLASS = [frozenset(props) for props in (
     *[("W W p -> p", props) for props in EVERY_CLASS],
     *[("K p -> K K p", props) for props in EVERY_CLASS],
     ("U p -> U U p", frozenset(("neg-suppl",))),
-    # local announcements, through the per-code sweeps; the last is the
+    # local announcements, through the candidate sweeps; the last is the
     # reduction axiom of K, valid over (m)
     ("[p] K q -> K q", frozenset(("m",))),
     ("[p] ! K q | K (q | p)", frozenset(("m",))),
@@ -626,7 +627,7 @@ def _multi_block_cases(props):
 @pytest.mark.parametrize("props", [M, NEG_SUPPL, frozenset(("c",)),
                                    frozenset()])
 def test_multi_block_scans_match_brute_force(monkeypatch, props, block_bits):
-    # blocks of 2 to 8 valuations: the local, witness and orbit-least
+    # blocks of 2 to 8 valuations: the local candidate and orbit-least
     # sweeps of frames whose valuations fill several blocks
     import nbhdmc.semantics as semantics
     monkeypatch.setattr(semantics, "_BLOCK_BITS", block_bits)
@@ -666,46 +667,53 @@ def test_local_announcement_three_state_minimum_matches_brute_force():
     assert _scan_json(f, M3) == _expected_json((doc, state))
 
 
-def _per_code_masks(prog, n: int, props) -> list[int]:
-    """Per state s, the mask over the codes allowed at s of those failing
-    at s on the frame giving every state that code (_failing_states)."""
-    blocks = tuple(_blocks(n, len(prog.atoms)))
-    masks = []
-    for s in range(n):
-        mask = 0
-        for i, code in enumerate(allowed_family_codes(n, props, s)):
-            failing = _failing_states(prog, _Frame(n, (code,) * n), blocks)
-            mask |= (failing >> s & 1) << i
-        masks.append(mask)
-    return masks
+def _table_lanes(step, n: int) -> int:
+    """The lanes of step's one-step table at n states: one valuation per
+    orbit of the state renamings, C(2^k + n - 1, n) of k atoms, under
+    every pattern of its modal reads' bits."""
+    reads = {(a, b) for _, op, a, b in step.code if op >= _BOX}
+    return comb((1 << len(step.atoms)) + n - 1, n) << len(reads)
+
+
+def _refused(*args):
+    raise AssertionError("orbit-least frames enumerated")
+
+
+def _without_the_local_flag(monkeypatch):
+    """Compile every scanned formula as not local, so local formulas are
+    scanned over the orbit-least frames."""
+    compile_local = search.compile_formula
+    monkeypatch.setattr(search, "compile_formula", lambda f, atoms=None:
+                        compile_local(f, atoms)._replace(local=False))
 
 
 @pytest.mark.parametrize("props", [*EVERY_CLASS, frozenset(("c", "neg-suppl"))])
 def test_lane_failing_masks_match_the_per_code_sweep(monkeypatch, props):
-    # the table from one pattern pass (four atoms over three states: 4096
-    # valuations, under budgets raised for them), and from the
-    # code-by-code fallback; past a budget of one, the scan reads the
-    # fallback's frame
-    cases = [(compile_formula(parse(text)), n)
+    # the one-step table finds a failing code exactly where the per-code
+    # referee's masks have one; four atoms over three states take 816
+    # valuations, one per orbit, times two read patterns, within the lane
+    # budget.  Past a budget of one, the scans sweep their candidate
+    # frames to the same verdicts
+    cases = [(parse(text), n)
              for text in ("U p -> p", "W (p & q) -> W p", "O q | K ! p",
                           "K true", "K (p & q) -> O (r | s)")
              for n in (1, 2, 3)]
-    monkeypatch.setattr(search, "_TABLE_LANES", 1 << 14)
-    monkeypatch.setattr(search, "_TABLE_MISSES", 1 << 62)
-    frames = []
-    for prog, n in cases:
-        want = _per_code_masks(prog, n, props)
-        assert search._failure_masks(prog, n, props) == want, (prog, n)
-        assert search._code_masks(prog, n, props) == want, (prog, n)
-        frames.append(search._local_frame(prog, n, props))
+    answers, verdicts = set(), []
+    for f, n in cases:
+        prog = compile_formula(f)
+        assert _table_lanes(prog, n) <= search._TABLE_LANES
+        want = any(failing_code_masks(prog, n, props))
+        assert search._some_code_fails(prog, n, props) == want, (f, n)
+        answers.add(want)
+        verdicts.append(_scan_json(f, ClassSpec(props, n)))
+    assert answers == {False, True}
     monkeypatch.setattr(search, "_TABLE_LANES", 1)
-    assert search._failure_masks(*cases[0], props) is None
-    assert [search._local_frame(prog, n, props)
-            for prog, n in cases] == frames
+    assert [_scan_json(f, ClassSpec(props, n)) for f, n in cases] == verdicts
 
 
-# valid, four atoms and five reads: 4096 valuations of three states times
-# 32 read patterns pass the one-step table's lane budget
+# valid, four atoms and five reads: 816 valuations of three states, one
+# per orbit, times 32 read patterns pass the one-step table's lane budget
+# (136 times 32 at two states too)
 PAST_BUDGET = ("(K p & K q & K r & K s & K (p & q)) | "
                "! (K p & K q & K r & K s & K (p & q))")
 
@@ -713,19 +721,19 @@ PAST_BUDGET = ("(K p & K q & K r & K s & K (p & q)) | "
 @pytest.mark.parametrize("props", [frozenset(("c",)), frozenset()])
 def test_local_scans_past_the_lane_budget_judge_code_by_code(monkeypatch,
                                                              props):
-    # past the budget each allowed code is judged on its own frame; the
-    # scan never falls back to enumerating orbit-least frames
+    # past the budget the scan sweeps the class's least frame with the
+    # last state's code raised, code by code, at two and three states; it
+    # never falls back to enumerating orbit-least frames
     f = parse(PAST_BUDGET)
     prog = compile_formula(f)
     assert prog.local
-    assert search._failure_masks(prog, 3, props) is None
-
-    def refused(*args):
-        raise AssertionError("orbit-least frames enumerated")
-
-    monkeypatch.setattr(search, "_orbit_least_frames", refused)
+    assert _table_lanes(prog, 1) <= search._TABLE_LANES
+    assert _table_lanes(prog, 2) > search._TABLE_LANES
+    monkeypatch.setattr(search, "_orbit_least_frames", _refused)
+    swept = _counting_sweeps(monkeypatch)
     assert find_countermodel(f, ClassSpec(props, 3)) == \
         NoCounterexampleUpTo(3, "exhaustive")
+    assert swept == [*_candidates(2, props), *_candidates(3, props)]
 
 
 # six atoms and reads at one state: 4032 of 64 valuations x 64 read
@@ -735,45 +743,17 @@ MANY_MISSES = "K p & K q & K r & K s & K x & K y"
 
 @pytest.mark.parametrize("props", [frozenset(("c",)), frozenset()])
 def test_tables_failing_on_most_lanes_judge_code_by_code(monkeypatch, props):
-    # exhaustive scans judge each code where walking the failing lanes
-    # costs more; the verdict is the one the table gives, and sampled
-    # mode's check still reads the table
+    # the table stops at its first failing lane group, and the scan finds
+    # the minimum at its first candidate, the least frame: the minimum of
+    # the brute force and of the orbit-pruned scan
     f = parse(MANY_MISSES)
-    prog = compile_formula(f)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(search, "_TABLE_MISSES", 1 << 62)
-        table = search._failure_masks(prog, 1, props)
-        want = find_countermodel(f, ClassSpec(props, 1))
-    assert isinstance(want, Countermodel)
-    assert search._failure_masks(prog, 1, props) is None
-    assert any(search._failure_masks(prog, 1, props, True))
-    judged = []
-    code_masks = search._code_masks
-
-    def spy(*args):
-        judged.append(code_masks(*args))
-        return judged[-1]
-
-    monkeypatch.setattr(search, "_code_masks", spy)
-    assert find_countermodel(f, ClassSpec(props, 1)) == want
-    assert judged == [table]
-
-
-@settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**32), props=st.sets(st.sampled_from(
-    ("m", "c", "n", "r", "neg-suppl"))), n=st.integers(1, 3))
-def test_failure_masks_match_the_per_code_sweep_fuzzed(seed, props, n):
-    # random local formulas, with announcements over (m) classes, over
-    # random classes: the table, from the pattern pass and code by code
-    props = frozenset(props)
-    f = random_local_formula(SplitMix64(seed), 3, "m" in props)
-    prog = compile_formula(f)
-    want = _per_code_masks(prog, n, props)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(search, "_TABLE_LANES", 1 << 62)
-        patch.setattr(search, "_TABLE_MISSES", 1 << 62)
-        assert search._failure_masks(prog, n, props) == want, f
-    assert search._code_masks(prog, n, props) == want, f
+    assert search._some_code_fails(compile_formula(f), 1, props)
+    want = _expected_json(_brute_minimum(f, 1, props))
+    swept = _counting_sweeps(monkeypatch)
+    assert _scan_json(f, ClassSpec(props, 1)) == want
+    assert swept == _candidates(1, props)[:1]
+    _without_the_local_flag(monkeypatch)
+    assert _scan_json(f, ClassSpec(props, 1)) == want
 
 
 EVERY_PROPERTY_SET = [frozenset(props) for size in range(6)
@@ -807,30 +787,27 @@ def test_orbit_lanes_hold_one_valuation_per_orbit(n):
     # exactly one of them; read patterns repeat the atoms' lanes
     full = (1 << n) - 1
     for k in range(4):
-        V, _, atoms, _ = search._pattern_lanes(n, k, 0, True)
+        V, _, atoms, _ = search._pattern_lanes(n, k, 0)
         assert V == comb((1 << k) + n - 1, n), k
         least = [tuple(a >> j * n & full for a in atoms) for j in range(V)]
         seen = []
         for masks in least:
             seen.extend(_orbit(n, masks))
         assert sorted(seen) == sorted(product(range(1 << n), repeat=k)), k
-        assert search._pattern_lanes(n, k, 1, True)[2] == \
+        assert search._pattern_lanes(n, k, 1)[2] == \
             [a | a << V * n for a in atoms]
 
 
 def _orbit_and_full_answers(f, n, props):
     """Whether the orbit lanes find a failing code for the formula's
-    one-step program, and whether its full table has one; None for both
-    past the lane budget or without a one-step program."""
+    one-step program, and whether the per-code referee finds one among
+    every valuation; None for both past the lane budget or without a
+    one-step program."""
     step = search._one_step_program(compile_formula(f, atoms_of(f)))
-    if step is None:
+    if step is None or _table_lanes(step, n) > search._TABLE_LANES:
         return None, None
-    first = search._failure_masks(step, n, props, True)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(search, "_TABLE_MISSES", 1 << 62)
-        table = search._failure_masks(step, n, props)
-    return tuple(None if masks is None else any(masks)
-                 for masks in (first, table))
+    return (search._some_code_fails(step, n, props),
+            any(failing_code_masks(step, n, props)))
 
 
 def _random_program_formula(rng, props):
@@ -844,14 +821,18 @@ def _random_program_formula(rng, props):
     return random_full_formula(rng, 3 + rng.below(2))
 
 
+# every class at one to three states, and the (m) classes at four
+PROGRAM_COUNTS = [(props, n) for n in (1, 2, 3, 4)
+                  for props in EVERY_PROPERTY_SET if n < 4 or "m" in props]
+
+
 def test_orbit_lanes_find_a_failing_code_iff_the_full_table_does():
-    # seeded: random local and nested programs over every class at one
-    # to four states; each answer occurs, and past the lane budget
+    # seeded: random local and nested programs over PROGRAM_COUNTS; each
+    # answer occurs, and past the lane budget
     rng = SplitMix64(27)
     answers = set()
     for case in range(640):
-        props = EVERY_PROPERTY_SET[case % len(EVERY_PROPERTY_SET)]
-        n = 1 + case // len(EVERY_PROPERTY_SET) % 4
+        props, n = PROGRAM_COUNTS[case % len(PROGRAM_COUNTS)]
         f = _random_program_formula(rng, props)
         got, want = _orbit_and_full_answers(f, n, props)
         assert got == want, (f, sorted(props), n)
@@ -860,10 +841,10 @@ def test_orbit_lanes_find_a_failing_code_iff_the_full_table_does():
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32), props=st.sampled_from(EVERY_PROPERTY_SET),
-       n=st.integers(1, 4))
+@given(seed=st.integers(0, 2**32), count=st.sampled_from(PROGRAM_COUNTS))
 def test_orbit_lanes_find_a_failing_code_iff_the_full_table_does_fuzzed(
-        seed, props, n):
+        seed, count):
+    props, n = count
     f = _random_program_formula(SplitMix64(seed), props)
     got, want = _orbit_and_full_answers(f, n, props)
     assert got == want, f
@@ -892,45 +873,59 @@ def _local_cases(seed):
 
 
 def _counting_sweeps(monkeypatch):
-    """Patch the scans' frame sweeps to record the state count of each
-    frame swept; returns that list."""
+    """Patch the scans' frame sweeps to record each frame swept, as its
+    family codes; returns that list."""
     swept = []
     sweep = search._sweep
 
     def counted(prog, fr, blocks):
-        swept.append(fr.n)
+        lanes = range(0, len(fr.codes), fr.n)  # a frame's lanes are adjacent
+        swept.extend(dict.fromkeys(tuple(fr.codes[at:at + fr.n])
+                                   for at in lanes))
         return sweep(prog, fr, blocks)
 
     monkeypatch.setattr(search, "_sweep", counted)
     return swept
 
 
+def _candidates(n: int, props) -> list[tuple]:
+    """A local scan's candidate frames at n states: the class's least
+    frame with the last state's code raised through its allowed codes."""
+    least = tuple(allowed_family_codes(n, props, s)[0] for s in range(n - 1))
+    return [least + (code,) for code in allowed_family_codes(n, props, n - 1)]
+
+
 @pytest.mark.parametrize("props", R_NEG_SUPPL)
 def test_local_scans_sweep_only_the_frame_with_the_minimum(monkeypatch, props):
-    # the class's least three-state frame gives its states three codes; it
-    # is swept only when one of them fails there, and a scan sweeps no
-    # frame but the one holding its countermodel
+    # the class's least three-state frame gives its states three codes.  A
+    # local scan lists no orbit-least frame; it sweeps only at the state
+    # count of its countermodel, and there no more than its candidates,
+    # in order, up to the frame holding the countermodel
     assert len({allowed_family_codes(3, props, s)[0] for s in range(3)}) == 3
+    monkeypatch.setattr(search, "_orbit_least_frames", _refused)
     swept = _counting_sweeps(monkeypatch)
     for f in _local_cases(20):
         assert compile_formula(f).local
         swept.clear()
         verdict = find_countermodel(f, ClassSpec(props, 3))
         found = isinstance(verdict, Countermodel)
-        assert swept == ([verdict.pointed.model.size] if found else []), f
+        if found:
+            n = verdict.pointed.model.size
+            assert swept == _candidates(n, props)[:len(swept)], f
+            assert tuple(verdict.pointed.model.frame.family_codes()) in swept
+        else:
+            assert swept == [], f
     assert not found  # the last case, f | ! f, is valid
 
 
-@pytest.mark.parametrize("props", R_NEG_SUPPL)
+@pytest.mark.parametrize("props", EVERY_PROPERTY_SET, ids=sorted)
 def test_local_scans_match_the_orbit_pruned_scan(monkeypatch, props):
     # with the local flag off the same minima come from the orbit-least
-    # frames; where the oracle's minimum comes early, it agrees too
+    # frames, and the oracle's brute force agrees
     cls = ClassSpec(props, 3)
     cases = _local_cases(21)
     local = [_scan_json(f, cls) for f in cases]
-    compile_local = search.compile_formula
-    monkeypatch.setattr(search, "compile_formula", lambda f, atoms=None:
-                        compile_local(f, atoms)._replace(local=False))
+    _without_the_local_flag(monkeypatch)
     assert [_scan_json(f, cls) for f in cases] == local
     sizes = []
     for f, verdict in zip(cases, local):
@@ -939,7 +934,9 @@ def test_local_scans_match_the_orbit_pruned_scan(monkeypatch, props):
                                    lambda n: _oracle_class_frames(n, props))
             assert verdict == _expected_json(found), f
             sizes.append(len(verdict["model"]["states"]))
-    assert sizes.count(3) == len(LOCAL_N3) and len(sizes) < len(cases)
+    assert len(sizes) < len(cases)
+    if props in R_NEG_SUPPL:
+        assert sizes.count(3) == len(LOCAL_N3)
 
 
 # --- the one-step program of a nested formula -------------------------------
@@ -952,9 +949,9 @@ def _no_countermodel_at(f, prog, n: int, props) -> bool:
     if n < 3:
         return _brute_minimum(f, n, props, lambda m: _oracle_class_frames(
             m, props) if m == n else ()) is None
-    blocks = list(_blocks(n, len(prog.atoms)))
+    k = len(prog.atoms)
     frames = product(*(allowed_family_codes(n, props, s) for s in range(n)))
-    return not any(_failing_states(prog, _Frame(n, codes), blocks)
+    return not any(_sweep(prog, _Frame(n, codes), _blocks(n, k))
                    for codes in frames)
 
 
@@ -1225,7 +1222,8 @@ def test_interleaved_scans_each_list_every_frame(monkeypatch, cap):
     monkeypatch.setattr(search, "_CHUNK_CAP", cap)
     per = 8  # valuations of one atom over three states
     _, A = _block_atoms(3, 1)
-    scans = [search._lane_chunks(3, M, per, A) for _ in range(2)]
+    scans = [search._lane_chunks(3, search._orbit_least_frames(3, M), per, A,
+                                 True) for _ in range(2)]
     listed, done, turn = [[], []], set(), 0
     while len(done) < 2:
         i, take = turn % 2, 1 + turn % 3
@@ -1270,10 +1268,11 @@ def test_announcement_scans_check_no_frame_for_monotonicity(monkeypatch):
             for mode, verdict in none.items():
                 assert find_countermodel(f, ClassSpec(props, 3), mode,
                                          seed=4, samples=300) == verdict
-    # four class atoms over three states: the local per-code frames fill
-    # more than one valuation block
-    assert find_countermodel(valid[0], ClassSpec(M, 3, ("p", "q", "r", "s"))) \
-        == none["exhaustive"]
+    # five class atoms over three states pass the one-step table's lane
+    # budget, and the local candidate frames fill more than one valuation
+    # block
+    assert find_countermodel(valid[0], ClassSpec(
+        M, 3, ("p", "q", "r", "s", "x"))) == none["exhaustive"]
     assert calls == []
 
 

@@ -42,15 +42,21 @@ It writes, with the interpreter and machine it ran on:
   -> U U (p & q & r & s)" --class m`, an exhaustive three-state scan
   whose frames' 4096 valuations fill four valuation blocks;
 * `local_multiblock_probe`: likewise for `nbhdmc valid -f "K (p & q & r
-  & s) -> K (p & q & r & s)"`, a depth-1 formula over the unrestricted
-  class at three states, whose 4096 valuations times 2 read patterns
-  pass the one-step table's lane budget, so each of its 256 codes'
-  frames is judged block by block, as its valuations fill four blocks;
+  & s & x) -> K (p & q & r & s & x)"`, a depth-1 formula over the
+  unrestricted class at three states, whose 5984 valuations (one per
+  orbit of the state renamings) times 2 read patterns pass the one-step
+  table's lane budget, so the scan sweeps its 256 candidate frames (the
+  least frame with the last state's code raised), each block by block,
+  as its valuations fill 32 blocks (records up to BENCH_27 timed `K (p
+  & q & r & s) -> K (p & q & r & s)` here, which the table now settles
+  within its budget);
 * `local_budget_probe`: likewise for `nbhdmc valid -f "(K p & K q & K r
   & K s & K (p & q)) | ! (K p & K q & K r & K s & K (p & q))" --class
-  c`, a depth-1 formula at three states whose 4096 valuations times 32
-  read patterns pass the one-step table's lane budget, so each allowed
-  code is judged on its own frame;
+  c`, a valid depth-1 formula whose table passes the lane budget at two
+  and three states (136 and 816 valuations times 32 read patterns), so
+  the scan sweeps every candidate frame there, the least frame with the
+  last state's code raised through each code allowed there (records up
+  to BENCH_27 judged each allowed code on its own frame);
 * `bigframe_probe`: likewise for `nbhdmc frame-valid -f "K p | ! K p"`
   on a 16-state model written to a temporary file, state w_i's
   neighborhoods being the full set and {w_i}: one frame's whole K table
@@ -133,7 +139,7 @@ ANNOUNCE_PROBE = ("valid", "-f", "[[W false] (p | K q)] [q] (U true -> true)",
 MULTIBLOCK_PROBE = ("valid", "-f", "U (p & q & r & s) -> U U (p & q & r & s)",
                     "--class", "m")
 LOCAL_MULTIBLOCK_PROBE = ("valid", "-f",
-                          "K (p & q & r & s) -> K (p & q & r & s)")
+                          "K (p & q & r & s & x) -> K (p & q & r & s & x)")
 LOCAL_BUDGET_PROBE = ("valid", "-f",
                       "(K p & K q & K r & K s & K (p & q)) | "
                       "! (K p & K q & K r & K s & K (p & q))", "--class", "c")
