@@ -9,6 +9,13 @@ the announcement "[psi] phi" bind tighter than every binary operator.
 The other operands are "true", "false", identifiers (_ATOM_RE) and
 parenthesized formulas.
 
+parse tokenizes with one _TOKEN_RE.findall (after optional whitespace,
+a symbol, a word or any other character) and classifies the tokens
+through the kind table _KINDS; a character no token starts with is
+refused before any parsing.  Tokens carry no positions: only the error
+path recomputes the offending token's byte offset, with finditer over
+the same regex.
+
 Parsed text nests at most MAX_NESTING levels: every operator and every
 pair of parentheses counts one level around its operands.  This bounds
 the recursion of the parser and of every walk over a parsed formula.
@@ -18,7 +25,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 __all__ = [
     "Formula", "Atom", "Top", "Bot", "Not", "And", "Or", "Imp", "Iff",
@@ -165,12 +171,6 @@ class ParseError(Exception):
         self.expected = expected
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int  # character offset
-
-
 _KEYWORDS = {"true": Top, "false": Bot}
 
 # The surface syntax, stated once (see the module docstring).
@@ -187,132 +187,113 @@ _INFIX_BY_CLASS = {cls: (level, sym, assoc == "right")
 _PREFIX_BY_CLASS = {cls: sym for sym, cls in _PREFIX.items()}
 _SYMBOLS = (*_PREFIX, *_INFIX_BY_SYMBOL, "(", ")", "[", "]")
 # after optional whitespace: a symbol, a word, or any other character
-_TOKEN_RE = re.compile(r"\s*(?:(%s)|(%s)|(\S))" % (
+_TOKEN_RE = re.compile(r"\s*(%s|%s|\S)" % (
     "|".join(map(re.escape, _SYMBOLS)), _ATOM_RE.pattern))
+# a token's kind: itself for symbols and keywords, else "ident" for a word
+_KINDS = {t: t for t in (*_SYMBOLS, *_KEYWORDS)}
 # token kinds that may start an operand
 _STARTERS = frozenset((*_PREFIX, "[", "(", "ident", *_KEYWORDS))
 
 
-def _byte_offset(text: str, pos: int) -> int:
-    return len(text[:pos].encode("utf-8"))
+def _byte_offset(text: str, i: int) -> int:
+    """Byte offset in text's UTF-8 of its token i, or of its end past the
+    last token: the error path alone recomputes where tokens start."""
+    starts = [m.start(1) for m in _TOKEN_RE.finditer(text)] + [len(text)]
+    return len(text[:starts[i]].encode("utf-8"))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    for m in _TOKEN_RE.finditer(text):
-        symbol, word, other = m.groups()
-        if other:
-            off = _byte_offset(text, m.start(3))
-            msg = f"unexpected character {other!r} at byte {off}"
-            raise ParseError(msg, off, _STARTERS)
-        if symbol:
-            toks.append(_Token(symbol, symbol, m.start(1)))
-        else:
-            kind = word if word in _KEYWORDS else "ident"
-            toks.append(_Token(kind, word, m.start(2)))
-    toks.append(_Token("eof", "", len(text)))
-    return toks
+def parse(text: str) -> Formula:
+    """Parse surface text into a Formula; raises ParseError on bad input.
 
+    Recursive descent by precedence climbing over the token list: binary
+    and unary return (formula, nesting), the levels of operators and
+    parentheses in their text, and take `depth`, the levels open around
+    them, so text nesting too deep is refused before the recursion
+    follows it.  Equal atom names share one Atom node.
+    """
+    toks = _TOKEN_RE.findall(text)
+    kinds = [_KINDS.get(t) or ("ident" if "a" <= t[0] <= "z" else None)
+             for t in toks]
+    if None in kinds:
+        bad = kinds.index(None)
+        off = _byte_offset(text, bad)
+        msg = f"unexpected character {toks[bad]!r} at byte {off}"
+        raise ParseError(msg, off, _STARTERS)
+    kinds.append("eof")
+    atoms: dict[str, Atom] = {}
+    i = 0  # the next token
 
-class _Parser:
-    """Recursive descent; each rule returns (formula, nesting), the
-    levels of operators and parentheses in its text, and takes `depth`,
-    the levels open around it, so text nesting too deep is refused
-    before the recursion follows it."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.i = 0
-
-    def _peek(self) -> _Token:
-        return self.toks[self.i]
-
-    def _next(self) -> _Token:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def _fail(self, expected: frozenset[str]) -> ParseError:
-        t = self._peek()
-        off = _byte_offset(self.text, t.pos)
-        what = "end of input" if t.kind == "eof" else repr(t.text)
+    def fail(expected: frozenset[str]) -> ParseError:
+        off = _byte_offset(text, i)
+        what = "end of input" if kinds[i] == "eof" else repr(toks[i])
         opts = ", ".join(sorted(expected))
         msg = f"unexpected {what} at byte {off}; expected one of: {opts}"
         return ParseError(msg, off, expected)
 
-    def _expect(self, kind: str) -> _Token:
-        if self._peek().kind != kind:
-            raise self._fail(frozenset((kind,)))
-        return self._next()
-
-    def _too_deep(self) -> ParseError:
-        off = _byte_offset(self.text, self._peek().pos)
+    def too_deep() -> ParseError:
+        off = _byte_offset(text, i)
         msg = f"formula nests deeper than {MAX_NESTING} levels at byte {off}"
         return ParseError(msg, off, frozenset())
 
-    def parse(self) -> Formula:
-        f, _ = self._binary(0, 0)
-        if self._peek().kind != "eof":
-            raise self._fail(frozenset(("eof",)))
-        return f
-
-    def _binary(self, min_level: int, depth: int) -> tuple[Formula, int]:
+    def binary(min_level: int, depth: int) -> tuple[Formula, int]:
         """A unary operand followed by infix operators of level min_level
-        or tighter (precedence climbing)."""
+        or tighter."""
+        nonlocal i
         if depth > MAX_NESTING:
-            raise self._too_deep()
-        f, nesting = self._unary(depth)
-        while self._peek().kind in _INFIX_BY_SYMBOL:
-            level, cls, right = _INFIX_BY_SYMBOL[self._peek().kind]
+            raise too_deep()
+        f, nesting = unary(depth)
+        while kinds[i] in _INFIX_BY_SYMBOL:
+            level, cls, right = _INFIX_BY_SYMBOL[kinds[i]]
             if level < min_level:
                 break
-            self._next()
-            g, inner = self._binary(level if right else level + 1, depth + 1)
+            i += 1
+            g, inner = binary(level if right else level + 1, depth + 1)
             f, nesting = cls(f, g), max(nesting, inner) + 1
             if nesting > MAX_NESTING:
-                raise self._too_deep()
+                raise too_deep()
         return f, nesting
 
-    def _unary(self, depth: int) -> tuple[Formula, int]:
+    def unary(depth: int) -> tuple[Formula, int]:
+        nonlocal i
         if depth > MAX_NESTING:
-            raise self._too_deep()
-        t = self._peek()
-        if t.kind in _PREFIX:
-            self._next()
-            f, nesting = self._unary(depth + 1)
-            f, nesting = _PREFIX[t.kind](f), nesting + 1
-        elif t.kind == "[":
-            self._next()
-            announced, outer = self._binary(0, depth + 1)
-            self._expect("]")
-            body, inner = self._unary(depth + 1)
+            raise too_deep()
+        kind = kinds[i]
+        if kind == "ident":
+            name = toks[i]
+            i += 1
+            return atoms.get(name) or atoms.setdefault(name, Atom(name)), 0
+        if kind in _PREFIX:
+            i += 1
+            f, nesting = unary(depth + 1)
+            f, nesting = _PREFIX[kind](f), nesting + 1
+        elif kind == "[":
+            i += 1
+            announced, outer = binary(0, depth + 1)
+            if kinds[i] != "]":
+                raise fail(frozenset(("]",)))
+            i += 1
+            body, inner = unary(depth + 1)
             f, nesting = Announce(announced, body), max(outer, inner) + 1
-        elif t.kind == "(":
-            self._next()
-            f, nesting = self._binary(0, depth + 1)
-            self._expect(")")
+        elif kind == "(":
+            i += 1
+            f, nesting = binary(0, depth + 1)
+            if kinds[i] != ")":
+                raise fail(frozenset((")",)))
+            i += 1
             nesting += 1
+        elif kind in _KEYWORDS:
+            i += 1
+            return _KEYWORDS[kind](), 0
         else:
-            return self._atom(), 0
+            raise fail(_STARTERS)
         if nesting > MAX_NESTING:
-            raise self._too_deep()
+            raise too_deep()
         return f, nesting
 
-    def _atom(self) -> Formula:
-        t = self._peek()
-        if t.kind == "ident":
-            self._next()
-            return Atom(t.text)
-        if t.kind in _KEYWORDS:
-            self._next()
-            return _KEYWORDS[t.kind]()
-        raise self._fail(_STARTERS)
-
-
-def parse(text: str) -> Formula:
-    """Parse surface text into a Formula; raises ParseError on bad input."""
-    return _Parser(text).parse()
+    f, _ = binary(0, 0)
+    if kinds[i] != "eof":
+        raise fail(frozenset(("eof",)))
+    return f
 
 
 # --- printing --------------------------------------------------------------

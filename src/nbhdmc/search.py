@@ -40,18 +40,28 @@ arguments, inside announcements of valuation-only formulas only) is
 true at s depending only on the valuation and the bits "X_i is a
 neighbourhood of s" of its modal arguments X_i: whether a code fails at
 s is a one-step question (Schröder & Pattinson, J. Logic Comput. 2010).
-A scan asks it (_some_code_fails) at each state count until some code
-fails, before judging frames: a local formula of itself, a nested one
-of its one-step program (_one_step_program), which reads each modal
-read inside another's argument or context as a fresh atom defined at
-the state.  Where no allowed code fails, the formula has no
-countermodel of that size, so none is drawn or scanned.  A fresh atom
-for a U, W or O read outside every announcement also carries what
-every frame says of that read's extension (axioms oE and WE): U a lies
-within a, W a outside a, and O a covers ! a, so q reads as a & q, ! a &
-q and ! a | q.  The frames with a countermodel and every class are
-closed under state permutation, so the question is judged on one
-valuation per orbit, the one whose states' atom types ascend.  Where a code fails, a local formula's scan
+A scan asks it (_some_code_fails) before judging frames: a local
+formula of itself, a nested one of its one-step program
+(_one_step_program), which reads each modal read inside another's
+argument or context as a fresh atom defined at the state.  Where no
+allowed code fails, the formula has no countermodel of that size, so
+none is drawn or scanned.  A fresh atom for a U, W or O read outside
+every announcement also carries what every frame says of that read's
+extension (axioms oE and WE): U a lies within a, W a outside a, and O a
+covers ! a, so q reads as a & q, ! a & q and ! a | q.  The frames with
+a countermodel and every class are closed under state permutation, so
+the question is judged on one valuation per orbit, the one whose
+states' atom types ascend.
+
+An exhaustive scan asks at max_states first: an empty table there is
+empty at every smaller count (the lift lemma).  If code c fails at s of
+n - 1 states, add a state t and give s the code c | c << 2^(n-1), whose
+neighbourhoods are the sets meeting the old states in one of c's; each
+read's valuation-only argument meets them in the old one, so s fails
+again, and (m), (c), (n), (r) and neg-suppl survive this preimage
+(Hansen, Kupke & Pacuit, "Neighbourhood Structures", LMCS 2009).  Else
+the scan asks at each count from 1 until a code fails, and judges
+frames from there on.  Where a code fails, a local formula's scan
 judges the class's least frame with the last state's code raised, code
 by code; other scans skip the frames some state permutation makes
 smaller, since the canonical minimum is the least frame of its orbit
@@ -66,7 +76,7 @@ from itertools import (chain, combinations_with_replacement, islice,
                        permutations, product)
 from math import comb, prod
 
-from .formula import And, Atom, Formula, Not, Top, atoms_of
+from .formula import And, Atom, Formula, Not, Top, atoms_of, is_atom_name
 from .model import (MAX_STATES, PREFIX_ORDER, PROPERTY_IDS,
                     NeighborhoodModel, PointedModel, StateSet, _lacking,
                     _members, code_has_property, frame_from_codes,
@@ -137,7 +147,9 @@ class ClassSpec:
             msg = f"max_states must be 1..{MAX_STATES}, got {self.max_states}"
             raise ValueError(msg)
         for name in self.atoms:
-            Atom(name)  # raises on a name no formula can mention
+            if not is_atom_name(name):
+                msg = f"bad atom name: {name!r}"
+                raise ValueError(msg)
         object.__setattr__(self, "properties", props)
         object.__setattr__(self, "atoms", tuple(sorted(set(self.atoms))))
 
@@ -561,7 +573,11 @@ def find_countermodel(f: Formula, cls: ClassSpec, mode: str = "exhaustive",
     Exhaustive mode climbs n = 1..max_states and returns the canonical
     minimum countermodel, or NoCounterexampleUpTo (never a validity
     claim); it refuses an n whose valuations pass the cap of
-    check_valuation_space, once no smaller n has a countermodel.
+    check_valuation_space, once no smaller n has a countermodel.  It
+    asks the one-step table at max_states first: where no allowed code
+    fails there, none fails at any smaller n (the lift lemma, see the
+    module docstring) and no frame is judged; else each n from 1 asks
+    its own table until one fails, and the scans decide from there on.
     Sampled mode draws `samples` (frame, valuation) pairs at n =
     max_states from the seeded generator.  jobs must be at least 1; it
     starts no processes and never changes the verdict.
@@ -583,11 +599,14 @@ def find_countermodel(f: Formula, cls: ClassSpec, mode: str = "exhaustive",
         msg = (f"exhaustive search caps max_states at {EXHAUSTIVE_MAX_STATES}, "
                f"got {cls.max_states}; use sampled mode")
         raise ValueError(msg)
-    settles = True  # until the one-step table fails; the scans decide then
-    for n in range(1, cls.max_states + 1):
+    top, props = cls.max_states, cls.properties
+    climb = _some_code_fails(step, top, props)  # else none fails below top
+    scans = False  # from the first count whose table fails on
+    for n in range(1, top + 1):
         check_valuation_space(len(atoms), n)
-        settles = settles and not _some_code_fails(step, n, cls.properties)
-        hit = None if settles else _scan(prog, n, cls.properties)
+        scans = climb and (scans or n == top
+                           or _some_code_fails(step, n, props))
+        hit = _scan(prog, n, props) if scans else None
         if hit:
             codes, assignment, state = hit
             return _witness_to_countermodel(f, n, codes, atoms, assignment, state)

@@ -135,6 +135,32 @@ def test_parse_error_message_names_byte():
         parse("p ∧ q")
 
 
+# symbols, words, characters no token starts with, and spaces, ASCII or not
+_TOKEN_PIECES = ("!", "U", "O", "W", "K", "<->", "->", "|", "&", "(", ")", "[",
+                 "]", "p", "q", "true", "false", "p1_x", "truex", "-", "<", "A",
+                 "1", "_", "é", "∧", " ", "  ", "\t", "\n", "\u00a0",
+                 "\u3000", "")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_TOKEN_PIECES), max_size=30))
+def test_token_strings_parse_or_name_their_byte(pieces):
+    text = "".join(pieces)
+    try:
+        f = parse(text)
+    except ParseError as exc:
+        assert 0 <= exc.offset <= len(text.encode())
+        assert f" at byte {exc.offset}" in str(exc)
+    else:
+        assert parse(pretty(f)) == f
+
+
+def test_equal_atom_names_share_one_node():
+    f = parse("p & (q | p)")
+    assert f.left is f.right.right
+    assert f.right.left is not f.left
+
+
 # text nesting k levels, per shape: every operator and every pair of
 # parentheses is one level
 NESTED = {

@@ -1079,6 +1079,76 @@ def test_one_step_programs_settle_only_counts_without_a_countermodel():
     assert kinds == {_BULLET, _CIRC, _WRONG}, kinds
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pulled_back_codes_stay_in_their_class(n):
+    # the lift lemma: a code c allowed at s of n - 1 states pulls back to
+    # c | c << 2^(n-1) at s of n states, the family of the sets whose
+    # part on the old states is in c; it keeps every class property
+    for props in EVERY_PROPERTY_SET:
+        for s in range(n - 1):
+            allowed = set(allowed_family_codes(n, props, s))
+            for c in allowed_family_codes(n - 1, props, s):
+                assert c | c << (1 << (n - 1)) in allowed, (props, s, c)
+
+
+def test_one_step_tables_keep_failing_as_states_are_added():
+    # the lift lemma: a code failing one count's table lifts to the next
+    # count, so an empty table at max_states is empty at every smaller
+    # count; seeded random programs over PROGRAM_COUNTS within the budget
+    counts = [(props, n) for props, n in PROGRAM_COUNTS if n > 1]
+    rng = SplitMix64(30)
+    answers = set()
+    for case in range(4000):
+        props, n = counts[case % len(counts)]
+        f = _random_program_formula(rng, props)
+        step = search._one_step_program(compile_formula(f, atoms_of(f)))
+        if step is None or _table_lanes(step, n) > search._TABLE_LANES:
+            continue
+        below, here = (search._some_code_fails(step, m, props)
+                       for m in (n - 1, n))
+        assert here or not below, (f, sorted(props), n)
+        answers.add((below, here))
+    assert answers == {(False, False), (False, True), (True, True)}
+
+
+def _counting_tables(monkeypatch):
+    """Patch the one-step table to record the state count of each one
+    asked; returns that list."""
+    asked = []
+    table = search._some_code_fails
+
+    def counted(step, n, props):
+        asked.append(n)
+        return table(step, n, props)
+
+    monkeypatch.setattr(search, "_some_code_fails", counted)
+    return asked
+
+
+def test_a_settled_request_asks_one_table(monkeypatch):
+    asked = _counting_tables(monkeypatch)
+    assert find_countermodel(parse("K p & K q -> K (p & q)"), ClassSpec(
+        frozenset(("c",)), 3)) == NoCounterexampleUpTo(3, "exhaustive")
+    assert asked == [3]
+
+
+@pytest.mark.parametrize("text, props", [
+    ("U (p | q) -> U p | U q", frozenset(("c",))),
+    ("U p -> U U p", frozenset()),
+    ("K p -> K K p", M),
+])
+def test_a_table_failing_at_max_states_climbs_from_one(monkeypatch, text,
+                                                        props):
+    # each count from one asks its own table until one fails, and the
+    # scans find the two-state minimum; the table at three is not asked
+    # again
+    f = parse(text)
+    want = _expected_json(_brute_minimum(f, 2, props))
+    asked = _counting_tables(monkeypatch)
+    assert _scan_json(f, ClassSpec(props, 3)) == want
+    assert asked == [3, 1, 2]
+
+
 def test_false_beliefs_never_iterate_without_enumerating_frames(monkeypatch):
     # W p -> ! W W p (row 5.17): W W p at s needs s outside the extension
     # of W p, so with W p read as an atom defined at s the formula is

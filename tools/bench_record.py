@@ -23,10 +23,18 @@ It writes, with the interpreter and machine it ran on:
   of (c) here; `orbit_probe` times such a listing);
 * `orbit_probe`: the wall and CPU time of listing the orbit-least frames
   of ORBIT_CLASS at ORBIT_STATES states (search._orbit_least_frames),
-  class tables included, REPEATS times, each in a fresh interpreter
-  (records up to BENCH_25 timed `nbhdmc valid -f "W W true <-> W !
-  true" --class c` here, which scanned those frames until the one-step
-  program's E-axiom atoms settled it);
+  class tables included, REPEATS times, each in a fresh interpreter,
+  with the least CPU time of the runs as well as their median, since
+  the median spreads widely on a shared host (records up to BENCH_25
+  timed `nbhdmc valid -f "W W true <-> W ! true" --class c` here, which
+  scanned those frames until the one-step program's E-axiom atoms
+  settled it);
+* `front_end_probe`: in a fresh interpreter, the median µs per call of
+  `parse`, `compile_formula` and a settled exhaustive `find_countermodel`
+  at three states over FRONT_END_SCHEMAS (the thirteen valid schemas
+  exhaustive-scan instantiates, each over its class), FRONT_END_ROUNDS
+  rounds after a warm one, REPEATS times: the fixed per-call path of a
+  request the one-step table settles;
 * `one_step_probe`: per formula and class in ONE_STEP_PROBES, in a
   fresh interpreter, the wall and CPU time of a cold first sampled
   `find_countermodel` call at ONE_STEP_STATES states (ONE_STEP_SAMPLES
@@ -154,6 +162,16 @@ ONE_STEP_PROBES = (("(O p & O q) -> O (p & q)", ("c",)),
                    ("(W p & W ! q) -> W (p & ! q)", ("c",)),
                    ("(W (p & q) & ! q) -> W q", ("m",)),
                    ("U p -> U U p", ("m",)))
+FRONT_END_SCHEMAS = (("U p -> p", ()), ("O p & O q -> O (p & q)", ("c",)),
+                     ("O p & p -> O (p | q)", ("m",)), ("W p -> ! p", ()),
+                     ("W p & W q -> W (p & q)", ("c",)),
+                     ("W (p & q) & ! q -> W q", ("m",)),
+                     ("W (p & q) & ! q -> W q", ("neg-suppl",)),
+                     ("U p -> U U p", ("m",)), ("W p -> ! W W p", ()),
+                     ("U p <-> p & ! K p", ()), ("W p <-> K p & ! p", ()),
+                     ("O p <-> (p -> K p)", ()),
+                     ("K p <-> W p | O p & p", ()))
+FRONT_END_ROUNDS = 200
 ONE_STEP_STATES = 4
 ONE_STEP_SAMPLES = 1000
 ONE_STEP_WARM = 200
@@ -214,6 +232,36 @@ start, cpu = time.perf_counter(), time.process_time()
 for _ in _orbit_least_frames(n, props):
     pass
 print(json.dumps([time.perf_counter() - start, time.process_time() - cpu]))
+"""
+
+
+# Times parse, compile_formula and a settled three-state exhaustive
+# find_countermodel on each (text, class) of the JSON list given, per
+# round after a warm one, for the rounds given; prints JSON, the median
+# over rounds of the mean us per call of each.
+_FRONT_END_PROBE = """
+import json, statistics, sys, time
+from nbhdmc.formula import parse
+from nbhdmc.search import ClassSpec, NoCounterexampleUpTo, find_countermodel
+from nbhdmc.semantics import compile_formula
+rounds, cases = int(sys.argv[1]), json.loads(sys.argv[2])
+cases = [(text, ClassSpec(frozenset(props), 3)) for text, props in cases]
+settled = NoCounterexampleUpTo(3, "exhaustive")
+took = []
+for _ in range(1 + rounds):
+    ns = [0, 0, 0]
+    for text, cls in cases:
+        t0 = time.perf_counter_ns()
+        f = parse(text)
+        t1 = time.perf_counter_ns()
+        compile_formula(f)
+        t2 = time.perf_counter_ns()
+        verdict = find_countermodel(f, cls)
+        t3 = time.perf_counter_ns()
+        assert verdict == settled, text
+        ns = [ns[0] + t1 - t0, ns[1] + t2 - t1, ns[2] + t3 - t2]
+    took.append([x / 1e3 / len(cases) for x in ns])
+print(json.dumps([statistics.median(col) for col in zip(*took[1:])]))
 """
 
 
@@ -319,7 +367,23 @@ def orbit_probe() -> dict:
         cpus.append(cpu)
     return {"class": list(ORBIT_CLASS), "states": ORBIT_STATES,
             "median_s": statistics.median(runs), "runs_s": runs,
-            "cpu_s": statistics.median(cpus), "runs_cpu_s": cpus}
+            "cpu_s": statistics.median(cpus), "min_cpu_s": min(cpus),
+            "runs_cpu_s": cpus}
+
+
+def front_end_probe() -> dict:
+    print("front end: parse, compile_formula, settled find_countermodel",
+          file=sys.stderr)
+    runs = [_last_json_line(
+        [sys.executable, "-c", _FRONT_END_PROBE, str(FRONT_END_ROUNDS),
+         json.dumps(FRONT_END_SCHEMAS)]) for _ in range(REPEATS)]
+    out = {"schemas": len(FRONT_END_SCHEMAS), "rounds": FRONT_END_ROUNDS}
+    for i, name in enumerate(("parse", "compile_formula",
+                              "find_countermodel")):
+        values = [run[i] for run in runs]
+        out[name] = {"median_us": statistics.median(values),
+                     "runs_us": values}
+    return out
 
 
 def one_step_probe() -> dict:
@@ -452,6 +516,7 @@ def main(argv=None) -> int:
         "cold_start": repeated(cli_wall(COLD_START)),
         "valid_probe": repeated(cli_wall(VALID_PROBE)),
         "orbit_probe": repeated(orbit_probe()),
+        "front_end_probe": repeated(front_end_probe()),
         "one_step_probe": repeated(one_step_probe()),
         "announce_probe": repeated(cli_wall(ANNOUNCE_PROBE)),
         "multiblock_probe": repeated(cli_wall(MULTIBLOCK_PROBE)),
