@@ -343,7 +343,13 @@ def code_has_property(n: int, code: int, prop: str, state: int = 0) -> bool:
     Adding state w to a member is adding 2^w to its mask, so (m) holds
     when shifting the members that lack w up by 2^w gives members only,
     for every w, and neg-suppl when the same holds for the members that
-    lack both w and the state, for every w other than the state.
+    lack both w and the state, for every w other than the state.  (c)
+    holds when, for every member x, the sets x & y for the members y
+    are members.  Those sets are the family projected over each state w
+    outside x in turn: each set with w shifted down by 2^w onto the set
+    without w, keeping the sets that lack w.  So each member costs n
+    big-int steps, where meeting every pair of members cost one per
+    pair.
     """
     if prop == "m":
         return all((code & lack) << (1 << w) & ~code == 0
@@ -356,9 +362,17 @@ def code_has_property(n: int, code: int, prop: str, state: int = 0) -> bool:
     if prop == "n":
         return bool(code >> ((1 << n) - 1) & 1)
     if prop == "c":
-        members = list(_members(code))
-        return all(code >> (x & y) & 1
-                   for i, x in enumerate(members) for y in members[i + 1:])
+        lacking = _lacking(n)
+        # largest first: the table walk (search._grow) adds the largest
+        # member last to a closed family, so a failing meet involves it
+        for x in reversed(list(_members(code))):
+            meets = code
+            for w, lack in enumerate(lacking):
+                if not x >> w & 1:
+                    meets = (meets | meets >> (1 << w)) & lack
+            if meets & ~code:
+                return False
+        return True
     if prop == "r":
         # w is in every member, so in their intersection, when no member
         # lacks w

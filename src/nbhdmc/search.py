@@ -736,12 +736,13 @@ def fragment_representatives(models, atoms, operators, max_depth: int):
     """Representatives of the fragment up to joint extension signature.
 
     Closes the sorted atoms, or true where there are none, under
-    negation, conjunction and the given unary operators, keeping one
-    formula (first discovered) per joint signature and tracking the
-    least modal depth that realizes it, so the depth bound cuts exactly.
-    Returns [(formula, signature)] in discovery order; signatures are
-    tuples of extension masks, one per model.  Each offered formula is
-    one kernel node over the slots of representatives.
+    negation, conjunction and the given unary operators nested at most
+    max_depth deep, keeping one formula (first discovered) per joint
+    signature; the closure grows one modal depth per round, so each
+    kept formula has the least modal depth of its signature.  Returns
+    [(formula, signature)] in discovery order; signatures are tuples of
+    extension masks, one per model.  Each offered formula is one kernel
+    node over the slots of representatives.
     """
     return list(_representatives(models, atoms, operators, max_depth))
 
@@ -750,58 +751,63 @@ def _representatives(models, atoms, operators, max_depth: int):
     """The closure of fragment_representatives, yielding the
     representatives in order as they are appended: at the latest at the
     end of the row of conjunctions, or the sweep of modal operators,
-    that found them.  Representatives are only appended, and a formula
-    once kept never changes, so what is yielded is final, and a consumer
-    may stop at any point."""
+    that found them.  Representatives are only appended and never
+    change, so what is yielded is final, and a consumer may stop at any
+    point.
+
+    Round d offers, row by row, the negation of each representative and
+    its conjunction with each, wherever one found since the previous
+    round's rows (reps[paired:]) takes part; these offers find depth d
+    only.  Below max_depth, it then applies the operators to the
+    representatives not yet swept, which finds depth d + 1 only, so a
+    signature's first formula already has its least depth.  An offer
+    skipped re-offers a known node, or conjoins two older
+    representatives, offered in an earlier round in one order or the
+    other (the kernel's AND commutes), so it would find nothing.  A
+    sweep that finds nothing leaves no offer to make.
+    """
     if max_depth < 0:
         msg = f"depth must be at least 0, got {max_depth}"
         raise ValueError(msg)
     names = tuple(sorted(set(atoms)))
     closure = _Closure(models, names)
-    reps: list[list] = []  # [formula, signature, best known depth, slot]
-    index: dict[tuple, int] = {}
+    reps: list[tuple] = []  # (formula, signature, slot)
+    seen: set[tuple] = set()
     emitted = 0
 
-    def offer(node, depth: int, make, *parts) -> bool:
+    def offer(node, make, *parts) -> None:
         slot, sig = node
-        pos = index.get(sig)
-        if pos is None:
-            index[sig] = len(reps)
-            reps.append([make(*parts), sig, depth, slot])
-            return True
-        if depth < reps[pos][2]:
-            reps[pos][2] = depth
-            return True
-        return False
+        if sig not in seen:
+            seen.add(sig)
+            reps.append((make(*parts), sig, slot))
 
     def fresh():
         nonlocal emitted
-        for f, sig, _, _ in reps[emitted:]:
+        for f, sig, _ in reps[emitted:]:
             yield f, sig
         emitted = len(reps)
 
     for name in names:
-        offer(closure.atom(name), 0, Atom, name)
+        offer(closure.atom(name), Atom, name)
     if not names:  # the constants are reached from an atom, else from true
-        offer(closure.node(Top), 0, Top)
+        offer(closure.node(Top), Top)
     yield from fresh()
-    changed = True
-    while changed:
-        changed = False
-        for f, _, d, a in reps:  # the loops reach rows appended in them
-            if offer(closure.node(Not, a), d, Not, f):
-                changed = True
-            for g, _, dg, b in reps:
-                if offer(closure.node(And, a, b), max(d, dg), And, f, g):
-                    changed = True
+    paired = 0
+    for depth in range(max_depth + 1):
+        for i, (f, _, a) in enumerate(reps):  # reaches rows appended in it
+            if i >= paired:
+                offer(closure.node(Not, a), Not, f)
+            for g, _, b in islice(reps, 0 if i >= paired else paired, None):
+                offer(closure.node(And, a, b), And, f, g)
             yield from fresh()
-        for pos in range(len(reps)):
-            f, _, d, a = reps[pos]
-            if d < max_depth:
+        swept, paired = paired, len(reps)
+        if depth < max_depth:
+            for f, _, a in reps[swept:paired]:
                 for op in operators:
-                    if offer(closure.node(op, a), d + 1, op, f):
-                        changed = True
-        yield from fresh()
+                    offer(closure.node(op, a), op, f)
+            yield from fresh()
+        if len(reps) == paired:
+            return
 
 
 def distinguish(pm1: PointedModel, pm2: PointedModel, fragment: str,

@@ -2,8 +2,9 @@
 
 Every criterionN function asserts its claim and returns a canonical
 multi-line report; the determinism criterion byte-compares those
-reports across repeated runs and across --jobs settings.  Functions
-that never touch the parallel scanner accept and ignore a jobs
+reports across repeated runs and across --jobs settings.  Criteria
+that call find_countermodel pass jobs on to it (it starts no processes
+and never changes the verdict); the others accept and ignore a jobs
 argument so the harness can treat them uniformly.
 
 Quantifier compression used below, replayed rather than assumed: the
@@ -70,7 +71,7 @@ def _load_model(name):
 # --- 1: validity of "O true" coincides with property n -------------------------
 
 def criterion1(jobs: int = 1) -> str:
-    del jobs  # no parallel scanner involved; single threaded by design
+    del jobs  # this criterion makes no find_countermodel call
     f = parse("O true")
     lines = []
     for n in (1, 2):

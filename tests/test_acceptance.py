@@ -3,7 +3,8 @@
 Each criterion body lives in _criteria and returns a deterministic
 report string; the tests here bound wall time and print the report.
 The final test reruns the deterministic criteria and compares the
-reports byte for byte, including a run with four scanner jobs.
+reports byte for byte, including a run that passes jobs=4 on to
+find_countermodel.
 """
 
 import time

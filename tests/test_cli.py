@@ -415,6 +415,22 @@ def test_props(capsys):
                    '"filter": false, "neg-suppl": true}\n')
 
 
+def test_props_on_a_dense_sixteen_state_model_is_bounded(capsys, tmp_path):
+    """w0's neighborhoods are the 32768 sets that contain it: (c) and
+    filter each check closure under intersection there, which must take
+    time linear in the members, not in the pairs of members."""
+    names = [f"w{i}" for i in range(16)]
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"states": names, "neighborhoods": {"w0": [
+        [names[i] for i in range(16) if x >> i & 1]
+        for x in range(1, 1 << 16, 2)]}}))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "props", "-m", str(path))
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (0, '{"m": true, "c": true, "n": false, "r": false, '
+                              '"filter": false, "neg-suppl": true}\n')
+
+
 def test_enumerate(capsys):
     code, out, _ = run(capsys, "enumerate", "--max-states", "3",
                        "--class", "m")
@@ -549,6 +565,28 @@ def test_non_string_state_name_is_model_format(capsys, tmp_path, argv, doc):
     assert (code, out) == (2, "")
     assert err.startswith("error: model-format:") and "unknown state name" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (("props", "-m", "{}"), {"states": [""]},
+     "state names must be nonempty strings"),
+    (("props", "-m", "{}"), {"states": ["s"], "neighborhoods": {"s": ["s"]}},
+     "neighborhoods of 's': expected an array of state names"),
+    (("props", "-m", "{}"), {"states": ["s"], "neighborhoods": {"s": "x"}},
+     "neighborhoods of 's' must be an array of arrays"),
+    (("props", "-m", "{}"), {"states": ["s"], "valuation": []},
+     "'valuation' must be an object"),
+    (("props", "-m", "{}"), {"states": ["s"], "valuation": {"p": "s"}},
+     "valuation of 'p': expected an array of state names"),
+    (("transform", "-m", W_BASE, "--op", "perturb:{}"), [1],
+     "perturbation JSON must be an object"),
+])
+def test_malformed_documents_name_the_file_and_the_fault(capsys, tmp_path,
+                                                         argv, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *(arg.replace("{}", str(path)) for arg in argv))
+    assert (code, out, err) == (2, "", f"error: model-format: {path}: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [

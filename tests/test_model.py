@@ -13,7 +13,7 @@ from nbhdmc.model import (MAX_STATES, PROPERTY_IDS, ModelFormatError,
                           NeighborhoodFrame, NeighborhoodModel,
                           NonMonotoneError, PerturbationError, PerturbationMap,
                           PointedModel, StateSet, _compress, _members,
-                          check_property, frame_from_codes,
+                          check_property, code_has_property, frame_from_codes,
                           intersection_submodel, model_from_json,
                           model_from_text, model_to_json, model_to_text,
                           perturb, pmap_from_json, project, restrict_codes,
@@ -199,6 +199,38 @@ def test_check_property_matches_set_oracle_sampled():
         for prop in PROPERTY_IDS:
             assert check_property(frame, prop) == \
                 _oracle.check_prop(doc, prop), (doc, prop)
+
+
+def _meets_pairwise(code: int) -> bool:
+    """(c) on a family code by its definition: the meet of every pair
+    of members is a member."""
+    members = list(_members(code))
+    return all(code >> (x & y) & 1
+               for i, x in enumerate(members) for y in members[i + 1:])
+
+
+def test_intersection_closure_matches_the_pairwise_check():
+    """Random codes at one to five states, half of them closed under
+    intersection and then given or stripped one member, so that both
+    answers are common."""
+    rng = random.Random(3131)
+    answers = set()
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        code = rng.getrandbits(1 << n) & rng.getrandbits(1 << n)
+        if rng.random() < 0.5:
+            members = set(_members(code))
+            while True:
+                meets = {x & y for x in members for y in members}
+                if meets <= members:
+                    break
+                members |= meets
+            members.symmetric_difference_update({rng.randrange(1 << n)})
+            code = sum(1 << x for x in members)
+        expected = _meets_pairwise(code)
+        answers.add(expected)
+        assert code_has_property(n, code, "c") == expected, (n, code)
+    assert answers == {True, False}
 
 
 def test_check_property_at_max_states():

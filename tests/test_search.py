@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 import nbhdmc.search as search
 
 import _oracle
-from _referee import failing_code_masks
+from _referee import (_representatives, failing_code_masks,
+                      signature_closure)
 from _gen import (CLASSES, random_announcement_formula, random_full_formula,
                   random_local_formula, random_model, random_model_doc)
 from nbhdmc.formula import (And, Atom, Box, Bullet, Circ, Not, Or, Wrong,
-                            atoms_of, parse)
+                            atoms_of, modal_depth, parse)
 from nbhdmc.model import (NeighborhoodFrame, NeighborhoodModel, PointedModel,
                           StateSet, check_property, model_from_json)
 from nbhdmc.search import (ClassSpec, Countermodel, NoCounterexampleUpTo,
@@ -1458,3 +1459,61 @@ def test_distinguish_returns_the_first_separating_representative():
                 outcomes.add(None if expected is None else
                              isinstance(expected, Atom))
     assert outcomes == {None, True, False}  # none, an atom, a compound
+
+
+# the fragments' operator sets, and every operator
+_OPERATOR_SETS = (*search._FRAGMENT_OPS.values(), (Bullet, Circ, Wrong, Box))
+_ATOM_SETS = ((), ("p",), ("p", "q"))
+
+
+def _closure_cases(rng, count):
+    """(models, atoms, operators, depth): one or two random models of one
+    to three states over no atom, p, or p and q, each operator set in
+    turn, depth 0 to 3."""
+    for k in range(count):
+        atoms = _ATOM_SETS[rng.below(3)]
+        models = tuple(random_model(rng, 1 + rng.below(3), atoms)
+                       for _ in range(1 + rng.below(2)))
+        yield (models, atoms, _OPERATOR_SETS[k % len(_OPERATOR_SETS)],
+               rng.below(4))
+
+
+def test_representatives_match_the_order_referee():
+    """The closure grows a depth per round and offers each pair once;
+    the referee offers every pair each round and tracks depths, and the
+    lists, in order, and distinguish's answers are the same."""
+    for models, atoms, operators, depth in _closure_cases(SplitMix64(31),
+                                                          300):
+        assert fragment_representatives(models, atoms, operators, depth) \
+            == list(_representatives(models, atoms, operators, depth))
+    rng = SplitMix64(3131)
+    answers = set()
+    for _ in range(60):
+        pairs = [(random_model(rng, n, _ATOM_SETS[rng.below(3)]),
+                  rng.below(n)) for n in (1 + rng.below(4), 1 + rng.below(4))]
+        (m1, s1), (m2, s2) = pairs
+        atoms = sorted({name for m in (m1, m2) for name, _ in m.valuation})
+        for fragment, operators in search._FRAGMENT_OPS.items():
+            for depth in (0, 1, 2):
+                expected = next(
+                    (f for f, (e1, e2) in _representatives(
+                        (m1, m2), atoms, operators, depth)
+                     if (e1 >> s1 & 1) != (e2 >> s2 & 1)), None)
+                assert distinguish(PointedModel(m1, s1), PointedModel(m2, s2),
+                                   fragment, depth) == expected
+                answers.add(None if expected is None else atoms == [])
+    assert answers == {None, True, False}  # none; with no atom; with one
+
+
+def test_representatives_are_the_signature_closure_by_depth():
+    """One formula per signature of the closure up to the depth, none
+    deeper than it, and none shallower than one before it."""
+    for models, atoms, operators, depth in _closure_cases(SplitMix64(37),
+                                                          300):
+        reps = fragment_representatives(models, atoms, operators, depth)
+        sigs = [sig for _, sig in reps]
+        assert len(sigs) == len(set(sigs))
+        assert set(sigs) == signature_closure(models, atoms, operators, depth)
+        depths = [modal_depth(f) for f, _ in reps]
+        assert depths == sorted(depths)
+        assert depths[-1] <= depth

@@ -43,6 +43,12 @@ It writes, with the interpreter and machine it ran on:
   settles, so each call is that table's emptiness question, the four
   with several modal reads that set sampled-scan's p90 before BENCH_27
   and row 5.2;
+* `closure_probe`: in a fresh interpreter, the median CPU time of
+  `fragment_representatives` over two fixed input sets, CLOSURE_ROUNDS
+  rounds after a warm one, REPEATS times: criterion 2's closures (the
+  1024 one-atom two-state models, each alone, with U, O, W and K at
+  depth 2) and CLOSURE_PAIRS closures of two seeded random two-state
+  models over p and q with U and W at depth 2;
 * `announce_probe`: likewise for `nbhdmc valid -f "[[W false] (p | K q)]
   [q] (U true -> true)" --class m,n`, an exhaustive three-state scan of
   a valid formula with nested announcements;
@@ -78,6 +84,10 @@ It writes, with the interpreter and machine it ran on:
   K p) | p" --force` on a seeded random 16-state model written to a
   temporary file, each state with 4 distinct random neighborhoods: a
   forced sweep of 2^16 valuations, each announcing its own set;
+* `props_probe`: likewise for `nbhdmc props` on a 16-state model
+  written to a temporary file, w0's neighborhoods being the 32768 sets
+  that contain w0: (c) and filter each check closure under intersection
+  on that family;
 * `sampled_probe`: likewise for `nbhdmc valid -f "W p -> ! p"
   --max-states 4 --samples 200000`, a sampled four-state scan of the
   unrestricted class; the formula is valid and depth-1, so the one-step
@@ -185,6 +195,10 @@ FORCED_SEED = 16
 FORCED_WIDE_PROBE = ("frame-valid", "-f", "[p] (K p | ! K p) | p", "--force")
 FORCED_WIDE_STATES = 16
 FORCED_WIDE_SETS = 4
+PROPS_STATES = 16
+CLOSURE_PAIRS = 300
+CLOSURE_SEED = 31
+CLOSURE_ROUNDS = 5
 SUITE_JOBS = (1, 2, 4)
 CALIBRATION_MARKS = 15
 
@@ -284,6 +298,34 @@ for _ in range(1 + warm):
 walls, cpus = zip(*runs[1:])
 print(json.dumps([*runs[0], statistics.median(walls),
                   statistics.median(cpus)]))
+"""
+
+
+# Times fragment_representatives over criterion 2's closures, then over
+# the given count of seeded random two-model closures, per round after a
+# warm one, for the rounds given; prints JSON, the median CPU ms of each.
+_CLOSURE_PROBE = """
+import json, statistics, sys, time
+from _criteria import _all_models
+from _gen import random_model
+from nbhdmc.formula import Box, Bullet, Circ, Wrong
+from nbhdmc.search import SplitMix64, fragment_representatives
+rounds, pairs, seed = map(int, sys.argv[1:4])
+rng = SplitMix64(seed)
+sets = (
+    [((m,), ("p",), (Bullet, Circ, Wrong, Box)) for m in _all_models(2, ("p",))],
+    [((random_model(rng, 2), random_model(rng, 2)), ("p", "q"),
+      (Bullet, Wrong)) for _ in range(pairs)])
+took = []
+for _ in range(1 + rounds):
+    ms = []
+    for cases in sets:
+        cpu = time.process_time()
+        for models, atoms, operators in cases:
+            fragment_representatives(models, atoms, operators, 2)
+        ms.append(1e3 * (time.process_time() - cpu))
+    took.append(ms)
+print(json.dumps([statistics.median(col) for col in zip(*took[1:])]))
 """
 
 
@@ -408,6 +450,20 @@ def one_step_probe() -> dict:
     return out
 
 
+def closure_probe() -> dict:
+    print("fragment closures: criterion 2, random model pairs",
+          file=sys.stderr)
+    runs = [_last_json_line(
+        [sys.executable, "-c", _CLOSURE_PROBE, str(CLOSURE_ROUNDS),
+         str(CLOSURE_PAIRS), str(CLOSURE_SEED)]) for _ in range(REPEATS)]
+    out = {"rounds": CLOSURE_ROUNDS, "depth": 2}
+    for i, name in enumerate(("criterion_2", f"random_pairs_{CLOSURE_PAIRS}")):
+        values = [run[i] for run in runs]
+        out[name] = {"cpu_ms": statistics.median(values),
+                     "runs_cpu_ms": values}
+    return out
+
+
 def calibration() -> dict:
     """CALIBRATION_MARKS runs of perfbench's calibration loop in this
     process (each the fastest of three loops), in ns."""
@@ -500,6 +556,28 @@ def forced_wide_probe() -> dict:
     return _model_probe(FORCED_WIDE_PROBE, doc, "forced_wide.json")
 
 
+def props_probe() -> dict:
+    """cli_wall of props on the PROPS_STATES-state model whose w0 has
+    every set containing w0 as a neighborhood.  The file is written one
+    set at a time: holding the sets here would raise this process's
+    peak RSS, which every later child's ru_maxrss carries over exec."""
+    names = [f"w{i}" for i in range(PROPS_STATES)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dense.json"
+        with path.open("w") as out:
+            out.write(f'{{"states": {json.dumps(names)}, '
+                      '"neighborhoods": {"w0": [')
+            out.writelines(
+                (", " if x > 1 else "")
+                + json.dumps([names[i] for i in range(PROPS_STATES)
+                              if x >> i & 1])
+                for x in range(1, 1 << PROPS_STATES, 2))
+            out.write("]}}")
+        probe = cli_wall(("props", "-m", str(path)))
+    probe["argv"] = probe["argv"].replace(str(path), path.name)
+    return probe
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", required=True, type=Path)
@@ -518,6 +596,7 @@ def main(argv=None) -> int:
         "orbit_probe": repeated(orbit_probe()),
         "front_end_probe": repeated(front_end_probe()),
         "one_step_probe": repeated(one_step_probe()),
+        "closure_probe": repeated(closure_probe()),
         "announce_probe": repeated(cli_wall(ANNOUNCE_PROBE)),
         "multiblock_probe": repeated(cli_wall(MULTIBLOCK_PROBE)),
         "local_multiblock_probe": repeated(cli_wall(LOCAL_MULTIBLOCK_PROBE)),
@@ -525,6 +604,7 @@ def main(argv=None) -> int:
         "bigframe_probe": repeated(bigframe_probe()),
         "forced_probe": repeated(forced_probe()),
         "forced_wide_probe": repeated(forced_wide_probe()),
+        "props_probe": repeated(props_probe()),
         "sampled_probe": repeated(cli_wall(SAMPLED_PROBE)),
         "sampled_draw_probe": repeated(cli_wall(SAMPLED_DRAW_PROBE)),
         "sampled_unsettled_probe": repeated(cli_wall(
