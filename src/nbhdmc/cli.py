@@ -268,7 +268,10 @@ def _cmd_transform(args) -> int:
 
 def _cmd_props(args) -> int:
     model = _load_model(args.model)
-    report = {p: check_property(model.frame, p) for p in PROPERTY_IDS}
+    report = {}
+    for p in PROPERTY_IDS:  # filter is m, c and n, which come before it
+        report[p] = (all(report[q] for q in FILTER) if p == "filter"
+                     else check_property(model.frame, p))
     print(json.dumps(report, separators=_JSON_SEPARATORS))
     return 0
 

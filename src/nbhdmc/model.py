@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .formula import is_atom_name
 
@@ -137,24 +138,11 @@ class NeighborhoodFrame:
     codes: tuple[int, ...]
 
     def __init__(self, states, neighborhoods) -> None:
-        states = tuple(states)
-        if not 1 <= len(states) <= MAX_STATES:
-            msg = f"frame needs 1..{MAX_STATES} states, got {len(states)}"
-            raise ValueError(msg)
-        if len(set(states)) != len(states):
-            msg = f"duplicate state names in {states!r}"
-            raise ValueError(msg)
-        if any(not isinstance(s, str) or not s for s in states):
-            msg = "state names must be nonempty strings"
-            raise ValueError(msg)
-        n = len(states)
         fams = tuple(neighborhoods)
-        if len(fams) != n:
-            msg = f"{len(fams)} neighborhood families for {n} states"
-            raise ValueError(msg)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "codes",
-                           tuple(_family_code(n, fam) for fam in fams))
+        frame = frame_from_codes(states, (0,) * len(fams))  # checks the states
+        object.__setattr__(self, "states", frame.states)
+        object.__setattr__(self, "codes", tuple(_family_code(frame.size, fam)
+                                                for fam in fams))
 
     @property
     def size(self) -> int:
@@ -229,6 +217,14 @@ class NeighborhoodModel:
 
     def valuation_map(self) -> dict[str, StateSet]:
         return dict(self.valuation)
+
+
+def _model(frame: NeighborhoodFrame, valuation: tuple) -> NeighborhoodModel:
+    """The model on frame with a valuation the constructor would keep."""
+    model = object.__new__(NeighborhoodModel)
+    object.__setattr__(model, "frame", frame)
+    object.__setattr__(model, "valuation", valuation)
+    return model
 
 
 @dataclass(frozen=True)
@@ -402,12 +398,26 @@ def check_property(frame: NeighborhoodFrame, prop: str) -> bool:
 
 def frame_from_codes(states, codes) -> NeighborhoodFrame:
     """The frame on these state names with one family code per state, in
-    O(n): the constructor checks the names on empty families."""
-    codes = tuple(codes)
-    frame = NeighborhoodFrame(states, ((),) * len(codes))
-    if any(code >> (1 << frame.size) for code in codes):
-        msg = f"family code out of range for {frame.size} states"
+    O(n).  The constructor checks its states here too."""
+    states, codes = tuple(states), tuple(codes)
+    n = len(states)
+    if not 1 <= n <= MAX_STATES:
+        msg = f"frame needs 1..{MAX_STATES} states, got {n}"
         raise ValueError(msg)
+    if len(set(states)) != n:
+        msg = f"duplicate state names in {states!r}"
+        raise ValueError(msg)
+    if any(not isinstance(s, str) or not s for s in states):
+        msg = "state names must be nonempty strings"
+        raise ValueError(msg)
+    if len(codes) != n:
+        msg = f"{len(codes)} neighborhood families for {n} states"
+        raise ValueError(msg)
+    if any(code >> (1 << n) for code in codes):
+        msg = f"family code out of range for {n} states"
+        raise ValueError(msg)
+    frame = object.__new__(NeighborhoodFrame)
+    object.__setattr__(frame, "states", states)
     object.__setattr__(frame, "codes", codes)
     return frame
 
@@ -462,8 +472,7 @@ def supplementation(model: NeighborhoodModel) -> NeighborhoodModel:
         for w, lack in enumerate(lacking):
             code |= (code & lack) << (1 << w)
         codes.append(code)
-    return NeighborhoodModel(frame_from_codes(frame.states, codes),
-                             model.valuation)
+    return _model(frame_from_codes(frame.states, codes), model.valuation)
 
 
 def perturb(model: NeighborhoodModel, pmap: PerturbationMap) -> NeighborhoodModel:
@@ -477,8 +486,7 @@ def perturb(model: NeighborhoodModel, pmap: PerturbationMap) -> NeighborhoodMode
     deltas = (_family_code(frame.size, fam) for fam in pmap.families)
     codes = [code | delta if add else code & ~delta
              for code, delta in zip(frame.family_codes(), deltas)]
-    return NeighborhoodModel(frame_from_codes(frame.states, codes),
-                             model.valuation)
+    return _model(frame_from_codes(frame.states, codes), model.valuation)
 
 
 def transitive_closure(frame: NeighborhoodFrame) -> NeighborhoodFrame:
@@ -532,47 +540,52 @@ def intersection_submodel(model: NeighborhoodModel, X: StateSet,
     frame = frame_from_codes(
         tuple(model.states[i] for i in kept),
         restrict_codes(model.frame.family_codes(), X.bits))
-    valuation = {name: StateSet(len(kept), _compress(ss.bits, kept))
-                 for name, ss in model.valuation}
-    return NeighborhoodModel(frame, valuation)
+    return _model(frame, tuple(
+        (name, StateSet(len(kept), bits)) for name, ss in model.valuation
+        if (bits := _compress(ss.bits, kept))))
 
 
 # --- JSON wire format ---------------------------------------------------------
 
 
-def _names_to_mask(index: dict[str, int], names, where: str) -> int:
-    """The mask of the named states; index maps each state name to its
-    position."""
-    bits = 0
-    if not isinstance(names, list):
-        msg = f"{where}: expected an array of state names"
-        raise ModelFormatError(msg)
-    for name in names:
-        if not isinstance(name, str) or name not in index:
-            msg = f"{where}: unknown state name {name!r}"
-            raise ModelFormatError(msg)
-        bits |= 1 << index[name]
-    return bits
+def _names_mask(bit: dict[str, int], names, key: str, owner: str) -> int:
+    """The mask of the states named in names, a repeated name counting
+    once (bit maps each state name to its bit)."""
+    mask = 0
+    try:
+        if isinstance(names, list):
+            for name in names:
+                mask |= bit[name]
+            return mask
+    except (KeyError, TypeError):  # an unknown name, or an unhashable one
+        name = next(x for x in names if not isinstance(x, str) or x not in bit)
+        msg = f"{key} of {owner!r}: unknown state name {name!r}"
+        raise ModelFormatError(msg) from None
+    msg = f"{key} of {owner!r}: expected an array of state names"
+    raise ModelFormatError(msg)
 
 
-def _families_from_json(data: dict, key: str, index: dict[str, int]):
-    """Yield (state, member masks) for data[key], state by state (index
-    maps each state name to its position), so a caller's per-state check
-    fires before the next state's entries are decoded."""
+def _family_codes(data: dict, key: str, bit: dict[str, int]):
+    """Yield (state, family code, entry count) for data[key], state by
+    state (bit maps each state name to its bit), so a caller's per-state
+    check fires before the next state's entries are decoded."""
     fam_data = data.get(key, {})
     if not isinstance(fam_data, dict):
         msg = f"'{key}' must be an object"
         raise ModelFormatError(msg)
     for name in fam_data:
-        if name not in index:
+        if name not in bit:
             msg = f"{key}: unknown state name {name!r}"
             raise ModelFormatError(msg)
-    for s in index:
+    for s in bit:
         entries = fam_data.get(s, [])
         if not isinstance(entries, list):
             msg = f"{key} of {s!r} must be an array of arrays"
             raise ModelFormatError(msg)
-        yield s, [_names_to_mask(index, e, f"{key} of {s!r}") for e in entries]
+        code = 0
+        for names in entries:
+            code |= 1 << _names_mask(bit, names, key, s)
+        yield s, code, len(entries)
 
 
 def model_from_json(data) -> NeighborhoodModel:
@@ -592,28 +605,28 @@ def model_from_json(data) -> NeighborhoodModel:
     if len(states) > MAX_STATES:
         msg = f"at most {MAX_STATES} states supported, got {len(states)}"
         raise ModelFormatError(msg)
-    states = tuple(states)
-    index = {s: i for i, s in enumerate(states)}
+    bit = {s: 1 << i for i, s in enumerate(states)}
     codes = []
-    for s, masks in _families_from_json(data, "neighborhoods", index):
-        if len(set(masks)) != len(masks):
+    for s, code, count in _family_codes(data, "neighborhoods", bit):
+        if code.bit_count() != count:
             msg = f"duplicate neighborhood set at state {s!r}"
             raise ModelFormatError(msg)
-        codes.append(sum(1 << x for x in masks))
+        codes.append(code)
     val_data = data.get("valuation", {})
     if not isinstance(val_data, dict):
         raise ModelFormatError("'valuation' must be an object")
-    valuation = {}
+    valuation = []
     for atom, names in val_data.items():
         if not is_atom_name(atom):
             msg = f"bad atom name in valuation: {atom!r}"
             raise ModelFormatError(msg)
-        valuation[atom] = StateSet(
-            len(index), _names_to_mask(index, names, f"valuation of {atom!r}"))
-    try:
-        return NeighborhoodModel(frame_from_codes(states, codes), valuation)
+        if mask := _names_mask(bit, names, "valuation", atom):  # else absent
+            valuation.append((atom, StateSet(len(states), mask)))
+    try:  # the last check: no state name is empty
+        frame = frame_from_codes(states, codes)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc
+    return _model(frame, tuple(sorted(valuation)))
 
 
 def model_to_json(model: NeighborhoodModel) -> dict:
@@ -631,8 +644,32 @@ def model_to_json(model: NeighborhoodModel) -> dict:
     }
 
 
+def _block(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """The JSON array (with brackets "{}", object) of the written items,
+    laid out as json.dumps(..., indent=2) lays it out at this depth."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * depth
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
+
+
 def model_to_text(model: NeighborhoodModel) -> str:
-    return json.dumps(model_to_json(model), indent=2) + "\n"
+    """json.dumps(model_to_json(model), indent=2) plus a newline, written
+    directly with the name quoting json.dumps uses: with an indent,
+    json.dumps runs json's pure-Python encoder, about twice as slow."""
+    quoted = [encode_basestring_ascii(s) for s in model.states]
+
+    def names(mask: int, depth: int) -> str:
+        return _block([quoted[i] for i in _members(mask)], depth)
+
+    families = [f"{s}: {_block([names(x, 4) for x in _members(code)], 3)}"
+                for s, code in zip(quoted, model.frame.codes)]
+    valuation = [f'"{atom}": {names(ss.bits, 3)}'  # atoms are identifiers
+                 for atom, ss in model.valuation]
+    return _block([f'"states": {_block(quoted, 2)}',
+                   f'"neighborhoods": {_block(families, 2, "{}")}',
+                   f'"valuation": {_block(valuation, 2, "{}")}'],
+                  1, "{}") + "\n"
 
 
 def model_from_text(text: str) -> NeighborhoodModel:
@@ -652,9 +689,9 @@ def pmap_from_json(data, states: tuple[str, ...]) -> PerturbationMap:
     if extra:
         msg = f"unknown perturbation keys: {sorted(extra)}"
         raise ModelFormatError(msg)
-    index = {s: i for i, s in enumerate(states)}
-    fams = tuple(tuple(StateSet(len(index), x) for x in masks)
-                 for _, masks in _families_from_json(data, "families", index))
+    bit = {s: 1 << i for i, s in enumerate(states)}
+    fams = tuple(tuple(StateSet(len(bit), x) for x in _members(code))
+                 for _, code, _ in _family_codes(data, "families", bit))
     try:
         return PerturbationMap(data.get("kind", ""), data.get("sign", ""), fams)
     except PerturbationError:

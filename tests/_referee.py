@@ -17,13 +17,26 @@ least known depth and loops until a round changes nothing, so it fixes
 the order of discovery.  `signature_closure` fixes the set alone: it
 closes the atom signatures under the operators' set definitions, on
 signature tuples, with no formula or kernel node built.
+
+model.model_from_json and model.pmap_from_json map the state names to
+bits once per document and build the model without checking it again.
+`model_from_json` and `pmap_from_json` below are the decoders they
+replaced, kept as they were: they look each name up in a dict of
+positions, test for duplicate sets with a set of masks, and build the
+model through its checking constructor.  They fix which documents are
+accepted, which exception and message a broken one raises, and which
+check fires first.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from nbhdmc.formula import And, Atom, Box, Bullet, Circ, Not, Top, Wrong
+from nbhdmc.formula import (And, Atom, Box, Bullet, Circ, Not, Top, Wrong,
+                            is_atom_name)
+from nbhdmc.model import (MAX_STATES, ModelFormatError, NeighborhoodModel,
+                          PerturbationError, PerturbationMap, StateSet,
+                          frame_from_codes)
 from nbhdmc.search import allowed_family_codes
 from nbhdmc.semantics import _Closure, _exec, _Frame
 
@@ -147,3 +160,98 @@ def signature_closure(models, atoms, operators, max_depth: int) -> set:
                             for x, full, c, n in zip(sig, fulls, codes, sizes))
                       for sig in found for op in operators}
     return found
+
+
+def _names_to_mask(index: dict[str, int], names, where: str) -> int:
+    """The mask of the named states; index maps each state name to its
+    position."""
+    bits = 0
+    if not isinstance(names, list):
+        msg = f"{where}: expected an array of state names"
+        raise ModelFormatError(msg)
+    for name in names:
+        if not isinstance(name, str) or name not in index:
+            msg = f"{where}: unknown state name {name!r}"
+            raise ModelFormatError(msg)
+        bits |= 1 << index[name]
+    return bits
+
+
+def _families_from_json(data: dict, key: str, index: dict[str, int]):
+    """Yield (state, member masks) for data[key], state by state (index
+    maps each state name to its position), so a caller's per-state check
+    fires before the next state's entries are decoded."""
+    fam_data = data.get(key, {})
+    if not isinstance(fam_data, dict):
+        msg = f"'{key}' must be an object"
+        raise ModelFormatError(msg)
+    for name in fam_data:
+        if name not in index:
+            msg = f"{key}: unknown state name {name!r}"
+            raise ModelFormatError(msg)
+    for s in index:
+        entries = fam_data.get(s, [])
+        if not isinstance(entries, list):
+            msg = f"{key} of {s!r} must be an array of arrays"
+            raise ModelFormatError(msg)
+        yield s, [_names_to_mask(index, e, f"{key} of {s!r}") for e in entries]
+
+
+def model_from_json(data) -> NeighborhoodModel:
+    """Decode the wire format; rejects unknown names and duplicate sets."""
+    if not isinstance(data, dict):
+        raise ModelFormatError("model JSON must be an object")
+    extra = set(data) - {"states", "neighborhoods", "valuation"}
+    if extra:
+        msg = f"unknown model keys: {sorted(extra)}"
+        raise ModelFormatError(msg)
+    states = data.get("states")
+    if (not isinstance(states, list) or not states
+            or any(not isinstance(s, str) for s in states)):
+        raise ModelFormatError("'states' must be a nonempty array of names")
+    if len(set(states)) != len(states):
+        raise ModelFormatError("duplicate state names")
+    if len(states) > MAX_STATES:
+        msg = f"at most {MAX_STATES} states supported, got {len(states)}"
+        raise ModelFormatError(msg)
+    states = tuple(states)
+    index = {s: i for i, s in enumerate(states)}
+    codes = []
+    for s, masks in _families_from_json(data, "neighborhoods", index):
+        if len(set(masks)) != len(masks):
+            msg = f"duplicate neighborhood set at state {s!r}"
+            raise ModelFormatError(msg)
+        codes.append(sum(1 << x for x in masks))
+    val_data = data.get("valuation", {})
+    if not isinstance(val_data, dict):
+        raise ModelFormatError("'valuation' must be an object")
+    valuation = {}
+    for atom, names in val_data.items():
+        if not is_atom_name(atom):
+            msg = f"bad atom name in valuation: {atom!r}"
+            raise ModelFormatError(msg)
+        valuation[atom] = StateSet(
+            len(index), _names_to_mask(index, names, f"valuation of {atom!r}"))
+    try:
+        return NeighborhoodModel(frame_from_codes(states, codes), valuation)
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from exc
+
+
+def pmap_from_json(data, states: tuple[str, ...]) -> PerturbationMap:
+    """Decode {"kind": .., "sign": .., "families": {state: [[names]...]}}."""
+    if not isinstance(data, dict):
+        raise ModelFormatError("perturbation JSON must be an object")
+    extra = set(data) - {"kind", "sign", "families"}
+    if extra:
+        msg = f"unknown perturbation keys: {sorted(extra)}"
+        raise ModelFormatError(msg)
+    index = {s: i for i, s in enumerate(states)}
+    fams = tuple(tuple(StateSet(len(index), x) for x in masks)
+                 for _, masks in _families_from_json(data, "families", index))
+    try:
+        return PerturbationMap(data.get("kind", ""), data.get("sign", ""), fams)
+    except PerturbationError:
+        raise
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from exc

@@ -3,12 +3,17 @@
 import json
 import random
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracle
-from _gen import STATE_NAMES, random_model_doc
+import _referee
+from _gen import STATE_NAMES, broken_doc, random_model_doc, random_pmap_doc
+from nbhdmc.formula import is_atom_name
 from nbhdmc.model import (MAX_STATES, PROPERTY_IDS, ModelFormatError,
                           NeighborhoodFrame, NeighborhoodModel,
                           NonMonotoneError, PerturbationError, PerturbationMap,
@@ -589,6 +594,60 @@ def test_model_json_duplicate_check_precedes_later_states():
     assert str(exc.value) == "duplicate neighborhood set at state 's'"
 
 
+def test_model_json_counts_a_repeated_name_once():
+    """A name repeated within one set or one atom's states counts once,
+    so [["t", "t"], ["t"]] lists the set {t} twice."""
+    doc = {"states": ["s", "t"], "neighborhoods": {"s": [["t", "t"]]},
+           "valuation": {"p": ["s", "s"]}}
+    assert model_from_json(doc) == model_from_json(
+        {"states": ["s", "t"], "neighborhoods": {"s": [["t"]]},
+         "valuation": {"p": ["s"]}})
+    doc["neighborhoods"]["s"].append(["t"])
+    with pytest.raises(ModelFormatError) as exc:
+        model_from_json(doc)
+    assert str(exc.value) == "duplicate neighborhood set at state 's'"
+
+
+def _decoded(decode, *args):
+    """What decode(*args) returns, or the type and message it raised."""
+    try:
+        return decode(*args)
+    except Exception as exc:  # every exception compares, unexpected ones too
+        return type(exc), str(exc)
+
+
+def test_decoders_match_the_referee_on_broken_documents():
+    """8000 seeded model documents of one to four states and a
+    perturbation document over each, each broken by random edits, a
+    perturbation's states sometimes grown past 16: the decoders accept
+    what the referee accepts, with equal results, and reject the rest
+    with the referee's exception and message."""
+    rng = SplitMix64(32)
+    outcomes, messages = Counter(), set()
+    for k in range(8000):
+        doc = random_model_doc(rng, 1 + rng.below(4),
+                               ("p", "q", "r")[:rng.below(4)])
+        pdoc = random_pmap_doc(rng, doc["states"])
+        states = tuple(doc["states"]) + tuple(f"z{i}" for i in range(
+            16 if k % 8 == 0 else 0))
+        for decode, referee, data, args in (
+                (model_from_json, _referee.model_from_json,
+                 broken_doc(rng, doc), ()),
+                (pmap_from_json, _referee.pmap_from_json,
+                 broken_doc(rng, pdoc), (states,))):
+            got = _decoded(decode, data, *args)
+            assert got == _decoded(referee, data, *args), (data, args)
+            raised = isinstance(got, tuple)
+            outcomes[decode.__name__, got[0].__name__ if raised else None] += 1
+            messages.add(got[1] if raised else None)
+    assert set(outcomes) == {  # ValueError: a StateSet over 17+ states
+        ("model_from_json", None), ("model_from_json", "ModelFormatError"),
+        ("pmap_from_json", None), ("pmap_from_json", "ModelFormatError"),
+        ("pmap_from_json", "PerturbationError"),
+        ("pmap_from_json", "ValueError")}
+    assert min(outcomes.values()) >= 300 and len(messages) >= 100, outcomes
+
+
 def test_model_from_text_rejects_bad_json():
     with pytest.raises(ModelFormatError, match="not valid JSON"):
         model_from_text("{nope")
@@ -626,6 +685,37 @@ def test_pmap_json_accepts_duplicate_sets():
         {"kind": "bullet", "sign": "add", "families": {"s": [["t"], ["t"]]}},
         ("s", "t"))
     assert pmap == PerturbationMap("bullet", "add", ((StateSet(2, 2),), ()))
+
+
+# state names with non-ASCII, quote, backslash and control characters
+_NAMES = st.text(st.one_of(
+    st.sampled_from('s"\\\x00\x1f\n\t\x7f/\u00e9\u20ac\U0001f600'),
+    st.characters()), min_size=1, max_size=4)
+_ATOMS = st.from_regex(r"[a-z][a-z0-9_]{0,3}", fullmatch=True).filter(
+    is_atom_name)
+
+
+@st.composite
+def _models(draw):
+    """A model of 1..MAX_STATES states with up to 4 sets per family and
+    up to 3 atoms, any of them empty."""
+    states = draw(st.lists(_NAMES, min_size=1, max_size=MAX_STATES,
+                           unique=True))
+    n = len(states)
+    masks = st.integers(0, (1 << n) - 1)
+    codes = [sum(1 << x for x in draw(st.sets(masks, max_size=4)))
+             for _ in states]
+    valuation = draw(st.dictionaries(_ATOMS, masks, max_size=3))
+    return NeighborhoodModel(frame_from_codes(states, codes),
+                             {a: StateSet(n, x) for a, x in valuation.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_models())
+def test_model_text_is_the_indented_json_and_reads_back(model):
+    text = model_to_text(model)
+    assert text == json.dumps(model_to_json(model), indent=2) + "\n"
+    assert model_from_text(text) == model
 
 
 def test_shipped_model_files_are_canonical():

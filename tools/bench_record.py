@@ -49,6 +49,13 @@ It writes, with the interpreter and machine it ran on:
   1024 one-atom two-state models, each alone, with U, O, W and K at
   depth 2) and CLOSURE_PAIRS closures of two seeded random two-state
   models over p and q with U and W at depth 2;
+* `codec_probe`: in a fresh interpreter, the median CPU µs per call of
+  `model_from_text` and of `model_to_text` on CODEC_TEXTS seeded random
+  model texts of one to four states (each text once a round) and on one
+  CODEC_STATES-state model, w_i's neighborhoods being the full set and
+  {w_i} (CODEC_REPEATS calls a round), CODEC_ROUNDS rounds after a warm
+  one, REPEATS times: the model wire format that every model request
+  reads and most write;
 * `announce_probe`: likewise for `nbhdmc valid -f "[[W false] (p | K q)]
   [q] (U true -> true)" --class m,n`, an exhaustive three-state scan of
   a valid formula with nested announcements;
@@ -199,6 +206,11 @@ PROPS_STATES = 16
 CLOSURE_PAIRS = 300
 CLOSURE_SEED = 31
 CLOSURE_ROUNDS = 5
+CODEC_TEXTS = 500
+CODEC_SEED = 32
+CODEC_STATES = 16
+CODEC_REPEATS = 100
+CODEC_ROUNDS = 10
 SUITE_JOBS = (1, 2, 4)
 CALIBRATION_MARKS = 15
 
@@ -325,6 +337,39 @@ for _ in range(1 + rounds):
             fragment_representatives(models, atoms, operators, 2)
         ms.append(1e3 * (time.process_time() - cpu))
     took.append(ms)
+print(json.dumps([statistics.median(col) for col in zip(*took[1:])]))
+"""
+
+
+# Times model_from_text, then model_to_text on the models it read, over
+# the given count of seeded random model texts of one to four states and
+# over the given repeats of one model of the given state count, per round
+# after a warm one, for the rounds given; prints JSON, the median CPU us
+# per call of each, small texts first.
+_CODEC_PROBE = """
+import json, statistics, sys, time
+from _gen import random_model_doc
+from nbhdmc.model import model_from_text, model_to_text
+from nbhdmc.search import SplitMix64
+rounds, count, seed, states, repeats = map(int, sys.argv[1:6])
+rng = SplitMix64(seed)
+names = [f"w{i}" for i in range(states)]
+big = json.dumps({"states": names, "valuation": {"p": names[::2]},
+                  "neighborhoods": {s: [names, [s]] for s in names}})
+sets = ([json.dumps(random_model_doc(rng, 1 + k % 4)) for k in range(count)],
+        [big] * repeats)
+took = []
+for _ in range(1 + rounds):
+    us = []
+    for texts in sets:
+        cpu = time.process_time()
+        models = [model_from_text(text) for text in texts]
+        mid = time.process_time()
+        for model in models:
+            model_to_text(model)
+        end = time.process_time()
+        us += [1e6 * (mid - cpu) / len(texts), 1e6 * (end - mid) / len(texts)]
+    took.append(us)
 print(json.dumps([statistics.median(col) for col in zip(*took[1:])]))
 """
 
@@ -464,6 +509,25 @@ def closure_probe() -> dict:
     return out
 
 
+def codec_probe() -> dict:
+    print("model wire format: model_from_text, model_to_text",
+          file=sys.stderr)
+    runs = [_last_json_line(
+        [sys.executable, "-c", _CODEC_PROBE, str(CODEC_ROUNDS),
+         str(CODEC_TEXTS), str(CODEC_SEED), str(CODEC_STATES),
+         str(CODEC_REPEATS)]) for _ in range(REPEATS)]
+    out = {"rounds": CODEC_ROUNDS}
+    names = (f"texts_{CODEC_TEXTS}.model_from_text",
+             f"texts_{CODEC_TEXTS}.model_to_text",
+             f"states_{CODEC_STATES}.model_from_text",
+             f"states_{CODEC_STATES}.model_to_text")
+    for i, name in enumerate(names):
+        values = [run[i] for run in runs]
+        out[name] = {"cpu_us": statistics.median(values),
+                     "runs_cpu_us": values}
+    return out
+
+
 def calibration() -> dict:
     """CALIBRATION_MARKS runs of perfbench's calibration loop in this
     process (each the fastest of three loops), in ns."""
@@ -597,6 +661,7 @@ def main(argv=None) -> int:
         "front_end_probe": repeated(front_end_probe()),
         "one_step_probe": repeated(one_step_probe()),
         "closure_probe": repeated(closure_probe()),
+        "codec_probe": repeated(codec_probe()),
         "announce_probe": repeated(cli_wall(ANNOUNCE_PROBE)),
         "multiblock_probe": repeated(cli_wall(MULTIBLOCK_PROBE)),
         "local_multiblock_probe": repeated(cli_wall(LOCAL_MULTIBLOCK_PROBE)),
